@@ -287,6 +287,8 @@ def _lang_id_profile_values() -> str:
 
 
 def oracle_sql() -> dict[str, str]:
+    from fastparquet_ray.functions.packing import PACK_LENGTH as L
+
     return {
         "projection": (
             "SELECT l_orderkey, l_quantity, l_extendedprice FROM lineitem"
@@ -982,11 +984,11 @@ def oracle_sql() -> dict[str, str]:
             "COALESCE(sum(n_tok) OVER (ORDER BY doc_id "
             "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) "
             f"AS prev FROM read_parquet('{_TOKENS_GLOB}')), "
-            "tot AS (SELECT (sum(n_tok) // 512) * 512 AS cut "
+            f"tot AS (SELECT (sum(n_tok) // {L}) * {L} AS cut "
             f"FROM read_parquet('{_TOKENS_GLOB}')), "
             "pos AS (SELECT prev + generate_subscripts(tokens, 1) - 1 "
             "AS gpos, unnest(tokens) AS tok FROM t) "
-            "SELECT CAST(gpos // 512 AS BIGINT) AS example_id, "
+            f"SELECT CAST(gpos // {L} AS BIGINT) AS example_id, "
             "CAST(count(*) AS BIGINT) AS n_tok, "
             "CAST(sum(tok) AS BIGINT) AS tok_sum "
             "FROM pos, tot WHERE gpos < cut GROUP BY example_id"
@@ -1009,20 +1011,20 @@ def oracle_sql() -> dict[str, str]:
             "COALESCE(sum(n_tok) OVER (ORDER BY doc_id "
             "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) "
             f"AS prev FROM read_parquet('{_TOKENS_GLOB}')) "
-            "SELECT CAST(prev // 512 AS BIGINT) AS example_id, "
+            f"SELECT CAST(prev // {L} AS BIGINT) AS example_id, "
             "CAST(count(*) AS BIGINT) AS n_docs, "
             "CAST(sum(n_tok) AS BIGINT) AS tok_sum "
             "FROM t GROUP BY example_id"
         ),
         # greedy-packing conservation: every doc in exactly one
         # example, token totals conserved, an example exceeds the
-        # budget iff it is a lone oversized doc (n_tok > 512) — the
+        # budget iff it is a lone oversized doc (n_tok > L) — the
         # recurrence itself is asserted in-query vs the serial
         # reference (see packing.pack_greedy_check)
         "pack_greedy_check": (
             "SELECT CAST(count(*) AS BIGINT) AS n_docs_total, "
             "CAST(sum(n_tok) AS BIGINT) AS tok_sum_total, "
-            "CAST(count(*) FILTER (n_tok > 512) AS BIGINT) "
+            f"CAST(count(*) FILTER (n_tok > {L}) AS BIGINT) "
             f"AS n_oversized FROM read_parquet('{_TOKENS_GLOB}')"
         ),
         # JSONL sink roundtrip: also sums the token stream itself, so

@@ -26,8 +26,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# default example length (tokens) of every packing operator; the
+# oracle SQL in __ray_entry__.py derives its budget from it too
+PACK_LENGTH = 512
 
-def pack_sequences(sf_dir: str, length: int = 512):
+
+def pack_sequences(sf_dir: str, length: int = PACK_LENGTH):
     """Pack the decoded tokens corpus into fixed-``length`` examples.
     Returns a Dataset of (example_id int64, tokens list<int32>), every
     row exactly ``length`` tokens; example k holds global token
@@ -183,7 +187,7 @@ def pack_sequences(sf_dir: str, length: int = 512):
     return full
 
 
-def pack_stats(sf_dir: str, length: int = 512):
+def pack_stats(sf_dir: str, length: int = PACK_LENGTH):
     """Per-example token count + token sum of the PACKED dataset —
     the SQL-checkable invariant of pack_sequences (the oracle derives
     the same numbers from the raw parquet with a window cumsum over
@@ -215,7 +219,7 @@ def pack_stats(sf_dir: str, length: int = 512):
     return ds.map_batches(stats, batch_format="pyarrow")
 
 
-def pack_bins(sf_dir: str, length: int = 512):
+def pack_bins(sf_dir: str, length: int = PACK_LENGTH):
     """Boundary-respecting packing: each document lands WHOLE in the
     bin its global start offset falls into (example_id =
     exclusive_cumsum(n_tok) // length under the doc_id order) — the
@@ -372,7 +376,7 @@ def chunk_windows(sf_dir: str, size: int = 128, stride: int = 64):
     return ds.map_batches(windows, batch_format="pyarrow")
 
 
-def pack_greedy(sf_dir: str, length: int = 512):
+def pack_greedy(sf_dir: str, length: int = PACK_LENGTH):
     """EXACT distributed greedy sequence packing WITHOUT splitting
     documents (first-fit-sequential: docs in doc_id order; a doc that
     would overflow the open example closes it and starts the next;
@@ -600,7 +604,7 @@ def pack_greedy(sf_dir: str, length: int = 512):
 _GREEDY_CHECK_CAP = 2_000_000
 
 
-def pack_greedy_check(sf_dir: str, length: int = 512):
+def pack_greedy_check(sf_dir: str, length: int = PACK_LENGTH):
     """SQL-checkable projection of pack_greedy (VERDICT r04 #2): the
     greedy first-fit recurrence itself has no SQL form, but its output
     must conserve the input multiset — every doc lands in exactly one
@@ -657,9 +661,14 @@ def pack_greedy_check(sf_dir: str, length: int = 512):
     n_oversized = int(part["n_oversized"].sum())
     max_multi_fill = int(part["max_multi_fill"].max()) if len(part) else 0
     # invariant 1: a multi-doc example never exceeds the budget
-    assert max_multi_fill <= L, (max_multi_fill, L)
+    if max_multi_fill > L:
+        raise ValueError(
+            f"pack_greedy: multi-doc example holds {max_multi_fill} "
+            f"tokens, budget {L}"
+        )
     # invariant 2: n_pad == max(L - tok_sum, 0) on every row
-    assert bool(part["pad_identity_ok"].all())
+    if not part["pad_identity_ok"].all():
+        raise ValueError("pack_greedy: n_pad != max(L - tok_sum, 0)")
     # invariant 3 (capped): row-for-row equality with the serial
     # first-fit reference (same loop as tests/test_packing.py)
     if n_docs_total <= _GREEDY_CHECK_CAP:
@@ -691,12 +700,17 @@ def pack_greedy_check(sf_dir: str, length: int = 512):
             .sort_values("example_id")
             .reset_index(drop=True)
         )
-        assert n_examples == len(want_nd), (n_examples, len(want_nd))
-        assert (
-            got["example_id"].to_numpy() == np.arange(len(got))
-        ).all()
-        assert got["n_docs"].tolist() == want_nd
-        assert got["tok_sum"].tolist() == want_ts
+        if n_examples != len(want_nd):
+            raise ValueError(
+                f"pack_greedy: {n_examples} examples, serial reference "
+                f"{len(want_nd)}"
+            )
+        if not (got["example_id"].to_numpy() == np.arange(len(got))).all():
+            raise ValueError("pack_greedy: example ids are not 0..n-1")
+        if got["n_docs"].tolist() != want_nd:
+            raise ValueError("pack_greedy: n_docs differ from the reference")
+        if got["tok_sum"].tolist() != want_ts:
+            raise ValueError("pack_greedy: tok_sum differs from the reference")
     return pa.table(
         {
             "n_docs_total": pa.array([n_docs_total], pa.int64()),

@@ -86,7 +86,7 @@ class _CompactBin:
             outs.append(
                 _manifest_batch(
                     pid, shard, merged.num_rows, read_header(blob),
-                    "encoded", key_range,
+                    "encoded", key_range, shard_bytes=len(blob),
                 )
             )
         return pa.concat_tables(outs)
@@ -167,7 +167,11 @@ def compact_shards(
         )
         .take_all()
     )
-    all_records = [dict(r) for r in new_records] + untouched
+    # merged shards mix fragments, so no record may vouch for its
+    # fragment any more: the next resume takes the content path
+    all_records = [
+        dict(r, fragment_fp="") for r in [*new_records, *untouched]
+    ]
     manifest.write_records(all_records)
     orphans = manifest.remove_orphan_shards(
         {r["partition_id"] for r in all_records}

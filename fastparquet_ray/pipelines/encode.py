@@ -8,7 +8,33 @@
 Streaming end-to-end: the only driver-side materialization is the tiny
 manifest dataset (one row per partition). Resume prunes finished
 partition ids before encoding (reference analog: append='overwrite',
-/root/reference/fastparquet/writer.py:1014-1032).
+writer.py:1014-1032).
+
+Resume works at two levels:
+
+- Fragment fingerprints, before any read. ``encode_pipeline``
+  fingerprints every input file (normalized path, size, blake2b-128
+  over the whole file's bytes — never a footer hash or mtime, which
+  miss a same-size rewrite) and stamps it, with a tag of the
+  split/key layout, on the manifest records of the blocks read from
+  that file. On resume a
+  file is reused without being read when every record naming it names
+  it alone, carries the same fingerprint and layout tag, and points at
+  a shard that exists at the recorded size. When every file is reused,
+  no Ray Data job runs and no shard is opened. A file whose (size,
+  mtime) changed while the run read it gets no fingerprint.
+- The content hash, for everything else. Partition ids hash each
+  block's full content, so a block whose id has a finished shard
+  (manifest record or valid orphan from a killed run) is skipped after
+  being read. It stays the authority for the exchange layouts
+  (``cluster_by``, z-order, ``partition_by_source=True``), for inputs
+  whose schema owns a ``path`` column, for manifests written before
+  fingerprints, and for any file whose fingerprint changed.
+
+Every file that is read on resume is logged once to the
+``fastparquet_ray`` logger with its reason (see
+``Manifest.reusable_fragments``, plus ``exchange_layout`` and
+``path_column``).
 
 Ray is NEVER initialised here — callers (bench.py / tests / driver)
 own the session.
@@ -16,6 +42,9 @@ own the session.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import logging
 import os
 from typing import Any
 
@@ -23,6 +52,8 @@ from ..data import SOURCES
 from ..plan import CodecPlan, sample_fragments, train_plan
 from ..stages.encode_stage import EncodeShard, add_salt_column
 from ..state.manifest import Manifest
+
+log = logging.getLogger("fastparquet_ray")
 
 # The encode batch is ONE Ray block (batch_size=None): block formation
 # from identical inputs is deterministic, so content-hashed partition
@@ -38,6 +69,18 @@ def make_plan(paths: list[str], outer: tuple | None = None) -> CodecPlan:
     outer block codec, per-column codecs are ranked by post-outer
     size."""
     return train_plan(sample_fragments(paths), outer=outer)
+
+
+def fingerprint_inputs(paths: list[str]) -> dict[str, tuple]:
+    """normalized path -> (stat key taken before hashing, fingerprint)."""
+    from ..state import fs as fsmod
+
+    out = {}
+    for p in paths:
+        fs, rp = fsmod.get_fs(p)
+        st = fsmod.stat_key(fs, rp)
+        out[rp] = (st, fsmod.file_fingerprint(fs, rp))
+    return out
 
 
 def salted_shuffle(ds, plan: CodecPlan, total_buckets: int = 32):
@@ -87,7 +130,7 @@ def encode_pipeline(
     filesystem=None,
 ) -> dict:
     """Run the encode job; returns summary metrics (rows, bytes, ratio,
-    partitions encoded vs skipped).
+    partitions encoded vs skipped, input fragments reused vs read).
 
     partition_by_source:
       False     - no source partitioning (zero exchanges)
@@ -131,9 +174,6 @@ def encode_pipeline(
             "cluster_by and partition_by_source=True are mutually "
             "exclusive (two conflicting global layouts)"
         )
-    import ray
-    import ray.data
-
     from ..state import fs as fsmod
 
     if isinstance(paths, str):
@@ -189,6 +229,148 @@ def encode_pipeline(
             plan.specs.setdefault(c, {})["bloom"] = True
     manifest.write_plan(plan)
 
+    # provenance column salts partition ids so duplicate input files
+    # don't collapse into one shard — skipped iff the user's schema
+    # already owns a "path" column (then ids are content-only again;
+    # the user's column is encoded untouched — ADVICE r02). No
+    # provenance under cluster_by: a range sort redistributes rows
+    # anyway, so file-identity salting no longer applies (content
+    # hashing still makes ids unique and resume-safe)
+    import pyarrow.parquet as _pq
+
+    first_fs, first_rp = fsmod.get_fs(paths[0])
+    with first_fs.open(first_rp, "rb") as _f:
+        user_has_path = "path" in _pq.ParquetFile(_f).schema_arrow.names
+    provenance_col = (
+        None if user_has_path or cluster_by else "path"
+    )
+
+    # fragment fingerprints (module docstring): only exchange-free
+    # layouts with a provenance column tie each record to one file
+    if cluster_by or partition_by_source is True:
+        content_reason = "exchange_layout"
+    elif user_has_path:
+        content_reason = "path_column"
+    else:
+        content_reason = None
+    norm = [fsmod.get_fs(p)[1] for p in paths]
+    fps: dict[str, tuple] = {}
+    layout = ""
+    if content_reason is None:
+        # records reused under another split/key layout would keep
+        # that layout's shards
+        layout = hashlib.blake2b(
+            json.dumps(
+                [key_column, partition_by_source, hive_cols, batch_rows]
+            ).encode(),
+            digest_size=4,
+        ).hexdigest()
+        fps = fingerprint_inputs(paths)
+    reused: list[dict] = []
+    reasons: dict[str, str] = {}
+    if resume:
+        if fps:
+            reused, reasons = manifest.reusable_fragments(
+                {n: fp for n, (_, fp) in fps.items()}, layout
+            )
+        else:
+            reasons = dict.fromkeys(norm, content_reason)
+        for frag, why in reasons.items():
+            log.info("reading fragment %s: %s", frag, why)
+    reused_frags = set(fps) - set(reasons) if resume else set()
+    to_read = [p for p, n in zip(paths, norm) if n not in reused_frags]
+    records = (
+        _encode_job(
+            to_read, out_dir, manifest, plan, resume=resume,
+            batch_rows=batch_rows, concurrency=concurrency,
+            partition_by_source=partition_by_source,
+            key_column=key_column, hive_cols=hive_cols,
+            cluster_by=cluster_by, provenance_col=provenance_col,
+            filesystem=filesystem,
+        )
+        if to_read
+        else []
+    )
+    # Ray reports a relative input path as given and a URI without its
+    # protocol: map either back to the normalized path. A file
+    # rewritten while this run read it gets no fingerprint.
+    alias = dict(zip(paths, norm)) | dict(zip(norm, norm))
+    stable = {
+        n
+        for p, n in zip(paths, norm)
+        if n in fps and n not in reused_frags
+        and fsmod.stat_key(*fsmod.get_fs(p)) == fps[n][0]
+    }
+    for r in records:
+        frags = [alias.get(f, f) for f in r["fragment"].split("\x00")]
+        single = len(frags) == 1 and frags[0] in stable
+        # exchange blocks mix many files: keep their lines short
+        r["fragment"] = "\x00".join(frags) if fps else ""
+        r["fragment_fp"] = fps[frags[0]][1] if single else ""
+        r["layout"] = layout if single else ""
+    records = [dict(r, status="skipped") for r in reused] + records
+    # overwrite semantics: the manifest holds EXACTLY this run's
+    # partition set, and shards from older runs over a different input
+    # set / block configuration are deleted — otherwise decode would
+    # silently return duplicated rows
+    manifest.write_records(records)
+    orphans = manifest.remove_orphan_shards(
+        {r["partition_id"] for r in records}
+    )
+    encoded = [r for r in records if r["status"] == "encoded"]
+    skipped = [r for r in records if r["status"] == "skipped"]
+    raw = sum(r["raw_bytes"] for r in records)
+    enc = sum(r["enc_bytes"] for r in records)
+    return {
+        "partitions": len(records),
+        "encoded": len(encoded),
+        "skipped": len(skipped),
+        "orphans_removed": orphans,
+        # input files reused from their fingerprints vs read this run
+        "fragments_reused": len(reused_frags),
+        "fragments_read": len(to_read),
+        "rows": int(sum(r["rows"] for r in records)),
+        "raw_bytes": int(raw),
+        "enc_bytes": int(enc),
+        "ratio": (enc / raw) if raw else None,
+        # aggregate vocabulary-drift signal (NEXT r4 #3): when this
+        # grows across append runs, re-train the plan's shared rank
+        # table (encode with resume=False, plan=None)
+        "zrank_extras": int(
+            sum(r.get("zrank_extras", 0) or 0 for r in records)
+        ),
+        # retrain_on_drift policy outcome (None/False when the policy
+        # was off or no stored plan was being reused)
+        "drift_ratio": drift_ratio,
+        "plan_retrained": plan_retrained,
+        "out_dir": out_dir,
+    }
+
+
+def _encode_job(
+    paths: list[str],
+    out_dir: str,
+    manifest: Manifest,
+    plan: CodecPlan,
+    *,
+    resume: bool,
+    batch_rows: int | None,
+    concurrency: Any,
+    partition_by_source: bool | str,
+    key_column: str,
+    hive_cols: list[str] | None,
+    cluster_by,
+    provenance_col: str | None,
+    filesystem,
+) -> list[dict]:
+    """The Ray Data job over the fragments that must be read: read,
+    optional exchange, EncodeShard. Returns one manifest record per
+    partition (encoded, or skipped by the content hash)."""
+    import ray
+    import ray.data
+
+    # valid_shard_ids opens the shards no manifest record vouches for:
+    # only this content path needs it, to adopt a killed run's orphans
     finished = manifest.finished_ids() if resume else set()
     finished_ref = ray.put(finished) if finished else None
     if concurrency is None:
@@ -209,36 +391,21 @@ def encode_pipeline(
     # override_num_blocks = one block per input file: block formation
     # then depends ONLY on each file (not the whole input set), so
     # content-addressed partition ids stay stable under APPENDS of new
-    # files (reference append mode, writer.py:973-1032). Trade-off:
-    # upstream files should be written at roughly block size (norm for
-    # training-data lakes; our generator and any 128-512 MB layout).
+    # files (reference append mode, writer.py:973-1032) and when only
+    # some files are read. Trade-off: upstream files should be written
+    # at roughly block size (norm for training-data lakes; our
+    # generator and any 128-512 MB layout).
     ncpu_total = int(ray.cluster_resources().get("CPU", 4))
     # exactly 1/4 of CPUs, capped at 8/node: a floor of 2 readers made
     # the 4-CPU:16-CPU split 2:4 instead of 1:4 — the low-parallelism
     # side got relatively MORE read bandwidth, skewing any N -> 4N
     # comparison (and the protocol documents a proportional split)
     read_conc = max(1, min(8, ncpu_total // 4))
-    # provenance column salts partition ids so duplicate input files
-    # don't collapse into one shard — skipped iff the user's schema
-    # already owns a "path" column (then ids are content-only again;
-    # the user's column is encoded untouched — ADVICE r02)
-    import pyarrow.parquet as _pq
-
-    first_fs, first_rp = fsmod.get_fs(paths[0])
-    with first_fs.open(first_rp, "rb") as _f:
-        user_has_path = "path" in _pq.ParquetFile(_f).schema_arrow.names
     ds = ray.data.read_parquet(
         paths,
         concurrency=read_conc,
         override_num_blocks=len(paths),
-        # no provenance column under cluster_by: a range sort
-        # redistributes rows anyway, so file-identity salting of
-        # partition ids no longer applies (content hashing still makes
-        # ids unique and resume-safe)
-        include_paths=not user_has_path and not cluster_by,
-    )
-    provenance_col = (
-        None if user_has_path or cluster_by else "path"
+        include_paths=provenance_col is not None,
     )
     cluster_split: list[str] = []
     if cluster_by:
@@ -389,41 +556,8 @@ def encode_pipeline(
         _prev_push = _ctx.use_push_based_shuffle
         _ctx.use_push_based_shuffle = True
         try:
-            records = mani_ds.take_all()  # tiny: one row per partition
+            return mani_ds.take_all()  # tiny: one row per partition
         finally:
             _ctx.use_push_based_shuffle = _prev_push
     else:
-        records = mani_ds.take_all()  # tiny: one row per partition
-    # overwrite semantics: the manifest holds EXACTLY this run's
-    # partition set, and shards from older runs over a different input
-    # set / block configuration are deleted — otherwise decode would
-    # silently return duplicated rows
-    manifest.write_records(records)
-    orphans = manifest.remove_orphan_shards(
-        {r["partition_id"] for r in records}
-    )
-    encoded = [r for r in records if r["status"] == "encoded"]
-    skipped = [r for r in records if r["status"] == "skipped"]
-    raw = sum(r["raw_bytes"] for r in records)
-    enc = sum(r["enc_bytes"] for r in records)
-    return {
-        "partitions": len(records),
-        "encoded": len(encoded),
-        "skipped": len(skipped),
-        "orphans_removed": orphans,
-        "rows": int(sum(r["rows"] for r in records)),
-        "raw_bytes": int(raw),
-        "enc_bytes": int(enc),
-        "ratio": (enc / raw) if raw else None,
-        # aggregate vocabulary-drift signal (NEXT r4 #3): when this
-        # grows across append runs, re-train the plan's shared rank
-        # table (encode with resume=False, plan=None)
-        "zrank_extras": int(
-            sum(r.get("zrank_extras", 0) or 0 for r in records)
-        ),
-        # retrain_on_drift policy outcome (None/False when the policy
-        # was off or no stored plan was being reused)
-        "drift_ratio": drift_ratio,
-        "plan_retrained": plan_retrained,
-        "out_dir": out_dir,
-    }
+        return mani_ds.take_all()  # tiny: one row per partition

@@ -202,10 +202,16 @@ def export_parquet_resumable(
         jobs.append({"src": p, "dst": dst})
     if not jobs:
         # nothing to export, but a run killed between the last shard
-        # and the sidecar still needs the footer published
-        if not out_fs.exists(fsmod.join(out_fs, out_root, "_metadata")):
+        # and either sidecar write still needs both published; an
+        # empty encoded dir has no footer to publish
+        if skipped and not all(
+            out_fs.exists(fsmod.join(out_fs, out_root, name))
+            for name in ("_metadata", "_common_metadata")
+        ):
             write_common_metadata(out_dir, filesystem=filesystem)
-        return {"exported": 0, "skipped": skipped, "out_dir": out_dir}
+        return {
+            "exported": 0, "skipped": skipped, "rows": 0, "out_dir": out_dir
+        }
 
     tables_ref = ray.put(tables)
     cols = columns

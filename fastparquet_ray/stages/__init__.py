@@ -1,3 +1,3 @@
-from .encode_stage import DecodeShard, EncodeShard, add_salt_column, row_fingerprints
+from .encode_stage import EncodeShard, add_salt_column, row_fingerprints
 
-__all__ = ["EncodeShard", "DecodeShard", "add_salt_column", "row_fingerprints"]
+__all__ = ["EncodeShard", "add_salt_column", "row_fingerprints"]

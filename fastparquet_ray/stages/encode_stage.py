@@ -1,6 +1,6 @@
-"""map_batches callables for the encode/decode/verify pipelines.
+"""map_batches callables for the encode/verify pipelines.
 
-EncodeShard / DecodeShard are callable CLASSES run as task pools with
+EncodeShard is a callable CLASS run as a task pool with
 once-per-worker state (`_util.task_state`, round 4 — an autoscaling
 actor pool added ~2 s spin-up per call): symbol-table
 deserialization and plan parsing happen once per worker process in
@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
-from ..container import ShardEncoder, decode_table, partition_id_for, read_header
+from ..container import ShardEncoder, partition_id_for, read_header
 from ..plan import CodecPlan
 
 _PRIME = np.uint64(1099511628211)  # FNV prime, used for row fingerprints
@@ -135,15 +135,19 @@ class EncodeShard:
         shard = f"{subdir}/shard-{pid}.fprs" if subdir else f"shard-{pid}.fprs"
         path = fsmod.join(self.fs, self.root, shard)
         if pid in self.finished and self.fs.exists(path):
-            hdr = read_header(fsmod.read_header_bytes(self.fs, path))
+            head = fsmod.read_header_bytes(self.fs, path)
+            hdr = read_header(head)
+            size = 9 + int.from_bytes(head[5:9], "little") + hdr["enc_bytes"]
             return _manifest_batch(
-                pid, shard, batch.num_rows, hdr, "skipped", key_range
+                pid, shard, batch.num_rows, hdr, "skipped", key_range,
+                fragment=extra, shard_bytes=size,
             )
         blob = self.encoder.encode_table(batch, pid)
         fsmod.atomic_write(self.fs, path, blob, suffix=f".{os.getpid()}")
         hdr = read_header(blob)
         return _manifest_batch(
-            pid, shard, batch.num_rows, hdr, "encoded", key_range
+            pid, shard, batch.num_rows, hdr, "encoded", key_range,
+            fragment=extra, shard_bytes=len(blob),
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -171,10 +175,14 @@ class EncodeShard:
 def _manifest_batch(
     pid: str, shard: str, rows: int, hdr: dict, status: str,
     key_range: tuple[str, str] | None = None,
+    fragment: str = "", shard_bytes: int = 0,
 ) -> pa.Table:
     """One lineage record per partition (north rule: input fragment /
     key range, codec choice per column, symbol-table hashes, byte
-    counts). JSON-encoded detail columns keep the record schema flat."""
+    counts). JSON-encoded detail columns keep the record schema flat.
+    ``fragment`` is the block's provenance (NUL-joined input paths);
+    ``encode_pipeline`` adds the file's fingerprint, and ``shard_bytes``
+    lets a resume check the shard with a stat."""
     import json
 
     codecs = {}
@@ -200,28 +208,10 @@ def _manifest_batch(
             ],
             "key_min": [key_range[0] if key_range else ""],
             "key_max": [key_range[1] if key_range else ""],
+            "fragment": [fragment],
+            "shard_bytes": [shard_bytes],
         }
     )
-
-
-class DecodeShard:
-    """Decode shard blobs (rows of ``bytes``) back into Arrow tables."""
-
-    def __init__(self, tables: Any = None, columns: list[str] | None = None):
-        import ray
-
-        if tables is not None and isinstance(tables, ray.ObjectRef):
-            tables = ray.get(tables)
-        self.tables: dict[str, bytes] = tables or {}
-        self.columns = columns
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = []
-        for blob in batch.column("bytes"):
-            outs.append(
-                decode_table(blob.as_py(), self.tables, columns=self.columns)
-            )
-        return pa.concat_tables(outs) if outs else pa.table({})
 
 
 def _column_row_hashes(col) -> np.ndarray:

@@ -90,6 +90,39 @@ def read_header_bytes(fs: Any, path: str, probe: int = 256 * 1024) -> bytes:
     return head
 
 
+def file_fingerprint(fs: Any, path: str, chunk: int = 1 << 20) -> str:
+    """``"<size>:<blake2b-128 hex>"`` over the WHOLE file's bytes. A
+    footer hash or mtime would miss a same-size in-place rewrite whose
+    footer stats did not change; the full digest cannot. Reads into one
+    reused buffer, so hashing a large file allocates nothing per
+    chunk."""
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=16)
+    buf = bytearray(chunk)
+    view = memoryview(buf)
+    size = 0
+    with fs.open(path, "rb") as f:
+        while n := f.readinto(buf):
+            h.update(view[:n])
+            size += n
+    return f"{size}:{h.hexdigest()}"
+
+
+def stat_key(fs: Any, path: str) -> tuple:
+    """(size, modification stamp) — changes whenever the file is
+    rewritten. Local files use ``st_mtime_ns`` (whole-second or float
+    mtimes miss a same-size rewrite inside one tick)."""
+    if is_local(fs):
+        import os
+
+        st = os.stat(path)
+        return (st.st_size, st.st_mtime_ns)
+    info = fs.info(path)
+    stamp = info.get("mtime") or info.get("LastModified") or info.get("ETag")
+    return (info.get("size"), str(stamp))
+
+
 def to_pyarrow_fs(fs: Any):
     """Wrap an fsspec filesystem for APIs that want pyarrow.fs (Ray
     Data's FileBasedDatasource). Local filesystems pass through as

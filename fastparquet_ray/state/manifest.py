@@ -17,12 +17,20 @@ threading, api.py:95-103) — ``out_dir`` may be a plain path or a URI.
 from __future__ import annotations
 
 import json
+import logging
 
 from ..plan import CodecPlan
 from . import fs as fsmod
 
 MANIFEST_NAME = "_manifest.jsonl"
 PLAN_NAME = "_plan.json"
+
+log = logging.getLogger("fastparquet_ray")
+
+
+def _shard_pid(path: str) -> str:
+    name = path.rsplit("/", 1)[-1]
+    return name[len("shard-") : -len(".fprs")]
 
 
 class Manifest:
@@ -84,18 +92,70 @@ class Manifest:
 
     def finished_ids(self) -> set[str]:
         """Partitions proven complete: manifest record with the shard
-        present, PLUS any valid orphan shard (written atomically by a
-        run that was killed before the driver appended its manifest
-        line — shards are content-addressed and self-certifying, so
-        mid-run kills lose no finished work)."""
+        present at its recorded size, PLUS any valid orphan shard
+        (written atomically by a run that was killed before it
+        appended its manifest line — shards are content-addressed and
+        self-certifying, so mid-run kills lose no finished work)."""
         done = set()
         for pid, rec in self.load_records().items():
-            if rec.get("status") in ("encoded", "skipped") and self.fs.exists(
-                fsmod.join(self.fs, self.root, rec["shard"])
+            if rec.get("status") in ("encoded", "skipped") and (
+                self._shard_intact(rec)
             ):
                 done.add(pid)
-        done |= self.valid_shard_ids()
+        done |= self.valid_shard_ids(known=done)
         return done
+
+    def reusable_fragments(
+        self, fingerprints: dict[str, str], layout: str
+    ) -> tuple[list[dict], dict[str, str]]:
+        """Fragment-fingerprint resume: split the input fragments
+        (normalized path -> current fingerprint) into the manifest
+        records that stand for them without reading them, and
+        ``{fragment: reason}`` for every fragment that must be read.
+        A fragment is reused only when every record naming it names it
+        alone, carries its current fingerprint and ``layout`` tag, and
+        points at a shard present at the recorded size (a stat — no
+        shard is opened).
+
+        Reasons: ``no_record`` (no fingerprinted record names it alone),
+        ``legacy_manifest`` (the manifest predates fingerprints),
+        ``digest_changed`` (the file's bytes differ), ``layout_changed``
+        (same bytes, different split/key layout), ``shard_missing``
+        (a shard is gone or not at its recorded size)."""
+        records = list(self.load_records().values())
+        legacy = any("fragment_fp" not in r for r in records)
+        named: dict[str, list[dict]] = {}
+        for r in records:
+            for frag in filter(None, r.get("fragment", "").split("\x00")):
+                named.setdefault(frag, []).append(r)
+        reused: list[dict] = []
+        reasons: dict[str, str] = {}
+        for frag, fp in fingerprints.items():
+            recs = named.get(frag)
+            if not recs:
+                reasons[frag] = "legacy_manifest" if legacy else "no_record"
+            elif any(
+                r["fragment"] != frag or not r.get("fragment_fp") for r in recs
+            ):
+                reasons[frag] = "no_record"
+            elif any(r["fragment_fp"] != fp for r in recs):
+                reasons[frag] = "digest_changed"
+            elif any(r.get("layout") != layout for r in recs):
+                reasons[frag] = "layout_changed"
+            elif not all(self._shard_intact(r) for r in recs):
+                reasons[frag] = "shard_missing"
+            else:
+                reused.extend(recs)
+        return reused, reasons
+
+    def _shard_intact(self, rec: dict) -> bool:
+        """The record's shard exists at its recorded size (one stat;
+        records from before sizes were recorded need existence only)."""
+        try:
+            size = self.fs.size(fsmod.join(self.fs, self.root, rec["shard"]))
+        except OSError:
+            return False
+        return size == rec.get("shard_bytes", size)
 
     def _shard_glob(self) -> list[str]:
         found = set(
@@ -107,29 +167,35 @@ class Manifest:
         )
         return sorted(found)
 
-    def valid_shard_ids(self) -> set[str]:
+    def valid_shard_ids(self, known: set[str] = frozenset()) -> set[str]:
         """Scan shard files and validate completeness (magic + header
         parse + exact file length). Atomic publish means a present,
-        length-consistent shard is complete."""
+        length-consistent shard is complete. Shards whose file-name id
+        is in ``known`` (already proven by the manifest) are not
+        opened; a shard that fails validation is logged, not adopted."""
         from ..container import MAGIC, read_header
 
         out = set()
         for path in self._shard_glob():
+            if _shard_pid(path) in known:
+                continue
             try:
                 with self.fs.open(path, "rb") as f:
                     head = f.read(256 * 1024)
                 if head[:5] != MAGIC:
-                    continue
+                    raise ValueError("bad shard magic")
                 hlen = int.from_bytes(head[5:9], "little")
                 if hlen > len(head) - 9:
                     with self.fs.open(path, "rb") as f:
                         head = f.read(9 + hlen)
                 hdr = read_header(head)
                 expect = 9 + hlen + hdr["enc_bytes"]
-                if self.fs.size(path) == expect and hdr.get("partition_id"):
-                    out.add(hdr["partition_id"])
-            except Exception:
-                continue
+                size = self.fs.size(path)
+                if size != expect:
+                    raise ValueError(f"{size} bytes, header declares {expect}")
+                out.add(hdr["partition_id"])
+            except (OSError, ValueError, KeyError) as e:
+                log.warning("shard %s not adopted: %r", path, e)
         return out
 
     def append(self, records: list[dict]) -> None:
@@ -165,9 +231,7 @@ class Manifest:
         number removed."""
         removed = 0
         for path in self._shard_glob():
-            name = path.rsplit("/", 1)[-1]
-            pid = name[len("shard-") : -len(".fprs")]
-            if pid not in keep_ids:
+            if _shard_pid(path) not in keep_ids:
                 try:
                     self.fs.rm(path)
                     removed += 1

@@ -169,6 +169,40 @@ def test_export_parquet_resumable(ray_session, tmp_path):
     )
 
 
+def test_export_resumable_empty_encoded_dir(ray_session, tmp_path):
+    """An encoded dir with no shards exports nothing and publishes no
+    sidecar, instead of raising from the footer merge."""
+    from fastparquet_ray.pipelines.export import export_parquet_resumable
+
+    enc_dir = tmp_path / "enc"
+    enc_dir.mkdir()
+    out_dir = tmp_path / "pq"
+    s = export_parquet_resumable(str(enc_dir), str(out_dir))
+    assert (s["exported"], s["skipped"]) == (0, 0)
+    assert os.listdir(out_dir) == []
+
+
+def test_export_resumable_publishes_missing_common_metadata(
+    ray_session, tmp_path
+):
+    """A run killed between the two sidecar writes left _metadata but
+    not _common_metadata: the no-op rerun must publish both."""
+    from fastparquet_ray.pipelines import encode_pipeline
+    from fastparquet_ray.pipelines.export import export_parquet_resumable
+
+    paths = write_tokens_dataset(str(tmp_path / "src"), 1000, n_fragments=2)
+    enc_dir = str(tmp_path / "enc")
+    encode_pipeline(paths, enc_dir)
+    out_dir = str(tmp_path / "pq")
+    export_parquet_resumable(enc_dir, out_dir)
+    common = os.path.join(out_dir, "_common_metadata")
+    os.remove(common)
+    s = export_parquet_resumable(enc_dir, out_dir)
+    assert (s["exported"], s["skipped"]) == (0, 2)
+    assert os.path.exists(common)
+    assert pq.read_schema(common).names == pq.read_table(out_dir).schema.names
+
+
 def test_export_resumable_mirrors_hive_layout(ray_session, tmp_path):
     """Hive `key=value` shard subdirs are mirrored into the parquet
     output, so partition columns survive via the path and pyarrow

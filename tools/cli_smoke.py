@@ -2,7 +2,8 @@
 verb surface on a fresh dir and assert the manifest / resume / layout
 invariants that unit tests cover only piecewise:
 
-    gen -> encode --cluster-by --bloom -> verify --exact -> stats
+    gen -> encode (plain) -> re-encode (fingerprint resume, no read)
+        -> encode --cluster-by --bloom -> verify --exact -> stats
         -> optimize -> verify --exact (optimized layout)
         -> decode --resumable (idempotent rerun + single-file repair)
         -> decode --format jsonl
@@ -67,6 +68,14 @@ def main() -> None:
     g = run(["gen", src, "--rows", "4000", "--fragments", "4"])
     assert g["rows"] == 4000, g
 
+    # plain layout: a re-encode reuses every input file from its
+    # fingerprint — no Ray Data read, nothing re-encoded
+    plain = os.path.join(work, "plain")
+    p1 = run(["encode", src, plain])
+    p2 = run(["encode", src, plain])
+    assert p2["skipped"] == p2["partitions"] == p1["partitions"], p2
+    assert p2["fragments_read"] == 0 and p2["encoded"] == 0, p2
+
     e = run(
         [
             "encode", src, enc,
@@ -124,7 +133,7 @@ def main() -> None:
             n_rows += sum(1 for _ in f)
     assert n_rows == 4000, n_rows
 
-    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 11}))
+    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 13}))
 
 
 if __name__ == "__main__":
