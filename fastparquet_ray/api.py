@@ -15,9 +15,15 @@ user can switch pipelines with minimal changes:
       .statistics (api.py:822-902)        .statistics()
       .info / .columns                    .info / .columns
 
-Everything is backed by the Ray Data pipelines (streaming, distributed)
-— Ray must already be initialised by the caller (or Ray Data will
-auto-init a local session on first use).
+Materializing reads — ``to_pandas``, ``head`` and ``take_range`` —
+run in the calling process: shards are pruned on their header stats,
+then the kept ones are read and decoded serially, with no Ray Data
+job (the reference answers these in-process too). Everything else is
+backed by the Ray Data pipelines (streaming, distributed):
+``write``, and the lazy Datasets from ``dataset()``,
+``iter_batches()`` and ``eds[i:j]`` for scans. Ray must already be
+initialised by the caller for those (or Ray Data will auto-init a
+local session on first use).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .container import read_header
-from .pipelines.decode import decode_dataset, shard_files
+from .pipelines.decode import decode_dataset, read_table, shard_files
 from .pipelines.encode import encode_pipeline
 from .pipelines.export import shard_statistics
 from .pipelines.verify import verify_roundtrip
@@ -242,7 +248,7 @@ class EncodedDataset:
     def statistics(self) -> pd.DataFrame:
         return shard_statistics(self.out_dir)
 
-    # ----- data reads (streaming Ray pipelines) -----
+    # ----- data reads -----
 
     def dataset(
         self,
@@ -265,19 +271,21 @@ class EncodedDataset:
         self, columns: list[str] | None = None, filters=None,
         categories: list[str] | None = None,
     ) -> pd.DataFrame:
-        """Full materializing read — small datasets / tests only (the
-        reference's to_pandas is the same contract). Gathers through
-        Arrow batches: pyarrow's to_pandas handles ragged list / nested
-        columns that Ray's TensorArray conversion rejects.
+        """Full materializing read (the reference's to_pandas
+        contract), decoded in this process with no Ray Data job: shards
+        are pruned on their header stats, the kept ones read and
+        decoded serially in sorted shard order, then converted through
+        Arrow (pyarrow's to_pandas handles ragged list / nested
+        columns). Every kept row lands here — stream large scans with
+        :meth:`dataset` or :meth:`iter_batches` instead.
         ``categories`` columns come back as pandas.Categorical."""
-        batches = list(
-            self.dataset(columns, filters=filters, categories=categories)
-            .iter_batches(batch_format="pyarrow")
+        t = read_table(
+            self.out_dir, columns, filters=filters, categories=categories,
+            filesystem=self.filesystem,
         )
-        if not batches:
+        if t is None:
             return pd.DataFrame()
-        df = pa.concat_tables(batches).to_pandas()
-        return self._restore_index(df)
+        return self._restore_index(t.to_pandas())
 
     def _restore_index(self, df: pd.DataFrame) -> pd.DataFrame:
         """Re-apply a write(write_index=True) index from the
@@ -316,7 +324,15 @@ class EncodedDataset:
     def head(
         self, n: int = 5, columns: list[str] | None = None, filters=None
     ) -> pd.DataFrame:
-        return self.dataset(columns, filters=filters).limit(n).to_pandas()
+        """First ``n`` matching rows in sorted shard order (reference
+        head, api.py:231-250), decoded in this process like
+        :meth:`to_pandas`; no shard after the one that completes ``n``
+        rows is opened."""
+        t = read_table(
+            self.out_dir, columns, filters=filters,
+            filesystem=self.filesystem, limit=n,
+        )
+        return pd.DataFrame() if t is None else t.to_pandas()
 
     def take_range(
         self, start: int, stop: int, columns: list[str] | None = None
@@ -324,7 +340,8 @@ class EncodedDataset:
         """Rows [start, stop) of the key-sorted corpus by GLOBAL ROW
         POSITION (clustered layouts only): manifest row-count
         arithmetic locates the overlapping shards, nothing else is
-        decoded — the dataloader-resume primitive."""
+        decoded (in this process, no Ray Data job) — the
+        dataloader-resume primitive."""
         from .pipelines.decode import take_row_range
 
         return take_row_range(

@@ -1,21 +1,33 @@
-"""Decode pipeline: shard files -> streaming Dataset of Arrow batches.
+"""Decode pipeline: shard files -> decoded Arrow rows, with two
+executors over the same per-shard steps.
 
-Mirrors the reference read path (ParquetFile.to_pandas,
-/root/reference/fastparquet/api.py:387-475) as a Ray Data source:
-shard blobs are read as binary files and decoded by stateless tasks
-holding the shared symbol tables (read once from the plan sidecar).
-Column projection is honored at decode (reference analog M1,
-api.py:433-439): unneeded buffers are never touched. Filters prune
-whole shards from their header min/max stats before any data is read
-(reference analog M2 filter_row_groups/filter_out_stats,
-api.py:948-999/761-819) and apply the residual row filter vectorized
-per batch (M3/M4).
+Mirrors the reference read path (fastparquet ParquetFile.to_pandas,
+api.py:387-475). ``scan_shards`` resolves
+a read once: symbol tables (from the plan sidecar), filter validation,
+shard pruning from header min/max/bloom stats (reference analog M2
+filter_row_groups/filter_out_stats, api.py:948-999/761-819) and the
+decode projection. ``decode_shard`` turns one shard blob into a
+table; column projection is honored at decode (reference analog M1,
+api.py:433-439), so unneeded buffers are never touched, and the
+residual row filter is applied vectorized (M3/M4).
+
+- ``decode_dataset``: a lazy, streaming ray.data.Dataset (one read
+  task per kept shard) for scans.
+- ``read_table``: the kept shards read and decoded serially in the
+  calling process, for materializing reads (``to_pandas``, ``head``)
+  whose result lands in the driver anyway — no Ray Data job, so a
+  pruned point lookup costs one shard read.
 """
 
 from __future__ import annotations
 
+import logging
+from typing import Any, NamedTuple
+
 from ..state import fs as fsmod
 from ..state.manifest import Manifest
+
+log = logging.getLogger("fastparquet_ray")
 
 # filters are [(col, op, value)] conjunctions, ops as in the reference
 # (util.py:411-419): == != > >= < <= in not-in
@@ -72,26 +84,37 @@ def _coerce_stat_value(ltype: str | None, val):
     return None
 
 
-def _bloom_may_match(s: dict, vals: list) -> bool:
+def _bloom_may_match(
+    s: dict, vals: list, path: str | None = None, col: str | None = None
+) -> bool:
     """Point-lookup pruning past min/max: consult the shard's
     per-column bloom filter when one was written
     (encode_pipeline(bloom_cols=[...]) -> container stats path).
     Temporal values were already unit-coerced by the caller, matching
-    the encode-side hash domain. Absent/failed bloom -> True."""
+    the encode-side hash domain. Absent bloom -> True; a corrupt one
+    keeps the shard too (the conservative answer) and logs a WARNING
+    naming the shard and the column."""
     bloom = s.get("bloom")
     if not bloom:
         return True
-    try:
-        from ..bloom import bloom_may_contain
+    from ..bloom import bloom_may_contain
 
+    try:
         return bloom_may_contain(bloom, vals)
-    except Exception:
+    except (ValueError, KeyError, TypeError, IndexError) as e:
+        log.warning(
+            "corrupt bloom filter in shard %s, column %s: %s: %s; "
+            "shard kept", path, col, type(e).__name__, e,
+        )
         return True
 
 
-def _stats_may_match(stats: dict, col: str, op: str, val) -> bool:
+def _stats_may_match(
+    stats: dict, col: str, op: str, val, path: str | None = None
+) -> bool:
     """Can a shard whose `col` spans [min, max] contain matches?
-    Unknown stats -> conservatively True."""
+    Unknown stats -> conservatively True. ``path`` names the shard in
+    the corrupt-bloom warning."""
     s = stats.get(col)
     if op in ("contains", "contains_any"):
         # list-membership ops read the ELEMENT-level stats (emin/emax
@@ -103,7 +126,7 @@ def _stats_may_match(stats: dict, col: str, op: str, val) -> bool:
         vals = [v for v in vals if elo <= v <= ehi]
         if not vals:
             return False
-        return _bloom_may_match(s, vals)
+        return _bloom_may_match(s, vals, path, col)
     if not s or s.get("min") is None or s.get("max") is None:
         return True
     lo, hi = s["min"], s["max"]
@@ -129,14 +152,14 @@ def _stats_may_match(stats: dict, col: str, op: str, val) -> bool:
     if op == "==":
         if not lo <= val <= hi:
             return False
-        return _bloom_may_match(s, [val])
+        return _bloom_may_match(s, [val], path, col)
     if op == "!=":
         return not (lo == hi == val)
     if op == "in":
         vals = [v for v in val if lo <= v <= hi]
         if not vals:
             return False
-        return _bloom_may_match(s, vals)
+        return _bloom_may_match(s, vals, path, col)
     if op == "not in":
         return not (lo == hi and lo in val)
     return True
@@ -170,8 +193,14 @@ def prune_shards(
         rel = rp[len(rootp):] if rootp and rp.startswith(rootp) else rp
         for col, val in parse_hive_parts(rel).items():
             stats.setdefault(col, {"min": val, "max": val, "ltype": None})
-        if all(_stats_may_match(stats, c, op, v) for c, op, v in filters):
+        if all(
+            _stats_may_match(stats, c, op, v, path=p) for c, op, v in filters
+        ):
             kept.append(p)
+    log.debug(
+        "prune_shards: kept %d, pruned %d of %d shards for %s",
+        len(kept), len(paths) - len(kept), len(paths), filters,
+    )
     return kept
 
 
@@ -223,6 +252,91 @@ def _residual_filter(filters):
     return fn
 
 
+class Scan(NamedTuple):
+    """A resolved read: the kept shards (filesystem-relative paths on
+    ``fs``), the plan's symbol tables, the columns to decode and the
+    hive root (None for a flat layout)."""
+
+    fs: Any
+    paths: list[str]
+    tables: dict
+    decode_cols: list[str] | None
+    hive: str | None
+
+
+def scan_shards(
+    out_dir: str,
+    columns: list[str] | None = None,
+    filters=None,
+    filesystem=None,
+) -> Scan:
+    """Validate ``filters``, prune shards on their header stats and
+    work out the decode projection (the filter columns ride along
+    until the residual filter has run). Shared by both executors."""
+    manifest = Manifest(out_dir, filesystem=filesystem)
+    tables = {}
+    if manifest.has_plan():
+        tables = manifest.load_plan().tables
+    paths = shard_files(out_dir, filesystem=filesystem)
+    if not paths:
+        raise FileNotFoundError(f"no shards under {out_dir}")
+    fs, root = fsmod.get_fs(out_dir, filesystem)
+    rootp = root.rstrip("/")
+    decode_cols = columns
+    if filters:
+        for f in filters:
+            if len(f) != 3 or f[1] not in _OPS:
+                raise ValueError(f"bad filter {f}")
+        paths = prune_shards(paths, filters, root=root, filesystem=filesystem)
+        if columns is not None:
+            decode_cols = sorted(set(columns) | {f[0] for f in filters})
+    rel_paths = [fsmod.get_fs(p, filesystem)[1] for p in paths]
+
+    from .hive import parse_hive_parts
+
+    # hive layout auto-detect: any shard under a `key=value` dir BELOW
+    # the dataset root gets its partition columns reconstructed from
+    # the path (M8)
+    hive = (
+        rootp
+        if any(
+            parse_hive_parts(rp[len(rootp):] if rp.startswith(rootp) else rp)
+            for rp in rel_paths
+        )
+        else None
+    )
+    return Scan(fs, rel_paths, tables, decode_cols, hive)
+
+
+def decode_shard(
+    blob: bytes,
+    path: str,
+    tables: dict,
+    columns: list[str] | None = None,
+    categories: list[str] | None = None,
+    hive: str | None = None,
+):
+    """One shard blob -> Arrow table. With ``hive`` (the dataset root),
+    `key=value` path components below it become typed partition
+    columns, which are not stored in the shard (reference
+    paths_to_cats, api.py:700-758)."""
+    from ..container import decode_table
+
+    if hive is None:
+        return decode_table(
+            blob, tables, columns=columns, categories=categories
+        )
+    from .hive import attach_hive_columns, parse_hive_parts
+
+    root = hive.rstrip("/")
+    parts = parse_hive_parts(path[len(root):] if path.startswith(root) else path)
+    stored = (
+        None if columns is None else [c for c in columns if c not in parts]
+    )
+    t = decode_table(blob, tables, columns=stored, categories=categories)
+    return attach_hive_columns(t, parts, columns)
+
+
 def decode_dataset(
     out_dir: str,
     columns: list[str] | None = None,
@@ -240,67 +354,28 @@ def decode_dataset(
     ``categories``: string columns returned as pa.DictionaryArray
     (reference categories=, api.py:387-475) — dictionary-coded shards
     skip the per-row label gather entirely."""
-    import ray
     import ray.data
 
-    manifest = Manifest(out_dir, filesystem=filesystem)
-    tables = {}
-    if manifest.has_plan():
-        tables = manifest.load_plan().tables
-    paths = shard_files(out_dir, filesystem=filesystem)
-    if not paths:
-        raise FileNotFoundError(f"no shards under {out_dir}")
-    _, _root_for_prune = fsmod.get_fs(out_dir, filesystem)
-    if filters:
-        for f in filters:
-            if len(f) != 3 or f[1] not in _OPS:
-                raise ValueError(f"bad filter {f}")
-        paths = prune_shards(
-            paths, filters, root=_root_for_prune, filesystem=filesystem
-        )
-        if not paths:
-            import pyarrow as pa
+    scan = scan_shards(out_dir, columns, filters, filesystem)
+    if not scan.paths:
+        import pyarrow as pa
 
-            return ray.data.from_arrow(pa.table({}))
-        filter_cols = [f[0] for f in filters]
-        decode_cols = (
-            None if columns is None else sorted(set(columns) | set(filter_cols))
-        )
-    else:
-        decode_cols = columns
+        return ray.data.from_arrow(pa.table({}))
     # native datasource: decode happens inside stateless read tasks on
     # the warm worker pool (symbol tables are KBs, shipped once with
     # the serialized datasource) — no actor-pool spin-up cost. (The
     # encode side matches since round 4: a task pool with
     # once-per-worker state via _util.task_state.)
     from ..sources.fprs import read_fprs
-    from .hive import parse_hive_parts
 
-    # hive layout auto-detect: any shard under a `key=value` dir BELOW
-    # the dataset root gets its partition columns reconstructed from
-    # the path (M8)
-    fs, root = fsmod.get_fs(out_dir, filesystem)
-    rootp = root.rstrip("/")
-
-    def _rel(p: str) -> str:
-        return p[len(rootp):] if p.startswith(rootp) else p
-
-    hive = (
-        rootp
-        if any(
-            parse_hive_parts(_rel(fsmod.get_fs(p, filesystem)[1]))
-            for p in paths
-        )
-        else None
-    )
-    remote = filesystem is not None or not fsmod.is_local(fs)
+    remote = filesystem is not None or not fsmod.is_local(scan.fs)
     ds = read_fprs(
-        [fsmod.get_fs(p, filesystem)[1] for p in paths] if remote else paths,
-        tables=tables,
-        columns=decode_cols,
+        scan.paths,
+        tables=scan.tables,
+        columns=scan.decode_cols,
         concurrency=concurrency,
-        filesystem=fs if remote else None,
-        hive=hive,
+        filesystem=scan.fs if remote else None,
+        hive=scan.hive,
         categories=categories,
     )
     if filters:
@@ -308,6 +383,48 @@ def decode_dataset(
         if columns is not None:
             ds = ds.select_columns(columns)
     return ds
+
+
+def read_table(
+    out_dir: str,
+    columns: list[str] | None = None,
+    filters=None,
+    categories: list[str] | None = None,
+    filesystem=None,
+    limit: int | None = None,
+):
+    """The rows ``decode_dataset`` yields, decoded serially in the
+    calling process: no Ray Data job. Kept shards are read whole and
+    concatenated in sorted shard order; with ``limit``, no shard is
+    opened after the one that completes ``limit`` rows. Returns None
+    when pruning keeps no shard."""
+    import pyarrow as pa
+
+    scan = scan_shards(out_dir, columns, filters, filesystem)
+    if not scan.paths:
+        return None
+    residual = _residual_filter(filters) if filters else None
+    parts, rows, nbytes = [], 0, 0
+    for rp in scan.paths:
+        blob = fsmod.read_bytes(scan.fs, rp)
+        nbytes += len(blob)
+        t = decode_shard(
+            blob, rp, scan.tables, scan.decode_cols, categories, scan.hive
+        )
+        if residual is not None:
+            t = residual(t)
+            if columns is not None:
+                t = t.select(columns)
+        parts.append(t)
+        rows += t.num_rows
+        if limit is not None and rows >= limit:
+            break
+    log.debug(
+        "read_table %s: decoded %d of %d kept shards, %d bytes, %d rows",
+        out_dir, len(parts), len(scan.paths), nbytes, rows,
+    )
+    out = pa.concat_tables(parts, promote_options="default")
+    return out if limit is None else out.slice(0, limit)
 
 
 def take_row_range(
@@ -334,8 +451,6 @@ def take_row_range(
     Reference analog: fastparquet's positional head slicing
     (api.py:387-475 row-group selection); this generalizes it to an
     arbitrary [start, stop) over the clustered order."""
-    import pandas as pd
-
     manifest = Manifest(out_dir, filesystem=filesystem)
     recs = [
         r for r in manifest.load_records().values()
@@ -382,22 +497,15 @@ def take_row_range(
     tables = manifest.load_plan().tables if manifest.has_plan() else {}
     fs, root = fsmod.get_fs(out_dir, filesystem)
     paths = [f"{root.rstrip('/')}/{s}" for s in chosen]
-    remote = filesystem is not None or not fsmod.is_local(fs)
 
-    from ..sources.fprs import read_fprs
+    import pyarrow as pa
 
-    # one read per shard, concatenated in key order: Ray's streaming
-    # executor does not guarantee cross-task block order by default
-    # (preserve_order=False), and a positional slice cannot tolerate
-    # reordering. 1-2 shards typically — the driver-side concat is
-    # shard-sized, not corpus-sized.
-    dfs = [
-        read_fprs(
-            [p], tables=tables, columns=columns,
-            filesystem=fs if remote else None,
-        ).to_pandas()
+    from ..container import decode_table
+
+    # decoded in the driver, concatenated in key order: 1-2 shards
+    # typically — the concat is shard-sized, not corpus-sized
+    t = pa.concat_tables([
+        decode_table(fsmod.read_bytes(fs, p), tables, columns=columns)
         for p in paths
-    ]
-    df = pd.concat(dfs, ignore_index=True)
-    out = df.iloc[start - first_off: stop - first_off]
-    return out.reset_index(drop=True)
+    ])
+    return t.slice(start - first_off, stop - start).to_pandas()

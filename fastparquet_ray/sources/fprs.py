@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from ray.data.datasource import FileBasedDatasource
 
-from ..container import decode_table
-
 if TYPE_CHECKING:
     import pyarrow
 
@@ -41,33 +39,12 @@ class FprsDatasource(FileBasedDatasource):
     def _read_stream(
         self, f: "pyarrow.NativeFile", path: str
     ) -> Iterator["pyarrow.Table"]:
-        blob = f.readall()
-        if self._hive is None:
-            yield decode_table(
-                blob, self._tables, columns=self._columns,
-                categories=self._categories,
-            )
-            return
-        # hive layout: `key=value` path components are typed partition
-        # columns, not stored in the shard (reference paths_to_cats,
-        # api.py:700-758)
-        from ..pipelines.hive import attach_hive_columns, parse_hive_parts
+        from ..pipelines.decode import decode_shard
 
-        rel = path
-        root = self._hive.rstrip("/")
-        if rel.startswith(root):
-            rel = rel[len(root):]
-        parts = parse_hive_parts(rel)
-        stored = (
-            None
-            if self._columns is None
-            else [c for c in self._columns if c not in parts]
+        yield decode_shard(
+            f.readall(), path, self._tables, self._columns,
+            self._categories, self._hive,
         )
-        t = decode_table(
-            blob, self._tables, columns=stored,
-            categories=self._categories,
-        )
-        yield attach_hive_columns(t, parts, self._columns)
 
 
 def read_fprs(

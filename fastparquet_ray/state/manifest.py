@@ -51,12 +51,18 @@ class Manifest:
         collision — hashes are content-addressed so a collision is the
         same table): an append run with a re-trained plan (vocabulary
         drift) must not orphan the table hashes that already-encoded
-        shards reference, or decode of the mixed dataset would fail."""
+        shards reference, or decode of the mixed dataset would fail.
+        An existing sidecar that cannot be parsed raises: overwriting
+        it would drop tables those shards need."""
         if self.has_plan():
             try:
                 old_tables = self.load_plan().tables
-            except Exception:
-                old_tables = {}
+            except (ValueError, KeyError, TypeError, AttributeError) as e:
+                raise ValueError(
+                    f"unreadable plan sidecar {self.plan_path} "
+                    f"({type(e).__name__}: {e}); refusing to overwrite "
+                    "the symbol tables existing shards decode with"
+                ) from e
             if old_tables:
                 merged = CodecPlan(
                     specs=plan.specs,

@@ -160,8 +160,11 @@ class S3CompatFileSystem(AbstractFileSystem):
         path = self._strip_protocol(path)
         bucket, key = self._split(path)
         if mode in ("rb", "r"):
-            body = self.client.get_object(Bucket=bucket, Key=key)["Body"].read()
-            return io.BytesIO(body)
+            try:
+                obj = self.client.get_object(Bucket=bucket, Key=key)
+            except self.client.exceptions.NoSuchKey as e:
+                raise FileNotFoundError(path) from e
+            return io.BytesIO(obj["Body"].read())
         if mode in ("wb", "w"):
             return _S3WriteBuffer(self, bucket, key)
         raise NotImplementedError(f"mode {mode}")

@@ -115,3 +115,36 @@ def test_bloom_in_filter_and_no_bloom_column(ray_session, encoded_bloom):
     src0 = df["source"].iloc[0]
     got2 = decode_dataset(out, filters=[("source", "==", src0)]).count()
     assert got2 == int((df["source"] == src0).sum())
+
+
+def test_corrupt_bloom_keeps_shard_and_warns(ray_session, encoded_bloom, tmp_path, caplog):
+    """A bloom that cannot be read keeps its shard (the conservative
+    answer) and logs a WARNING naming the shard and the column."""
+    import json
+    import logging
+    import shutil
+
+    from fastparquet_ray.api import EncodedDataset
+    from fastparquet_ray.container import MAGIC
+
+    out = str(tmp_path / "enc")
+    shutil.copytree(encoded_bloom[1], out)
+    shards = shard_files(out)
+    bad = shards[1]
+    with open(bad, "rb") as f:
+        blob = f.read()
+    hlen = int.from_bytes(blob[5:9], "little")
+    hdr = json.loads(blob[9 : 9 + hlen])
+    col = next(c for c in hdr["columns"] if c["name"] == "doc_id")
+    col["bloom"]["bits"] = "not-base64!"
+    hj = json.dumps(hdr).encode()
+    with open(bad, "wb") as f:
+        f.write(MAGIC + len(hj).to_bytes(4, "little") + hj + blob[9 + hlen :])
+
+    ids = ["forums/doc-999x", "wiki/doc-000zz"]  # absent, inside min/max
+    with caplog.at_level(logging.WARNING, logger="fastparquet_ray"):
+        assert prune_shards(shards, [("doc_id", "in", ids)]) == [bad]
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert any(bad in m and "doc_id" in m for m in warned)
+    # the kept shard still decodes, and the residual filter is exact
+    assert len(EncodedDataset(out).to_pandas(filters=[("doc_id", "in", ids)])) == 0

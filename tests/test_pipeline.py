@@ -252,6 +252,32 @@ def test_append_with_retrained_plan_keeps_old_tables(ray_session, tmp_path):
     assert verify_roundtrip([p1, p2], out)["ok"]
 
 
+def test_append_with_unreadable_plan_sidecar_raises(ray_session, tmp_path):
+    """A corrupt _plan.json cannot be merged: an append with a
+    re-trained plan must fail naming the sidecar instead of replacing
+    it and dropping the symbol tables existing shards decode with."""
+    import pyarrow.parquet as pq
+
+    from fastparquet_ray.data import generate_fragment
+    from fastparquet_ray.plan import train_plan
+
+    paths = []
+    for i in range(2):
+        p = str(tmp_path / f"tokens-{i:05d}.parquet")
+        pq.write_table(generate_fragment(300, i, start_id=i * 300), p)
+        paths.append(p)
+    out = str(tmp_path / "enc")
+    encode_pipeline(paths[:1], out, plan=train_plan(pq.read_table(paths[0])))
+    sidecar = os.path.join(out, "_plan.json")
+    with open(sidecar, "wb") as f:
+        f.write(b'{"specs": {}, "tab')
+    plan_b = train_plan(pq.read_table(paths[1]))
+    with pytest.raises(ValueError, match="_plan.json"):
+        encode_pipeline(paths, out, plan=plan_b, resume=True)
+    with open(sidecar, "rb") as f:
+        assert f.read() == b'{"specs": {}, "tab'  # left for repair
+
+
 def test_retrain_on_drift_policy(ray_session, tmp_path):
     """Automatic vocabulary-drift response (retrain_on_drift): an
     append whose vocabulary escapes the stored rank table re-trains
