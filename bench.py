@@ -298,7 +298,7 @@ def run_scaling() -> dict:
     scaling_sf = float(os.environ.get("GRAFT_SCALING_SF", "1.6"))
     # zstd:22 (was 19): maximally compute-per-byte so the measurement
     # reflects CPU scaling, not the sandbox's erratically-throttled
-    # memory bandwidth (tools/bandwidth_probe.py + BASELINE.md r2 notes)
+    # memory bandwidth (BASELINE.md r2 notes)
     scaling_outer = os.environ.get("GRAFT_SCALING_OUTER", "zstd:22")
 
     def run(ncpu: int) -> dict:

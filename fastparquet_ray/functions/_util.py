@@ -13,21 +13,3 @@ def pool_max(divisor: int = 4, lo: int = 2) -> int:
 
     cpus = int(ray.cluster_resources().get("CPU", 4))
     return max(lo, cpus // divisor)
-
-
-def task_state(factory):
-    """Wrap a stateful batch callable as a TASK-pool map function:
-    the state is built lazily ONCE PER WORKER PROCESS (Ray caches the
-    deserialized function per worker, so the default-arg memo
-    persists across that worker's tasks) instead of once per actor.
-    Same setup-once-per-process semantics as an actor pool — model
-    load, regex compile, broadcast ray.get — without the per-query
-    autoscaling-pool spin-up, measured ~2-2.5 s per stage per query
-    on a warm 32-cpu session. Use an actor pool only when the state
-    must NOT be rebuilt per query-stage (e.g. the encode pipeline's
-    shard encoder) or per-worker duplication is too expensive."""
-    def fn(batch, _memo={}):
-        if "s" not in _memo:
-            _memo["s"] = factory()
-        return _memo["s"](batch)
-    return fn

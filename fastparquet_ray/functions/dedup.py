@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pandas as pd
 
-from ._util import task_state as _task_state
+from ..stages.encode_stage import task_state as _task_state
 
 _SEED = np.uint64(0x9E3779B97F4A7C15)
 _PRIME = np.uint64(1099511628211)
@@ -511,7 +511,7 @@ def minhash_lsh_pairs(
     import ray.data
 
     ds = _docs(sf_dir, ["doc_id", "text"])
-    # task pool with once-per-worker state (_util.task_state): the
+    # task pool with once-per-worker state (task_state): the
     # hasher's permutation constants build per worker, and the stage
     # skips the per-query actor-pool spin-up (~2 s/stage at 32 cpus)
     buckets = ds.map_batches(

@@ -365,7 +365,7 @@ def decode_dataset(
     # the warm worker pool (symbol tables are KBs, shipped once with
     # the serialized datasource) — no actor-pool spin-up cost. (The
     # encode side matches since round 4: a task pool with
-    # once-per-worker state via _util.task_state.)
+    # once-per-worker state via stages.encode_stage.task_state.)
     from ..sources.fprs import read_fprs
 
     remote = filesystem is not None or not fsmod.is_local(scan.fs)

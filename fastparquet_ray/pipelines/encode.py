@@ -1,14 +1,19 @@
 """The flagship encode pipeline (SURVEY.md §3.4 lifecycle):
 
-    read_parquet(shards)                        stateless read tasks
+    sample_fragments + train_plan               in the driver, bounded
+    read_parquet(shards)                        one block per file
       -> [skew] salted groupby-source shuffle   explicit, optional
-      -> map_batches(EncodeShard, actor pool)   shared symbol tables
+      -> map_batches(EncodeShard, task pool)    shared symbol tables
       -> shard files + manifest records         idempotent per partition
 
-Streaming end-to-end: the only driver-side materialization is the tiny
-manifest dataset (one row per partition). Resume prunes finished
-partition ids before encoding (reference analog: append='overwrite',
-writer.py:1014-1032).
+Without an exchange, the read and the encode fuse into one Ray Data
+operator: each task reads one file, hashes, encodes and writes its
+shard. The only driver-side materialization is the tiny manifest
+dataset (one row per partition). Resume prunes finished partition
+ids before encoding (reference analog: append='overwrite',
+writer.py:1014-1032). The summary's ``stage_s`` gives the wall
+seconds of each stage (sample, train, fingerprint, the Ray Data job,
+manifest bookkeeping); it is also logged at DEBUG.
 
 Resume works at two levels:
 
@@ -36,21 +41,22 @@ Every file that is read on resume is logged once to the
 ``Manifest.reusable_fragments``, plus ``exchange_layout`` and
 ``path_column``).
 
-Ray is NEVER initialised here — callers (bench.py / tests / driver)
+Ray is NEVER initialised here — callers (perfbench / tests / driver)
 own the session.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import os
-from typing import Any
+import time
 
 from ..data import SOURCES
 from ..plan import CodecPlan, sample_fragments, train_plan
-from ..stages.encode_stage import EncodeShard, add_salt_column
+from ..stages.encode_stage import EncodeShard, add_salt_column, task_state
 from ..state.manifest import Manifest
 
 log = logging.getLogger("fastparquet_ray")
@@ -63,12 +69,13 @@ log = logging.getLogger("fastparquet_ray")
 DEFAULT_BATCH_ROWS = None
 
 
-def make_plan(paths: list[str], outer: tuple | None = None) -> CodecPlan:
-    """Stats/sampling pass -> CodecPlan (driver-side tiny reduce over
-    a distributed, stratified, bounded sample); deterministic. With an
-    outer block codec, per-column codecs are ranked by post-outer
-    size."""
-    return train_plan(sample_fragments(paths), outer=outer)
+@contextlib.contextmanager
+def _timed(stage_s: dict[str, float], stage: str):
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stage_s[stage] += time.perf_counter() - t0
 
 
 def fingerprint_inputs(paths: list[str]) -> dict[str, tuple]:
@@ -118,7 +125,6 @@ def encode_pipeline(
     plan: CodecPlan | None = None,
     resume: bool = True,
     batch_rows: int | None = DEFAULT_BATCH_ROWS,
-    concurrency: Any = None,
     partition_by_source: bool | str = False,
     key_column: str = "doc_id",
     outer: str | None = None,
@@ -148,7 +154,7 @@ def encode_pipeline(
     in the shard path; decode_dataset reconstructs them (M8).
 
     retrain_on_drift: append-time vocabulary-drift policy (NEXT r4
-    #3). When resuming with a stored plan, the (cheap, distributed,
+    #3). When resuming with a stored plan, the (cheap, bounded,
     deterministic) sampling pass runs over the CURRENT inputs and
     measures, per shared-rank-table column, the fraction of sampled
     values the stored table cannot rank. If the worst ratio exceeds
@@ -191,6 +197,9 @@ def encode_pipeline(
     out_fs, out_root = fsmod.get_fs(out_dir, filesystem)
     out_fs.makedirs(out_root, exist_ok=True)
     manifest = Manifest(out_dir, filesystem=filesystem)
+    stage_s = dict.fromkeys(
+        ("sample", "train", "fingerprint", "job", "manifest"), 0.0
+    )
 
     outer_spec = None
     if outer is not None:
@@ -202,20 +211,26 @@ def encode_pipeline(
     plan_retrained = False
     if plan is None:
         if resume and manifest.has_plan():
-            plan = manifest.load_plan()
+            with _timed(stage_s, "manifest"):
+                plan = manifest.load_plan()
             if outer_spec is not None:
                 plan.outer = outer_spec
             if retrain_on_drift is not None:
                 from ..plan import measure_drift
 
-                sample = sample_fragments(paths)
-                drift = measure_drift(plan, sample)
-                drift_ratio = max(drift.values(), default=0.0)
-                if drift_ratio > retrain_on_drift:
-                    plan = train_plan(sample, outer=plan.outer)
-                    plan_retrained = True
+                with _timed(stage_s, "sample"):
+                    sample = sample_fragments(paths)
+                with _timed(stage_s, "train"):
+                    drift = measure_drift(plan, sample)
+                    drift_ratio = max(drift.values(), default=0.0)
+                    if drift_ratio > retrain_on_drift:
+                        plan = train_plan(sample, outer=plan.outer)
+                        plan_retrained = True
         else:
-            plan = make_plan(paths, outer=outer_spec)
+            with _timed(stage_s, "sample"):
+                sample = sample_fragments(paths)
+            with _timed(stage_s, "train"):
+                plan = train_plan(sample, outer=outer_spec)
     elif outer_spec is not None:
         plan.outer = outer_spec
     if column_codecs:
@@ -227,7 +242,8 @@ def encode_pipeline(
         # column spec, built in the container stats path per shard
         for c in bloom_cols:
             plan.specs.setdefault(c, {})["bloom"] = True
-    manifest.write_plan(plan)
+    with _timed(stage_s, "manifest"):
+        manifest.write_plan(plan)
 
     # provenance column salts partition ids so duplicate input files
     # don't collapse into one shard — skipped iff the user's schema
@@ -265,32 +281,33 @@ def encode_pipeline(
             ).encode(),
             digest_size=4,
         ).hexdigest()
-        fps = fingerprint_inputs(paths)
+        with _timed(stage_s, "fingerprint"):
+            fps = fingerprint_inputs(paths)
     reused: list[dict] = []
     reasons: dict[str, str] = {}
     if resume:
         if fps:
-            reused, reasons = manifest.reusable_fragments(
-                {n: fp for n, (_, fp) in fps.items()}, layout
-            )
+            with _timed(stage_s, "manifest"):
+                reused, reasons = manifest.reusable_fragments(
+                    {n: fp for n, (_, fp) in fps.items()}, layout
+                )
         else:
             reasons = dict.fromkeys(norm, content_reason)
         for frag, why in reasons.items():
             log.info("reading fragment %s: %s", frag, why)
     reused_frags = set(fps) - set(reasons) if resume else set()
     to_read = [p for p, n in zip(paths, norm) if n not in reused_frags]
-    records = (
-        _encode_job(
-            to_read, out_dir, manifest, plan, resume=resume,
-            batch_rows=batch_rows, concurrency=concurrency,
-            partition_by_source=partition_by_source,
-            key_column=key_column, hive_cols=hive_cols,
-            cluster_by=cluster_by, provenance_col=provenance_col,
-            filesystem=filesystem,
-        )
-        if to_read
-        else []
-    )
+    records = []
+    if to_read:
+        with _timed(stage_s, "job"):
+            records = _encode_job(
+                to_read, out_dir, manifest, plan, resume=resume,
+                batch_rows=batch_rows,
+                partition_by_source=partition_by_source,
+                key_column=key_column, hive_cols=hive_cols,
+                cluster_by=cluster_by, provenance_col=provenance_col,
+                filesystem=filesystem,
+            )
     # Ray reports a relative input path as given and a URI without its
     # protocol: map either back to the normalized path. A file
     # rewritten while this run read it gets no fingerprint.
@@ -313,10 +330,12 @@ def encode_pipeline(
     # partition set, and shards from older runs over a different input
     # set / block configuration are deleted — otherwise decode would
     # silently return duplicated rows
-    manifest.write_records(records)
-    orphans = manifest.remove_orphan_shards(
-        {r["partition_id"] for r in records}
-    )
+    with _timed(stage_s, "manifest"):
+        manifest.write_records(records)
+        orphans = manifest.remove_orphan_shards(
+            {r["partition_id"] for r in records}
+        )
+    log.debug("encode %s stage seconds: %s", out_dir, stage_s)
     encoded = [r for r in records if r["status"] == "encoded"]
     skipped = [r for r in records if r["status"] == "skipped"]
     raw = sum(r["raw_bytes"] for r in records)
@@ -343,6 +362,8 @@ def encode_pipeline(
         # was off or no stored plan was being reused)
         "drift_ratio": drift_ratio,
         "plan_retrained": plan_retrained,
+        # wall seconds per driver stage (module docstring)
+        "stage_s": stage_s,
         "out_dir": out_dir,
     }
 
@@ -355,7 +376,6 @@ def _encode_job(
     *,
     resume: bool,
     batch_rows: int | None,
-    concurrency: Any,
     partition_by_source: bool | str,
     key_column: str,
     hive_cols: list[str] | None,
@@ -373,21 +393,6 @@ def _encode_job(
     # only this content path needs it, to adopt a killed run's orphans
     finished = manifest.finished_ids() if resume else set()
     finished_ref = ray.put(finished) if finished else None
-    if concurrency is None:
-        # fixed pool reserving ~3/4 of the session's CPUs; the rest go
-        # to the read (and shuffle) stages. The read share must SCALE
-        # with the session (a constant 2-CPU remainder makes the read
-        # stage a data-proportional serial term and caps scaling);
-        # a pool that reserves every CPU starves upstream and
-        # deadlocks; an autoscaling (1, n) pool measured ~2x slower
-        # (scales up too late).
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = max(2, ncpu - max(1, ncpu // 4))
-
-    # cap read parallelism: parquet decode is memory-bandwidth-bound and
-    # measured to ANTI-scale past ~8 concurrent readers on one node
-    # (0.38 GB/s @8 tasks -> 0.19 @32); on a multi-node cluster the cap
-    # is per-node ~8 readers, which this mirrors.
     # override_num_blocks = one block per input file: block formation
     # then depends ONLY on each file (not the whole input set), so
     # content-addressed partition ids stay stable under APPENDS of new
@@ -395,15 +400,8 @@ def _encode_job(
     # some files are read. Trade-off: upstream files should be written
     # at roughly block size (norm for training-data lakes; our
     # generator and any 128-512 MB layout).
-    ncpu_total = int(ray.cluster_resources().get("CPU", 4))
-    # exactly 1/4 of CPUs, capped at 8/node: a floor of 2 readers made
-    # the 4-CPU:16-CPU split 2:4 instead of 1:4 — the low-parallelism
-    # side got relatively MORE read bandwidth, skewing any N -> 4N
-    # comparison (and the protocol documents a proportional split)
-    read_conc = max(1, min(8, ncpu_total // 4))
     ds = ray.data.read_parquet(
         paths,
-        concurrency=read_conc,
         override_num_blocks=len(paths),
         include_paths=provenance_col is not None,
     )
@@ -521,22 +519,18 @@ def _encode_job(
         "hive_cols": hive_cols,
         "filesystem": filesystem,
     }
-    # TASK pool with once-per-worker state (_util.task_state): the
-    # encoder's plan parse + shared symbol tables build once per
-    # worker process (Ray caches the deserialized function), exactly
-    # the actor-pool stateful-stage semantics — without the
-    # autoscaling pool's ~2 s per-call spin-up, which dominated small
-    # encodes (5.9 -> ~1.5 s warm at sf0.1/32cpu). Tasks also never
-    # reserve CPUs ahead of the read stage, so the old tiny-session
-    # special case is gone.
-    from ..functions._util import task_state
-
+    # TASK pool with once-per-worker state (task_state): the encoder's
+    # plan parse + shared symbol tables build once per worker process,
+    # without an actor pool's spin-up. Neither this stage nor the read
+    # sets ``concurrency``: with both unset Ray Data fuses them into one
+    # ReadParquet->MapBatches operator, so each task reads, hashes,
+    # encodes and writes one file's shard and no block crosses the
+    # object store (a concurrency on either side splits them again).
     mani_ds = ds.map_batches(
         task_state(lambda: EncodeShard(**kwargs)),
         batch_format="pyarrow",
         batch_size=batch_rows,
         zero_copy_batch=True,
-        concurrency=concurrency,
         num_cpus=1,
     )
     if partition_by_source is True and os.environ.get(

@@ -226,64 +226,6 @@ def _read_fragment_head(
         return pa.concat_tables(parts).slice(0, rows)
 
 
-def _sample_fragments_serial(
-    paths: list[str], rows_per_fragment: int, columns: list[str] | None = None
-) -> pa.Table:
-    parts = []
-    for p in paths:
-        t = _read_fragment_head(p, rows_per_fragment, columns)
-        if t is not None:
-            parts.append(t)
-    return pa.concat_tables(parts) if parts else pa.table({})
-
-
-def _sample_fragments_ray(
-    paths: list[str], rows_per_fragment: int, columns: list[str] | None = None
-) -> pa.Table:
-    """Distributed sampling pass (VERDICT r02 #1): dataset of fragment
-    paths -> map_batches opening each fragment INSIDE a Ray task and
-    returning its head slice as one IPC blob -> driver merges the tiny
-    bounded partials. No driver-side fs.open loop; wall time is
-    O(fragments / parallelism) instead of O(fragments) serial opens.
-    Reference analog: the stats pass fastparquet never parallelized
-    (infer_object_encoding, writer.py:316-336)."""
-    import ray.data
-
-    rpf = rows_per_fragment
-
-    def read_heads(batch: pa.Table) -> pa.Table:
-        idxs, blobs = [], []
-        for i, p in zip(
-            batch.column("idx").to_pylist(), batch.column("path").to_pylist()
-        ):
-            t = _read_fragment_head(p, rpf, columns)
-            if t is None:
-                continue
-            sink = pa.BufferOutputStream()
-            with pa.ipc.new_stream(sink, t.schema) as w:
-                w.write_table(t)
-            idxs.append(i)
-            blobs.append(sink.getvalue().to_pybytes())
-        return pa.table(
-            {"idx": pa.array(idxs, pa.int64()), "ipc": pa.array(blobs, pa.binary())}
-        )
-
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "idx": pa.array(range(len(paths)), pa.int64()),
-                "path": pa.array(paths, pa.string()),
-            }
-        )
-    ).repartition(min(len(paths), 16))
-    rows = ds.map_batches(read_heads, batch_format="pyarrow").take_all()
-    rows.sort(key=lambda r: r["idx"])  # plan must not depend on task order
-    parts = [
-        pa.ipc.open_stream(pa.BufferReader(r["ipc"])).read_all() for r in rows
-    ]
-    return pa.concat_tables(parts) if parts else pa.table({})
-
-
 def sample_fragments(
     paths: list[str],
     rows_per_fragment: int | None = None,
@@ -291,26 +233,23 @@ def sample_fragments(
 ) -> pa.Table:
     """Deterministic bounded sample for plan training: rows from
     evenly-spaced row groups of an evenly-spaced fragment subset
-    (stratified in BOTH dimensions). Distributed over Ray tasks when a
-    session is live (the scale path); serial fallback otherwise (plan
-    training in a bare process). Either path yields the IDENTICAL
-    sample table, so CodecPlans agree. ``columns`` prunes at the
-    read."""
+    (stratified in BOTH dimensions). Read in the calling process, like
+    the reference's in-process encoding sniff (infer_object_encoding,
+    writer.py:316-336): at most 64 fragment heads, which costs less
+    than starting a Ray Data job to read them. ``columns`` prunes at
+    the read."""
     sel = _select_fragments(paths)
     if rows_per_fragment is None:
         rows_per_fragment = min(
             SAMPLE_ROWS_PER_FRAGMENT,
             max(200, SAMPLE_ROWS_TOTAL // max(len(sel), 1)),
         )
-    try:
-        import ray
-
-        use_ray = ray.is_initialized() and len(sel) > 1
-    except ImportError:  # pragma: no cover
-        use_ray = False
-    if use_ray:
-        return _sample_fragments_ray(sel, rows_per_fragment, columns)
-    return _sample_fragments_serial(sel, rows_per_fragment, columns)
+    parts = []
+    for p in sel:
+        t = _read_fragment_head(p, rows_per_fragment, columns)
+        if t is not None:
+            parts.append(t)
+    return pa.concat_tables(parts) if parts else pa.table({})
 
 
 def train_plan(sample: pa.Table, outer: tuple | None = None) -> CodecPlan:

@@ -1,0 +1,173 @@
+"""The fresh-encode job as one fused Ray Data operator: a block read in
+the encode task gives the same shard header as one that crossed the
+object store, the summary times each driver stage, and the core
+(everything but ``functions/`` and ``pipelines/flagship.py``) imports
+nothing from the operator surface."""
+
+import ast
+import glob
+import logging
+import os
+import subprocess
+import sys
+import time
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from fastparquet_ray.container import read_header
+from fastparquet_ray.data import write_tokens_dataset
+from fastparquet_ray.pipelines import encode_pipeline
+from fastparquet_ray.plan import CodecPlan
+from fastparquet_ray.stages.encode_stage import EncodeShard
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return write_tokens_dataset(
+        str(tmp_path_factory.mktemp("fused_src")), 2000, n_fragments=4
+    )
+
+
+def _ones(n: int) -> pa.Buffer:
+    return pa.py_buffer(np.packbits(np.ones(n, bool), bitorder="little"))
+
+
+def _ipc_roundtrip(t: pa.Table) -> pa.Table:
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return pa.ipc.open_stream(sink.getvalue()).read_all()
+
+
+def _header_raw_bytes(table: pa.Table, out: str) -> int:
+    os.makedirs(out)
+    EncodeShard(plan_json=CodecPlan().to_json(), out_dir=out)(table)
+    (shard,) = glob.glob(os.path.join(out, "shard-*.fprs"))
+    with open(shard, "rb") as f:
+        return read_header(f.read())["raw_bytes"]
+
+
+def test_raw_bytes_ignore_all_valid_bitmaps(tmp_path):
+    """The all-ones bitmaps a parquet read leaves on null-free arrays
+    (top level and list child) are not counted, as after Arrow IPC; a
+    column with real nulls still counts its bitmap."""
+    n = 1000
+    vals = pa.array(np.arange(n), pa.int32())
+    n_tok = pa.Array.from_buffers(pa.int32(), n, [_ones(n), vals.buffers()[1]])
+    offs = pa.array(np.arange(0, 3 * n + 1, 3), pa.int32())
+    child_vals = pa.array(np.arange(3 * n), pa.int64())
+    child = pa.Array.from_buffers(
+        pa.int64(), 3 * n, [_ones(3 * n), child_vals.buffers()[1]]
+    )
+    tokens = pa.Array.from_buffers(
+        pa.list_(pa.int64()), n, [_ones(n), offs.buffers()[1]], children=[child]
+    )
+    nulls = pa.array([None if i % 5 == 0 else i for i in range(n)], pa.int64())
+    t = pa.table({"n_tok": n_tok, "tokens": tokens, "maybe": nulls})
+    assert n_tok.buffers()[0] is not None and child.buffers()[0] is not None
+    via_ipc = _ipc_roundtrip(t)
+    assert via_ipc.column("tokens").chunk(0).values.buffers()[0] is None
+    assert t.nbytes > via_ipc.nbytes
+
+    raw = _header_raw_bytes(t, str(tmp_path / "direct"))
+    assert raw == _header_raw_bytes(via_ipc, str(tmp_path / "ipc"))
+    assert raw == via_ipc.nbytes
+    # values plus the bitmap of the column that has nulls
+    only_nulls = _header_raw_bytes(pa.table({"maybe": nulls}), str(tmp_path / "n"))
+    assert only_nulls == 8 * n + (n + 7) // 8
+
+
+def test_fresh_encode_is_one_fused_operator(ray_session, paths, tmp_path, monkeypatch):
+    """A plain fresh encode executes as ONE ReadParquet->MapBatches
+    operator: each task reads, encodes and writes one file's shard, and
+    no block crosses the object store between a read and an encode
+    stage. Setting ``concurrency`` on either stage splits them."""
+    import ray.data
+
+    jobs = []
+    take_all = ray.data.Dataset.take_all
+
+    def recording_take_all(self, *a, **k):
+        rows = take_all(self, *a, **k)
+        jobs.append((self.stats(), self._logical_plan.dag))
+        return rows
+
+    monkeypatch.setattr(ray.data.Dataset, "take_all", recording_take_all)
+    s = encode_pipeline(paths, str(tmp_path / "enc"), resume=False)
+    assert s["encoded"] == s["partitions"] == len(paths)
+    (job,) = jobs  # sampling and the manifest start no other job
+    stats, op = job
+    ops = [ln for ln in stats.splitlines() if ln.startswith("Operator ")]
+    assert len(ops) == 1, ops
+    assert "ReadParquet->MapBatches(" in ops[0], ops
+    # a concurrency cap on the read alone still fuses, but then runs
+    # the fused operator one task at a time
+    while op is not None:
+        assert getattr(op, "_concurrency", None) is None, op
+        assert getattr(op._compute, "size", None) is None, op
+        op = op.input_dependencies[0] if op.input_dependencies else None
+
+
+def test_encode_summary_stage_timers(ray_session, paths, tmp_path, caplog):
+    t0 = time.perf_counter()
+    with caplog.at_level(logging.DEBUG, logger="fastparquet_ray"):
+        s = encode_pipeline(paths, str(tmp_path / "enc"), resume=False)
+    wall = time.perf_counter() - t0
+    st = s["stage_s"]
+    assert set(st) == {"sample", "train", "fingerprint", "job", "manifest"}
+    assert all(v >= 0 for v in st.values())
+    assert st["job"] > 0 and st["sample"] > 0 and st["train"] > 0
+    assert sum(st.values()) <= wall
+    assert any("stage seconds" in r.getMessage() for r in caplog.records)
+
+
+def _core_files() -> list[str]:
+    pkg = os.path.join(REPO, "fastparquet_ray")
+    return [
+        f
+        for f in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True)
+        if os.sep + "functions" + os.sep not in f
+        and not f.endswith(os.path.join("pipelines", "flagship.py"))
+    ]
+
+
+def test_core_stands_alone():
+    """Importing the core loads no ``fastparquet_ray.functions`` module,
+    and no core file imports one, even lazily inside a function."""
+    code = (
+        "import sys\n"
+        "import fastparquet_ray.pipelines.encode\n"
+        "import fastparquet_ray.pipelines.decode\n"
+        "import fastparquet_ray.api\n"
+        "print([m for m in sys.modules"
+        " if m.startswith('fastparquet_ray.functions')])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=REPO),
+    )
+    assert out.stdout.strip() == "[]"
+
+    offenders = []
+    for f in _core_files():
+        with open(f) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                mod = "." * node.level + (node.module or "")
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                mod, names = "", [a.name for a in node.names]
+            else:
+                continue
+            if "functions" in mod.split(".") or any(
+                n.startswith("fastparquet_ray.functions") or n == "functions"
+                for n in names
+            ):
+                offenders.append(f"{os.path.relpath(f, REPO)}:{node.lineno}")
+    assert not offenders, offenders

@@ -1,15 +1,14 @@
-"""VERDICT r02 #1: the codec-plan sampling pass is distributed — no
-driver-side fragment-open loop — and yields an identical CodecPlan to
-the serial fallback."""
+"""The codec-plan sampling pass: a stratified, bounded fragment subset
+(at most 64 fragment heads, cheaper to read in-process than a Ray Data
+job is to start) read in the calling process, with or without a live
+Ray session, and the same CodecPlan either way."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from fastparquet_ray import plan as planmod
 from fastparquet_ray.plan import (
-    _sample_fragments_serial,
     _select_fragments,
     sample_fragments,
     train_plan,
@@ -51,28 +50,51 @@ def test_select_fragments_cap_and_determinism():
     assert _select_fragments(short, cap=64) == short
 
 
-def test_distributed_sample_no_driver_opens(ray_session, fragments, monkeypatch):
-    """With Ray live, the driver process must not open any fragment —
-    opens happen inside Ray tasks (separate workers)."""
-    calls = {"n": 0}
-    from fastparquet_ray.state import fs as fsmod
+def test_sample_in_session_starts_no_ray_job(ray_session, fragments, monkeypatch):
+    """With Ray live, the sample is still read in the calling process:
+    no Ray Data job starts."""
+    import ray.data
 
-    real_get_fs = fsmod.get_fs
+    def no_job(*a, **k):
+        raise AssertionError("sample_fragments started a Ray Data job")
 
-    def counting_get_fs(path):
-        calls["n"] += 1
-        return real_get_fs(path)
-
-    monkeypatch.setattr(fsmod, "get_fs", counting_get_fs)
+    monkeypatch.setattr(ray.data, "from_arrow", no_job)
+    monkeypatch.setattr(ray.data, "read_parquet", no_job)
     sample = sample_fragments(fragments)
-    assert calls["n"] == 0
     assert sample.num_rows == 6 * 400  # rpf=2000 caps above fragment size
 
 
-def test_distributed_plan_identical_to_serial(ray_session, fragments):
-    dist = sample_fragments(fragments)  # Ray path (session live, >1 frag)
-    serial = _sample_fragments_serial(fragments, 2000)
-    assert dist.equals(serial)
-    pd_, ps = train_plan(dist), train_plan(serial)
-    assert pd_.to_json() == ps.to_json()
-    assert "tokens" in pd_.specs and "source" in pd_.specs
+_BARE_SAMPLE = """
+import sys
+import pyarrow as pa
+import ray
+from fastparquet_ray.plan import sample_fragments, train_plan
+
+sample = sample_fragments(sys.argv[2:])
+assert not ray.is_initialized()
+with pa.OSFile(sys.argv[1], "wb") as f, pa.ipc.new_file(f, sample.schema) as w:
+    w.write_table(sample)
+print(train_plan(sample).to_json())
+"""
+
+
+def test_session_plan_identical_to_bare_process(ray_session, fragments, tmp_path):
+    """The sample and plan JSON taken under a live session equal those
+    of a process that never started Ray."""
+    import os
+    import subprocess
+    import sys
+
+    ipc = str(tmp_path / "bare.arrow")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    out = subprocess.run(
+        [sys.executable, "-c", _BARE_SAMPLE, ipc, *fragments],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    bare = pa.ipc.open_file(ipc).read_all()
+    live = sample_fragments(fragments)
+    assert live.equals(bare)
+    live_plan = train_plan(live)
+    assert live_plan.to_json() == out.stdout.strip()
+    assert "tokens" in live_plan.specs and "source" in live_plan.specs
