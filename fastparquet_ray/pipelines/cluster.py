@@ -19,13 +19,15 @@ exchange:
 2. bucket pass: every row gets ``__bucket__ = searchsorted(
    boundaries, key, side='right')`` — buckets are half-open key
    ranges, so shard key ranges stay DISJOINT (the pruning contract).
-3. ``groupby(__bucket__).map_groups(sort within group)``: one hash
-   exchange co-locates each bucket whole; the in-group sort is a
-   vectorized Arrow kernel over ~bucket_rows rows. EncodeShard then
-   splits batches by ``__bucket__`` (several groups may share an
-   output block) and drops the helper column before hashing, so the
-   partition id is a pure function of the bucket's payload — stable
-   across reruns, which is what makes clustered resume work.
+3. ``exchange(__bucket__, sort_cols)``: one groupby hash exchange
+   co-locates each bucket whole; the in-group sort is a vectorized
+   Arrow kernel over ~bucket_rows rows. The salted source layout
+   (``partition_by_source=True``) runs the same exchange on its salt
+   column, without the sort. EncodeShard then splits batches by
+   ``__bucket__`` (several groups may share an output block) and
+   drops the helper column before hashing, so the partition id is a
+   pure function of the bucket's payload — stable across reruns,
+   which is what makes clustered resume work.
 
 Scale shape: ONE all-to-all (the groupby), same as the sort it
 replaces, plus a key-column-only sample read. Bucket sizing is a pure
@@ -51,7 +53,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-BUCKET_COL = "__bucket__"
+from ..stages.encode_stage import BUCKET_COL
 _SAMPLES_PER_BUCKET = 64
 _TARGET_BUCKET_ROWS = 65536
 _MIN_SMALL_BUCKETS = 32
@@ -130,17 +132,35 @@ def sample_boundaries(
     return np.unique(s[idx])
 
 
+def exchange(ds, key_col: str, sort_cols=(), drop_cols=()):
+    """The one all-to-all of every encode layout (range buckets, z-order
+    buckets, salted sources): co-locate each ``key_col`` group with one
+    groupby exchange, sort rows inside each group by ``sort_cols`` when
+    given (ties beyond them only cost resume hits, never correctness),
+    and drop ``drop_cols``. ``key_col`` stays on the output —
+    EncodeShard splits merged blocks on it and strips it before
+    hashing."""
+    sort_cols = list(sort_cols)
+    drop_cols = list(drop_cols)
+
+    def finish(g: pa.Table) -> pa.Table:
+        keys = [
+            (c, "ascending") for c in sort_cols if c in g.column_names
+        ]
+        if keys and g.num_rows > 1:
+            g = g.take(pc.sort_indices(g, sort_keys=keys))
+        dc = [c for c in drop_cols if c in g.column_names]
+        return g.drop_columns(dc) if dc else g
+
+    return ds.groupby(key_col).map_groups(finish, batch_format="pyarrow")
+
+
 def bucket_layout(ds, key_col: str, boundaries, sort_cols, drop_cols=()):
-    """Assign range buckets, co-locate each bucket with one groupby
-    exchange, sort rows inside each bucket by ``sort_cols`` (ties
-    beyond them only cost resume hits, never correctness), and drop
-    helper columns. BUCKET_COL stays on the output — EncodeShard
-    splits merged blocks on it and strips it before hashing."""
+    """Assign range buckets (BUCKET_COL) on ``key_col``, then
+    ``exchange`` on them, sorting by ``sort_cols`` inside each bucket."""
     import ray
 
     bnd_ref = ray.put(np.asarray(boundaries))
-    sort_cols = list(sort_cols)
-    drop_cols = list(drop_cols)
 
     def assign(t: pa.Table, _memo={}) -> pa.Table:
         if "b" not in _memo:
@@ -157,17 +177,9 @@ def bucket_layout(ds, key_col: str, boundaries, sort_cols, drop_cols=()):
             b = np.searchsorted(bnd, v, side="right").astype(np.int32)
         return t.append_column(BUCKET_COL, pa.array(b, pa.int32()))
 
-    def finish(g: pa.Table) -> pa.Table:
-        keys = [
-            (c, "ascending") for c in sort_cols if c in g.column_names
-        ]
-        if keys and g.num_rows > 1:
-            g = g.take(pc.sort_indices(g, sort_keys=keys))
-        dc = [c for c in drop_cols if c in g.column_names]
-        return g.drop_columns(dc) if dc else g
-
-    return (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(finish, batch_format="pyarrow")
+    return exchange(
+        ds.map_batches(assign, batch_format="pyarrow"),
+        BUCKET_COL,
+        sort_cols,
+        drop_cols,
     )

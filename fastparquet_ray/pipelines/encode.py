@@ -2,7 +2,8 @@
 
     sample_fragments + train_plan               in the driver, bounded
     read_parquet(shards)                        one block per file
-      -> [skew] salted groupby-source shuffle   explicit, optional
+      -> [layout] cluster.exchange              explicit, optional: salted
+                                                source, range or z-order
       -> map_batches(EncodeShard, task pool)    shared symbol tables
       -> shard files + manifest records         idempotent per partition
 
@@ -51,13 +52,25 @@ import contextlib
 import hashlib
 import json
 import logging
-import os
 import time
 
 from ..data import SOURCES
 from ..plan import CodecPlan, sample_fragments, train_plan
-from ..stages.encode_stage import EncodeShard, add_salt_column, task_state
+from ..stages.encode_stage import (
+    BUCKET_COL,
+    SALT_COL,
+    EncodeShard,
+    add_salt_column,
+    task_state,
+)
 from ..state.manifest import Manifest
+from .cluster import (
+    bucket_layout,
+    exchange,
+    sample_boundaries,
+    target_buckets,
+    total_input_rows,
+)
 
 log = logging.getLogger("fastparquet_ray")
 
@@ -90,33 +103,23 @@ def fingerprint_inputs(paths: list[str]) -> dict[str, tuple]:
     return out
 
 
-def salted_shuffle(ds, plan: CodecPlan, total_buckets: int = 32):
-    """Explicit skew handling: hash-shuffle on (source, salt) where the
-    per-source salt-bucket count is proportional to sampled frequency,
-    so the hottest source splits into many partitions instead of one
-    giant one. This is the one all-to-all exchange in the pipeline —
-    applied only when the caller asks for source-partitioned output."""
-    import pyarrow as pa
-
+def salt_buckets(plan: CodecPlan, proportional: bool) -> dict[str, int]:
+    """Salt sub-buckets per source for ``add_salt_column``.
+    proportional: 32 buckets shared out by sampled source frequency, so
+    the hottest source splits over many exchange groups instead of one
+    giant one. Otherwise ONE per source: write-side splitting needs
+    source PURITY only, and sub-buckets would merely fragment each
+    block into ~32 tiny shards (measured: 2048 vs 320 partitions at
+    sf0.1, with the per-shard symbol-table overhead that implies)."""
     hist = plan.stats.get("__source_hist__") or {}
     total = sum(hist.values()) or 1
     buckets = {
-        s: max(1, round(total_buckets * c / total)) for s, c in hist.items()
+        s: max(1, round(32 * c / total)) if proportional else 1
+        for s, c in hist.items()
     }
     for s in SOURCES:
         buckets.setdefault(str(s), 1)
-
-    ds = ds.map_batches(
-        lambda b: add_salt_column(b, buckets),
-        batch_format="pyarrow",
-    )
-
-    def regroup(group: pa.Table) -> pa.Table:
-        return group
-
-    # single int key (encodes source + salt) keeps the sort-based
-    # shuffle comparison cheap
-    return ds.groupby("__salt__").map_groups(regroup, batch_format="pyarrow")
+    return buckets
 
 
 def encode_pipeline(
@@ -140,8 +143,9 @@ def encode_pipeline(
 
     partition_by_source:
       False     - no source partitioning (zero exchanges)
-      True      - salted groupby shuffle: each (source, salt) bucket
-                  lands in ONE shard (fewest shards; one all-to-all)
+      True      - salted exchange (cluster.exchange on the salt
+                  column): each (source, salt) bucket lands in ONE
+                  shard (fewest shards; one all-to-all)
       "local"   - write-side partitioning: every input block splits by
                   bucket locally and writes one shard per non-empty
                   (block, bucket) — shards are still source-pure but
@@ -168,7 +172,7 @@ def encode_pipeline(
     sorted_partitioned_columns, api.py:609-628). Shards then hold
     disjoint key ranges, so key filters prune to O(1) shards through
     the header min/max stats. Costs one all-to-all sort; mutually
-    exclusive with the salted shuffle. A LIST of 2-3 columns selects
+    exclusive with the salted exchange. A LIST of 2-3 columns selects
     Z-ORDER clustering instead (pipelines/zorder.py): the sort key is
     the Morton interleave of the normalized columns, so shards cover
     small hyper-rectangles and the same per-column header stats prune
@@ -415,14 +419,6 @@ def _encode_job(
         # shard key ranges disjoint (same pruning contract), and makes
         # partition ids a pure function of the data — a re-run (or a
         # killed run restarted) skips finished buckets.
-        from .cluster import (
-            BUCKET_COL,
-            bucket_layout,
-            sample_boundaries,
-            target_buckets,
-            total_input_rows,
-        )
-
         total_rows = total_input_rows(paths)
         n_buckets = target_buckets(total_rows)
         if isinstance(cluster_by, (list, tuple)):
@@ -463,8 +459,9 @@ def _encode_job(
         else:
             # clustered layout: disjoint cluster-key bucket ranges, so
             # key-equality and range filters prune to O(1) shards via
-            # the existing header min/max stats — sorted_detect then
-            # reports the column as globally range-partitioned.
+            # the existing header min/max stats — then
+            # export.sorted_partitioned_columns reports the column as
+            # globally range-partitioned.
             bnd = sample_boundaries(
                 ray.data.read_parquet(paths, columns=[cluster_by]),
                 cluster_by,
@@ -482,32 +479,22 @@ def _encode_job(
         # EncodeShard splits on BUCKET_COL; a row-count batcher would
         # weld disjoint key ranges back together
         batch_rows = None
-    if partition_by_source is True:
-        ds = salted_shuffle(ds, plan)
-    elif partition_by_source == "local":
-        # add the salt column only — EncodeShard's split_by does the
-        # local bucket split; no exchange. ONE bucket per source:
-        # write-side splitting needs source PURITY only — the
-        # frequency-proportional sub-buckets exist to bound group sizes
-        # in the shuffle mode, and here they merely fragment each block
-        # into ~32 tiny shards (measured: 2048 vs 320 partitions at
-        # sf0.1, with the per-shard symbol-table overhead that implies)
-        from ..data import SOURCES
-
-        hist = plan.stats.get("__source_hist__") or {}
-        buckets = {s: 1 for s in hist}
-        for s in SOURCES:
-            buckets.setdefault(str(s), 1)
+    if partition_by_source:
+        # source salt (add_salt_column); "local" splits each block on it
+        # in EncodeShard with no exchange
+        buckets = salt_buckets(plan, partition_by_source is True)
         ds = ds.map_batches(
             lambda b: add_salt_column(b, buckets), batch_format="pyarrow"
         )
+        if partition_by_source is True:
+            ds = exchange(ds, SALT_COL)
 
-    split_by = ["__salt__"] if partition_by_source else None
+    split_by = [SALT_COL] if partition_by_source else None
     if cluster_split:
         split_by = (split_by or []) + cluster_split
     if hive_cols:
         # local split by the hive columns (no exchange); composes with
-        # the salt column when a salted shuffle was also requested
+        # the salt column when a salted layout was also requested
         split_by = (split_by or []) + list(hive_cols)
     kwargs = {
         "plan_json": plan.to_json(),
@@ -533,25 +520,4 @@ def _encode_job(
         zero_copy_batch=True,
         num_cpus=1,
     )
-    if partition_by_source is True and os.environ.get(
-        "GRAFT_PUSH_SHUFFLE", "1"
-    ) != "0":
-        # push-based shuffle for the one all-to-all exchange (the
-        # salted groupby): designed for large multi-node shuffles
-        # (pipelined merge, fewer object transfers); on the single-node
-        # test box warm A/B measures parity (5.2-5.8s both ways at
-        # sf0.1), so this is a cluster-oriented default with an env
-        # opt-out. Scoped to execution (flag is read when the
-        # streaming executor runs, i.e. at take_all) and restored so
-        # other pipelines in the session keep the default.
-        from ray.data import DataContext
-
-        _ctx = DataContext.get_current()
-        _prev_push = _ctx.use_push_based_shuffle
-        _ctx.use_push_based_shuffle = True
-        try:
-            return mani_ds.take_all()  # tiny: one row per partition
-        finally:
-            _ctx.use_push_based_shuffle = _prev_push
-    else:
-        return mani_ds.take_all()  # tiny: one row per partition
+    return mani_ds.take_all()  # tiny: one row per partition

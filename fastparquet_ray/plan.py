@@ -30,7 +30,6 @@ from .codecs.fsst import train_fsst
 SAMPLE_ROWS_PER_FRAGMENT = 2000
 SAMPLE_ROWS_TOTAL = 12_000  # cap: plan cost must not scale with input
 SAMPLE_VALUES_CAP = 400_000  # per-column value cap for trial encodes
-INT_CANDIDATES = ("plain", "for_bp", "rle", "dict")
 
 
 @dataclass

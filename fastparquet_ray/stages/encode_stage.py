@@ -22,6 +22,11 @@ import pyarrow as pa
 from ..container import ShardEncoder, partition_id_for, read_header
 from ..plan import CodecPlan
 
+# exchange helper columns: the source salt (add_salt_column) and the
+# range bucket (pipelines/cluster.py)
+SALT_COL = "__salt__"
+BUCKET_COL = "__bucket__"
+
 _PRIME = np.uint64(1099511628211)  # FNV prime, used for row fingerprints
 # positional weights (wraparound uint64 powers of the prime); position is
 # taken mod 4096 — deterministic on both sides of the comparison
@@ -103,11 +108,11 @@ class EncodeShard:
     def _encode_one(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        # helper columns from the salted shuffle / deterministic range
-        # bucketing: split keys only, never payload — dropped BEFORE
-        # the content hash so partition ids are pure payload functions
+        # exchange helper columns (source salt, range bucket): split
+        # keys only, never payload — dropped BEFORE the content hash so
+        # partition ids are pure payload functions
         helpers = [
-            c for c in ("__salt__", "__bucket__") if c in batch.column_names
+            c for c in (SALT_COL, BUCKET_COL) if c in batch.column_names
         ]
         if helpers:
             batch = batch.drop_columns(helpers)
@@ -377,4 +382,4 @@ def add_salt_column(
         [buckets_by_source.get(s, 1) for s in src], dtype=np.uint64
     )
     salt = (sidx * 4096 + kh % np.maximum(k, 1)).astype(np.int32)
-    return batch.append_column("__salt__", pa.array(salt, pa.int32()))
+    return batch.append_column(SALT_COL, pa.array(salt, pa.int32()))

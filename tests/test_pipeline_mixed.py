@@ -48,49 +48,6 @@ def test_pipeline_mixed_schema(ray_session, tmp_path, rng):
     pd.testing.assert_frame_equal(back, orig, check_dtype=True)
 
 
-def test_multimodal_pipeline_stages(ray_session):
-    """frame-sample -> resize -> feature chain: schema + invariants
-    (payloads resampled to the fixed target, frame counts sane)."""
-    import numpy as np
-    import pyarrow as pa
-
-    from fastparquet_ray.functions.multimodal import (
-        FeatureExtractor,
-        FrameSampler,
-        Resizer,
-    )
-
-    rng = np.random.default_rng(3)
-    payloads = [
-        rng.integers(0, 255, int(n), dtype=np.uint8).tobytes()
-        for n in rng.integers(0, 1500, 50)
-    ] + [b""]
-    t = pa.table(
-        {
-            "doc_id": pa.array(range(51), pa.int64()),
-            "source": ["s"] * 51,
-            "payload": pa.array(payloads, pa.binary()),
-            "media_type": ["video/raw"] * 51,
-        }
-    )
-    fs = FrameSampler(frame_bytes=64, stride=4)(t)
-    assert fs.column("kept_frames").to_pylist() == [
-        (len(p) // 64 + 3) // 4 for p in payloads
-    ]
-    # every kept frame must be byte-identical to a source frame
-    for p, newp, kf in zip(
-        payloads, fs.column("payload").to_pylist(), fs.column("kept_frames").to_pylist()
-    ):
-        assert len(newp) == kf * 64
-        for j in range(kf):
-            assert newp[j * 64 : (j + 1) * 64] == p[j * 4 * 64 : j * 4 * 64 + 64]
-    rz = Resizer(target=128)(fs)
-    assert all(len(p) == 128 for p in rz.column("payload").to_pylist())
-    feats = FeatureExtractor()(rz)
-    assert feats.num_rows == 51
-    assert feats.column("payload_bytes").to_pylist() == [128] * 51
-
-
 def test_hll_accuracy(ray_session):
     """HLL distinct estimate within 3% of exact on lineitem keys."""
     import duckdb

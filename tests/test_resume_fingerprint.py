@@ -160,12 +160,17 @@ def test_layout_change_rereads(ray_session, tmp_path, caplog):
     assert verify_roundtrip(paths, out)["ok"]
 
 
-def test_cluster_by_takes_content_path(ray_session, tmp_path, caplog):
+@pytest.mark.parametrize(
+    "layout",
+    [{"cluster_by": "doc_id"}, {"partition_by_source": True}],
+    ids=["cluster_by", "salted"],
+)
+def test_cluster_by_takes_content_path(ray_session, tmp_path, caplog, layout):
     paths = write_tokens_dataset(str(tmp_path / "src"), 2000, n_fragments=2)
     out = str(tmp_path / "enc")
-    s1 = encode_pipeline(paths, out, cluster_by="doc_id")
+    s1 = encode_pipeline(paths, out, **layout)
     with caplog.at_level(logging.INFO, logger="fastparquet_ray"):
-        s2 = encode_pipeline(paths, out, cluster_by="doc_id")
+        s2 = encode_pipeline(paths, out, **layout)
     assert set(_reasons(caplog).values()) == {"exchange_layout"}
     assert s2["fragments_read"] == 2 and s2["encoded"] == 0
     assert s2["skipped"] == s1["partitions"]
