@@ -66,8 +66,14 @@ class FsstTable:
         self.sym_lens = np.array([len(s) for s in symbols], dtype=np.int64)
         self.sym_offsets = np.concatenate([[0], np.cumsum(self.sym_lens)])
         self.sym_data = np.frombuffer(b"".join(symbols), dtype=np.uint8)
-        # encode side: per length, sorted u64 keys + aligned codes
-        self._by_len: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # encode-side match tables, built on the first _match: a table
+        # deserialized to decode a column never needs them
+        self._by_len: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+
+    def _build_match_tables(self) -> None:
+        symbols = self.symbols
+        # per length, sorted u64 keys + aligned codes
+        by_len = {}
         for L in range(1, MAX_SYM_LEN + 1):
             codes = [i for i, s in enumerate(symbols) if len(s) == L]
             if not codes:
@@ -80,7 +86,7 @@ class FsstTable:
                 dtype=np.uint64,
             )
             order = np.argsort(keys)
-            self._by_len[L] = (keys[order], np.array(codes, np.uint8)[order])
+            by_len[L] = (keys[order], np.array(codes, np.uint8)[order])
         # perfect lookup tables for the 1- and 2-byte tiers: the match
         # becomes a single gather (no searchsorted) — these tiers see
         # the largest active sets since they run last over everything
@@ -92,6 +98,7 @@ class FsstTable:
                 self._lut1[s[0]] = code
             elif len(s) == 2:
                 self._lut2[int.from_bytes(s, "little")] = code
+        self._by_len = by_len  # last: a set _by_len means all are built
 
     # ---------------- serialization ----------------
 
@@ -124,6 +131,8 @@ class FsstTable:
         with len=1/code=ESCAPE where nothing matches. After each length
         tier the active set is compacted to the still-unmatched
         positions, so later tiers probe ever-smaller arrays."""
+        if self._by_len is None:
+            self._build_match_tables()
         k = w64.size
         best_len = np.zeros(k, dtype=np.int64)
         best_code = np.full(k, ESCAPE, dtype=np.uint8)

@@ -47,6 +47,8 @@ _C_PLAIN, _C_FOR, _C_RLE, _C_DICT, _C_DELTA, _C_PFOR, _C_DICT2, _C_FOR64 = (
 )
 _C_ZRANK = 8
 _C_ZRANKS = 9  # zrank with a plan-shared rank table (+ embedded extras)
+# codecs whose decode ends in a table gather over per-value codes
+_TABLE_GATHER = (_C_DICT, _C_DICT2, _C_ZRANK, _C_ZRANKS)
 
 _DTYPES = {
     1: np.dtype("<i4"),
@@ -662,13 +664,21 @@ def rank_int_codecs(values: np.ndarray, names) -> list[str]:
 
 
 def decode_any_int(
-    buf: bytes, tables: dict[str, bytes] | None = None
+    buf: bytes,
+    tables: dict[str, bytes] | None = None,
+    take: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Decode any int blob. ``take`` (value positions) returns only
+    those values: the table-gather codecs (zrank, zrank-shared, dict,
+    dict2) pick their codes before the gather, the others decode whole
+    and then take."""
     codec = buf[0]
     dt = _DTYPES[buf[1]]
     n, pos = decode_uvarint(buf, 2)
     if n == 0:
         return np.empty(0, dtype=dt)
+    if take is not None and codec not in _TABLE_GATHER:
+        return decode_any_int(buf, tables)[take]
     if codec == _C_PLAIN:
         return np.frombuffer(buf, dtype=dt, count=n, offset=pos).copy()
     if codec == _C_FOR:
@@ -722,7 +732,7 @@ def decode_any_int(
         codes = np.frombuffer(
             raw, dtype=np.uint16 if width == 2 else np.uint32
         )
-        return table[codes]
+        return table[codes if take is None else codes[take]]
     if codec == _C_ZRANKS:
         import pyarrow as pa
 
@@ -744,7 +754,7 @@ def decode_any_int(
             raw, dtype=np.uint16 if width == 2 else np.uint32
         )
         table = np.concatenate([shared, extras]) if nx else shared
-        return table[codes]
+        return table[codes if take is None else codes[take]]
     if codec == _C_RLE:
         mn = int.from_bytes(buf[pos : pos + 8], "little", signed=True)
         w = buf[pos + 8]
@@ -757,13 +767,13 @@ def decode_any_int(
         table = np.frombuffer(buf, dtype=dt, count=tsize, offset=pos)
         pos += table.nbytes
         idx = rle_decode(buf[pos:], w, n)
-        return table[idx]
+        return table[idx if take is None else idx[take]]
     if codec == _C_DICT2:
         tsize, pos = decode_uvarint(buf, pos)
         table = np.frombuffer(buf, dtype=dt, count=tsize, offset=pos)
         pos += table.nbytes
         blen, pos = decode_uvarint(buf, pos)
-        idx = decode_any_int(bytes(buf[pos : pos + blen]))
+        idx = decode_any_int(bytes(buf[pos : pos + blen]), take=take)
         return table[idx]
     if codec == _C_PFOR:
         nb = -(-n // MINIBLOCK)

@@ -717,18 +717,44 @@ def read_header(blob: bytes) -> dict:
     return json.loads(blob[9 : 9 + hlen])
 
 
+_STAT_KEYS = ("min", "max", "emin", "emax", "ltype", "bloom")
+
+
+def column_stats(header: dict) -> dict:
+    """Per-column pruning stats of a parsed shard header:
+    ``{name: {min, max, emin, emax, ltype, bloom}}``, keys the header
+    lacks left out. Manifest records carry the same dict (JSON field
+    ``stats``), so pruning a recorded shard opens no header."""
+    return {
+        c["name"]: {k: c[k] for k in _STAT_KEYS if k in c}
+        for c in header["columns"]
+    }
+
+
 def decode_table(
     blob: bytes,
     tables: dict[str, bytes] | None = None,
     columns: list[str] | None = None,
     categories: list[str] | None = None,
+    rows: np.ndarray | None = None,
+    decoded: dict[str, Any] | None = None,
 ) -> pa.Table:
     """``categories``: string columns to return as
     pa.DictionaryArray (reference categories=, api.py:387-475 /
     core.py:529-549). Dictionary-coded shards take the zero-gather
     fast path — codes + symbol table become the DictionaryArray
     directly, so decode memory is O(distinct) for the labels instead
-    of O(rows); other codecs decode then dictionary_encode."""
+    of O(rows); other codecs decode then dictionary_encode.
+
+    ``rows`` (ascending row positions) keeps only those rows: int
+    columns and list values pick their positions before the table
+    gather of the dictionary-style int codecs
+    (``decode_any_int(take=)``), every other kind decodes whole and
+    then takes, and an empty ``rows`` decodes no column body. A
+    dictionary-typed result (stored dictionary or ``categories``)
+    decodes whole first, so it keeps the shard's full dictionary.
+    ``decoded`` maps column names to arrays the caller already holds
+    at ``rows``; they take their place in the table as given."""
     header = read_header(blob)
     hlen = int.from_bytes(blob[5:9], "little")
     base = 9 + hlen
@@ -743,6 +769,13 @@ def decode_table(
         if columns is not None and name not in columns:
             continue
         field = schema.field(name)
+        if decoded is not None and name in decoded:
+            arr = decoded[name]
+            if not arr.type.equals(field.type):
+                field = pa.field(name, arr.type, field.nullable)
+            out_cols.append(arr)
+            out_fields.append(field)
+            continue
         start = base + info["offset"]
         vlen = info["validity_len"]
         validity = blob[start : start + vlen]
@@ -761,7 +794,15 @@ def decode_table(
                     b, info["outer"][0], info["outer_sizes"][i]
                 )
             bodies.append(b)
-        if kind == "nested":
+        # a dictionary-typed result keeps the whole shard's dictionary
+        # (as a take of the full decode would): decode whole, take last
+        dict_out = pa.types.is_dictionary(field.type) or bool(
+            categories and name in categories and kind == "str"
+        )
+        sel = None if dict_out else rows
+        if sel is not None and not sel.size:
+            arr = pa.array([], type=field.type if kind == "nested" else t)
+        elif kind == "nested":
             arr, _ = decode_nested(bodies[0], 0, field.type, tables)
         elif kind == "bytes":
             lengths, data = sc.decode_any_str(bodies[0], tables)
@@ -787,19 +828,28 @@ def decode_table(
         elif kind == "list":
             lb, vb = bodies[0], bodies[1]
             lengths = ic.decode_any_int(lb, tables).astype(np.int64)
+            total = int(lengths.sum())
+            vpos = None
+            if sel is not None:
+                # value positions of the kept rows
+                starts = np.cumsum(lengths) - lengths
+                lengths = lengths[sel]
+                vpos = np.arange(int(lengths.sum())) + np.repeat(
+                    starts[sel] - (np.cumsum(lengths) - lengths), lengths
+                )
             if "float_values" in info:
                 fdt = np.dtype(info["float_values"])
                 if vb[:1] == b"S":
-                    values = _float_unshuffle(
-                        bytes(vb[1:]), fdt, int(lengths.sum())
-                    )
+                    values = _float_unshuffle(bytes(vb[1:]), fdt, total)
                 else:
                     values = np.frombuffer(vb, dtype=fdt, offset=1)
+                if vpos is not None:
+                    values = values[vpos]
                 varr = pa.array(values, type=t.value_type)
             else:
-                vals = ic.decode_any_int(vb, tables)
+                vals = ic.decode_any_int(vb, tables, take=vpos)
                 varr = pa.array(vals, type=t.value_type)
-            offsets = np.zeros(n + 1, dtype=np.int32)
+            offsets = np.zeros(lengths.size + 1, dtype=np.int32)
             np.cumsum(lengths, out=offsets[1:])
             arr = pa.ListArray.from_arrays(
                 pa.array(offsets, pa.int32()), varr
@@ -830,15 +880,19 @@ def decode_table(
                 values = np.frombuffer(bodies[0], dtype=info["float_dtype"])
             arr = pa.array(values, type=t)
         else:
-            vals = ic.decode_any_int(bodies[0], tables)
+            vals = ic.decode_any_int(bodies[0], tables, take=sel)
             if pa.types.is_boolean(t):
                 arr = pa.array(vals.astype(bool), type=t)
             else:
                 arr = pa.array(vals).cast(t)
+        if sel is not None and sel.size and kind not in ("list", "int"):
+            arr = arr.take(pa.array(sel))
         if info["null_count"] and kind not in ("nested", "dec128"):
             mask = np.unpackbits(
                 np.frombuffer(validity, dtype=np.uint8), bitorder="little"
             )[:n].astype(bool)
+            if sel is not None:
+                mask = mask[sel]
             arr = pa.compute.if_else(pa.array(mask), arr, pa.scalar(None, arr.type))
         if pa.types.is_dictionary(field.type) and kind != "nested":
             arr = arr.dictionary_encode()
@@ -852,6 +906,8 @@ def decode_table(
             # decode then dictionary-encode (gather happens, but the
             # caller still gets the categorical type)
             arr = arr.dictionary_encode()
+        if dict_out and rows is not None:
+            arr = arr.take(pa.array(rows))
         if pa.types.is_dictionary(arr.type) and not arr.type.equals(field.type):
             # intentional type change from categories= (everything else
             # is cast back to the stored schema by from_arrays below)
@@ -867,6 +923,11 @@ def decode_table(
     md = schema.metadata
     if md and b"pandas" in md and columns is not None:
         md = {k: v for k, v in md.items() if k != b"pandas"}
+    if not out_cols:
+        # no stored column projected (only hive partition columns):
+        # keep the row count, which the caller attaches columns to
+        n_out = n if rows is None else len(rows)
+        return pa.table({"": pa.nulls(n_out)}).select([])
     return pa.Table.from_arrays(
         out_cols, schema=pa.schema(out_fields, metadata=md)
     )

@@ -2,14 +2,19 @@
 executors over the same per-shard steps.
 
 Mirrors the reference read path (fastparquet ParquetFile.to_pandas,
-api.py:387-475). ``scan_shards`` resolves
-a read once: symbol tables (from the plan sidecar), filter validation,
-shard pruning from header min/max/bloom stats (reference analog M2
-filter_row_groups/filter_out_stats, api.py:948-999/761-819) and the
-decode projection. ``decode_shard`` turns one shard blob into a
-table; column projection is honored at decode (reference analog M1,
-api.py:433-439), so unneeded buffers are never touched, and the
-residual row filter is applied vectorized (M3/M4).
+api.py:387-475). ``scan_shards`` resolves a read once: symbol tables
+(from the plan sidecar), filter validation and shard pruning on
+min/max/bloom stats (reference analog M2
+filter_row_groups/filter_out_stats, api.py:948-999/761-819). The stats
+come from the manifest records, which carry each shard's header stats
+(the reference's consolidated ``_metadata``), so pruning opens no
+shard header unless no record covers the shard. ``decode_shard`` turns
+one shard blob into a table; column projection is honored at decode
+(reference analog M1, api.py:433-439), so unneeded buffers are never
+touched. With filters it decodes the filter columns first, evaluates
+the residual predicate vectorized (M3/M4) to row positions, and
+decodes the other projected columns at those rows only — nothing more
+when no row matches.
 
 - ``decode_dataset``: a lazy, streaming ray.data.Dataset (one read
   task per kept shard) for scans.
@@ -42,15 +47,13 @@ def shard_files(out_dir: str, filesystem=None) -> list[str]:
     URIs keep their protocol prefix so downstream opens re-resolve;
     with an explicit ``filesystem`` instance, paths stay fs-relative).
     Includes hive `key=value` subdirectories (reference M8 layout)."""
-    fs, root = fsmod.get_fs(out_dir, filesystem)
+    manifest = Manifest(out_dir, filesystem=filesystem)
     proto = (
         ""
-        if filesystem is not None or fsmod.is_local(fs)
+        if filesystem is not None or fsmod.is_local(manifest.fs)
         else out_dir.split("://", 1)[0] + "://"
     )
-    found = set(fs.glob(fsmod.join(fs, root, "shard-*.fprs")))
-    found |= set(fs.glob(fsmod.join(fs, root, "**", "shard-*.fprs")))
-    return sorted(proto + p for p in found)
+    return [proto + p for p in manifest.shard_glob()]
 
 
 def _coerce_stat_value(ltype: str | None, val):
@@ -168,111 +171,120 @@ def _stats_may_match(
 def prune_shards(
     paths: list[str], filters, root: str | None = None, filesystem=None
 ) -> list[str]:
-    """Drop shards whose header stats — or hive partition-path values
+    """Drop shards whose column stats — or hive partition-path values
     below ``root`` (reference filter_out_cats, api.py:1002-1039) —
-    preclude any match."""
-    from ..container import read_header
+    preclude any match. With ``root``, a shard's stats come from the
+    manifest record that names it (the reference's consolidated
+    ``_metadata``, util.py:115-213); the header is read only for a
+    shard no record covers (a manifest written before records carried
+    stats, an orphan, a dir without a manifest)."""
+    import json
+
+    from ..container import column_stats, read_header
     from .hive import parse_hive_parts
 
+    if not paths:
+        return []
+    # one dataset, one filesystem: resolve it once, not per shard
+    fs = fsmod.get_fs(paths[0], filesystem)[0]
     rootp = root.rstrip("/") if root else None
-    kept = []
-    for p in paths:
-        fs, rp = fsmod.get_fs(p, filesystem)
-        hdr = read_header(fsmod.read_header_bytes(fs, rp))
-        stats = {
-            c["name"]: {
-                "min": c.get("min"),
-                "max": c.get("max"),
-                "emin": c.get("emin"),
-                "emax": c.get("emax"),
-                "ltype": c.get("ltype"),
-                "bloom": c.get("bloom"),
-            }
-            for c in hdr["columns"]
+    recorded = {}
+    if rootp:
+        recorded = {
+            r["shard"]: r["stats"]
+            for r in Manifest(rootp, fs).load_records().values()
+            if "stats" in r
         }
+    kept, from_headers = [], 0
+    for p in paths:
+        rp = fsmod.get_fs(p, fs)[1]
         rel = rp[len(rootp):] if rootp and rp.startswith(rootp) else rp
+        rec = recorded.get(rel.lstrip("/"))
+        if rec is not None:
+            stats = json.loads(rec)
+        else:
+            stats = column_stats(read_header(fsmod.read_header_bytes(fs, rp)))
+            from_headers += 1
         for col, val in parse_hive_parts(rel).items():
-            stats.setdefault(col, {"min": val, "max": val, "ltype": None})
+            stats.setdefault(col, {"min": val, "max": val})
         if all(
             _stats_may_match(stats, c, op, v, path=p) for c, op, v in filters
         ):
             kept.append(p)
     log.debug(
-        "prune_shards: kept %d, pruned %d of %d shards for %s",
+        "prune_shards: kept %d, pruned %d of %d shards for %s "
+        "(stats from %d manifest records, %d header reads)",
         len(kept), len(paths) - len(kept), len(paths), filters,
+        len(paths) - from_headers, from_headers,
     )
     return kept
 
 
-def _residual_filter(filters):
+def _residual_rows(filters, t):
+    """Positions of the rows of ``t`` that satisfy every filter."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    def fn(t: pa.Table) -> pa.Table:
-        mask = None
-        for col, op, val in filters:
-            c = t[col]
-            if op == "==":
-                m = pc.equal(c, val)
-            elif op == "!=":
-                m = pc.not_equal(c, val)
-            elif op == ">":
-                m = pc.greater(c, val)
-            elif op == ">=":
-                m = pc.greater_equal(c, val)
-            elif op == "<":
-                m = pc.less(c, val)
-            elif op == "<=":
-                m = pc.less_equal(c, val)
-            elif op == "in":
-                m = pc.is_in(c, value_set=pa.array(list(val)))
-            elif op == "not in":
-                m = pc.invert(pc.is_in(c, value_set=pa.array(list(val))))
-            elif op in ("contains", "contains_any"):
-                # list membership: one vectorized flatten + segment-any
-                la = c.combine_chunks()
-                flat = la.flatten().to_numpy(zero_copy_only=False)
-                offs = la.offsets.to_numpy(zero_copy_only=False).astype(
-                    np.int64
-                )
-                rel = offs - offs[0]  # sliced arrays: rebase offsets
-                hit = (
-                    flat == val
-                    if op == "contains"
-                    else np.isin(flat, np.asarray(list(val)))
-                )
-                cum = np.concatenate([[0], np.cumsum(hit)])
-                m = pa.array((cum[rel[1:]] - cum[rel[:-1]]) > 0)
-            else:
-                raise ValueError(f"unsupported op {op}")
-            mask = m if mask is None else pc.and_(mask, m)
-        return t.filter(mask) if mask is not None else t
-
-    return fn
+    mask = None
+    for col, op, val in filters:
+        c = t[col]
+        if op == "==":
+            m = pc.equal(c, val)
+        elif op == "!=":
+            m = pc.not_equal(c, val)
+        elif op == ">":
+            m = pc.greater(c, val)
+        elif op == ">=":
+            m = pc.greater_equal(c, val)
+        elif op == "<":
+            m = pc.less(c, val)
+        elif op == "<=":
+            m = pc.less_equal(c, val)
+        elif op == "in":
+            m = pc.is_in(c, value_set=pa.array(list(val)))
+        elif op == "not in":
+            m = pc.invert(pc.is_in(c, value_set=pa.array(list(val))))
+        elif op in ("contains", "contains_any"):
+            # list membership: one vectorized flatten + segment-any
+            la = c.combine_chunks()
+            flat = la.flatten().to_numpy(zero_copy_only=False)
+            offs = la.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+            rel = offs - offs[0]  # sliced arrays: rebase offsets
+            hit = (
+                flat == val
+                if op == "contains"
+                else np.isin(flat, np.asarray(list(val)))
+            )
+            cum = np.concatenate([[0], np.cumsum(hit)])
+            m = pa.array((cum[rel[1:]] - cum[rel[:-1]]) > 0)
+        else:
+            raise ValueError(f"unsupported op {op}")
+        mask = m if mask is None else pc.and_(mask, m)
+    # a null comparison drops the row, as Table.filter does
+    return np.flatnonzero(
+        pc.fill_null(mask, False).to_numpy(zero_copy_only=False)
+    )
 
 
 class Scan(NamedTuple):
     """A resolved read: the kept shards (filesystem-relative paths on
-    ``fs``), the plan's symbol tables, the columns to decode and the
-    hive root (None for a flat layout)."""
+    ``fs``), the plan's symbol tables and the hive root (None for a
+    flat layout)."""
 
     fs: Any
     paths: list[str]
     tables: dict
-    decode_cols: list[str] | None
     hive: str | None
 
 
 def scan_shards(
     out_dir: str,
-    columns: list[str] | None = None,
     filters=None,
     filesystem=None,
 ) -> Scan:
-    """Validate ``filters``, prune shards on their header stats and
-    work out the decode projection (the filter columns ride along
-    until the residual filter has run). Shared by both executors."""
+    """Validate ``filters`` and prune shards on their column stats.
+    Shared by both executors."""
     manifest = Manifest(out_dir, filesystem=filesystem)
     tables = {}
     if manifest.has_plan():
@@ -282,15 +294,12 @@ def scan_shards(
         raise FileNotFoundError(f"no shards under {out_dir}")
     fs, root = fsmod.get_fs(out_dir, filesystem)
     rootp = root.rstrip("/")
-    decode_cols = columns
     if filters:
         for f in filters:
             if len(f) != 3 or f[1] not in _OPS:
                 raise ValueError(f"bad filter {f}")
         paths = prune_shards(paths, filters, root=root, filesystem=filesystem)
-        if columns is not None:
-            decode_cols = sorted(set(columns) | {f[0] for f in filters})
-    rel_paths = [fsmod.get_fs(p, filesystem)[1] for p in paths]
+    rel_paths = [fsmod.get_fs(p, fs)[1] for p in paths]
 
     from .hive import parse_hive_parts
 
@@ -305,7 +314,7 @@ def scan_shards(
         )
         else None
     )
-    return Scan(fs, rel_paths, tables, decode_cols, hive)
+    return Scan(fs, rel_paths, tables, hive)
 
 
 def decode_shard(
@@ -315,26 +324,47 @@ def decode_shard(
     columns: list[str] | None = None,
     categories: list[str] | None = None,
     hive: str | None = None,
+    filters=None,
 ):
     """One shard blob -> Arrow table. With ``hive`` (the dataset root),
     `key=value` path components below it become typed partition
     columns, which are not stored in the shard (reference
-    paths_to_cats, api.py:700-758)."""
-    from ..container import decode_table
+    paths_to_cats, api.py:700-758).
 
-    if hive is None:
-        return decode_table(
-            blob, tables, columns=columns, categories=categories
-        )
+    With ``filters``, the filter columns are decoded first and the
+    residual predicate picks the matching rows; the other projected
+    columns are decoded at those rows only (``decode_table(rows=)``),
+    and not at all when no row matches."""
+    from ..container import decode_table
     from .hive import attach_hive_columns, parse_hive_parts
 
-    root = hive.rstrip("/")
-    parts = parse_hive_parts(path[len(root):] if path.startswith(root) else path)
-    stored = (
-        None if columns is None else [c for c in columns if c not in parts]
-    )
-    t = decode_table(blob, tables, columns=stored, categories=categories)
-    return attach_hive_columns(t, parts, columns)
+    parts = {}
+    if hive is not None:
+        root = hive.rstrip("/")
+        parts = parse_hive_parts(
+            path[len(root):] if path.startswith(root) else path
+        )
+
+    def dec(cols, rows=None, decoded=None):
+        stored = None if cols is None else [c for c in cols if c not in parts]
+        t = decode_table(
+            blob, tables, columns=stored, categories=categories, rows=rows,
+            decoded=decoded,
+        )
+        return attach_hive_columns(t, parts, cols) if parts else t
+
+    if not filters:
+        return dec(columns)
+    fcols = list(dict.fromkeys(f[0] for f in filters))
+    ft = dec(fcols)
+    rows = _residual_rows(filters, ft)
+    decoded = {
+        c: ft[c].take(rows)
+        for c in fcols
+        if c not in parts and (columns is None or c in columns)
+    }
+    t = dec(columns, rows, decoded)
+    return t if columns is None else t.select(columns)
 
 
 def decode_dataset(
@@ -348,15 +378,15 @@ def decode_dataset(
     """ray.data.Dataset over the decoded rows of an encoded dataset.
 
     ``filters``: conjunction of (col, op, value) tuples; shards whose
-    header stats preclude matches are skipped entirely, the residual
-    predicate is applied vectorized per batch.
+    column stats preclude matches are skipped entirely, and each read
+    task decodes only the matching rows of its shard (``decode_shard``).
 
     ``categories``: string columns returned as pa.DictionaryArray
     (reference categories=, api.py:387-475) — dictionary-coded shards
     skip the per-row label gather entirely."""
     import ray.data
 
-    scan = scan_shards(out_dir, columns, filters, filesystem)
+    scan = scan_shards(out_dir, filters, filesystem)
     if not scan.paths:
         import pyarrow as pa
 
@@ -369,20 +399,16 @@ def decode_dataset(
     from ..sources.fprs import read_fprs
 
     remote = filesystem is not None or not fsmod.is_local(scan.fs)
-    ds = read_fprs(
+    return read_fprs(
         scan.paths,
         tables=scan.tables,
-        columns=scan.decode_cols,
+        columns=columns,
         concurrency=concurrency,
         filesystem=scan.fs if remote else None,
         hive=scan.hive,
         categories=categories,
+        filters=filters,
     )
-    if filters:
-        ds = ds.map_batches(_residual_filter(filters), batch_format="pyarrow")
-        if columns is not None:
-            ds = ds.select_columns(columns)
-    return ds
 
 
 def read_table(
@@ -400,21 +426,16 @@ def read_table(
     when pruning keeps no shard."""
     import pyarrow as pa
 
-    scan = scan_shards(out_dir, columns, filters, filesystem)
+    scan = scan_shards(out_dir, filters, filesystem)
     if not scan.paths:
         return None
-    residual = _residual_filter(filters) if filters else None
     parts, rows, nbytes = [], 0, 0
     for rp in scan.paths:
         blob = fsmod.read_bytes(scan.fs, rp)
         nbytes += len(blob)
         t = decode_shard(
-            blob, rp, scan.tables, scan.decode_cols, categories, scan.hive
+            blob, rp, scan.tables, columns, categories, scan.hive, filters
         )
-        if residual is not None:
-            t = residual(t)
-            if columns is not None:
-                t = t.select(columns)
         parts.append(t)
         rows += t.num_rows
         if limit is not None and rows >= limit:

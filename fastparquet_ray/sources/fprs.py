@@ -26,12 +26,14 @@ class FprsDatasource(FileBasedDatasource):
         columns: list[str] | None = None,
         hive: str | None = None,
         categories: list[str] | None = None,
+        filters=None,
         **kwargs,
     ):
         super().__init__(paths, **kwargs)
         self._tables = tables or {}
         self._columns = columns
         self._categories = categories
+        self._filters = filters
         # hive = dataset ROOT path: `key=value` components BELOW it are
         # partition dirs (None disables hive parsing)
         self._hive = hive
@@ -43,7 +45,7 @@ class FprsDatasource(FileBasedDatasource):
 
         yield decode_shard(
             f.readall(), path, self._tables, self._columns,
-            self._categories, self._hive,
+            self._categories, self._hive, self._filters,
         )
 
 
@@ -55,12 +57,14 @@ def read_fprs(
     filesystem=None,
     hive: str | None = None,
     categories: list[str] | None = None,
+    filters=None,
 ):
     """ray.data Dataset over shard files (one read task per shard).
     ``filesystem`` may be an fsspec filesystem (wrapped for pyarrow) or
     a pyarrow FileSystem — reference S10 remote-FS analog. ``hive``
     (the dataset root path) parses `key=value` components below it
-    into typed partition columns."""
+    into typed partition columns; ``filters`` keeps only the matching
+    rows of each shard (``pipelines.decode.decode_shard``)."""
     import ray.data
 
     if filesystem is not None and not hasattr(filesystem, "type_name"):
@@ -71,7 +75,7 @@ def read_fprs(
     return ray.data.read_datasource(
         FprsDatasource(
             paths, tables=tables, columns=columns, hive=hive,
-            categories=categories, filesystem=filesystem,
+            categories=categories, filters=filters, filesystem=filesystem,
         ),
         concurrency=concurrency,
     )

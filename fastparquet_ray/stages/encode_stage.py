@@ -19,7 +19,12 @@ from typing import Any
 import numpy as np
 import pyarrow as pa
 
-from ..container import ShardEncoder, partition_id_for, read_header
+from ..container import (
+    ShardEncoder,
+    column_stats,
+    partition_id_for,
+    read_header,
+)
 from ..plan import CodecPlan
 
 # exchange helper columns: the source salt (add_salt_column) and the
@@ -219,7 +224,9 @@ def _manifest_batch(
     counts). JSON-encoded detail columns keep the record schema flat.
     ``fragment`` is the block's provenance (NUL-joined input paths);
     ``encode_pipeline`` adds the file's fingerprint, and ``shard_bytes``
-    lets a resume check the shard with a stat."""
+    lets a resume check the shard with a stat. ``stats`` holds the
+    header's per-column pruning stats (``container.column_stats``), so
+    a filtered read prunes without opening the shard."""
     import json
 
     codecs = {}
@@ -247,6 +254,7 @@ def _manifest_batch(
             "key_max": [key_range[1] if key_range else ""],
             "fragment": [fragment],
             "shard_bytes": [shard_bytes],
+            "stats": [json.dumps(column_stats(hdr), separators=(",", ":"))],
         }
     )
 

@@ -163,15 +163,13 @@ class Manifest:
             return False
         return size == rec.get("shard_bytes", size)
 
-    def _shard_glob(self) -> list[str]:
-        found = set(
-            self.fs.glob(fsmod.join(self.fs, self.root, "shard-*.fprs"))
-        )
-        # hive `key=value` layouts nest shards in partition dirs
-        found |= set(
+    def shard_glob(self) -> list[str]:
+        """Every shard file under the dataset root, sorted: top-level
+        and inside hive `key=value` partition dirs (one recursive glob
+        matches both)."""
+        return sorted(
             self.fs.glob(fsmod.join(self.fs, self.root, "**", "shard-*.fprs"))
         )
-        return sorted(found)
 
     def valid_shard_ids(self, known: set[str] = frozenset()) -> set[str]:
         """Scan shard files and validate completeness (magic + header
@@ -182,7 +180,7 @@ class Manifest:
         from ..container import MAGIC, read_header
 
         out = set()
-        for path in self._shard_glob():
+        for path in self.shard_glob():
             if _shard_pid(path) in known:
                 continue
             try:
@@ -236,7 +234,7 @@ class Manifest:
         (left behind by runs over a different input set). Returns the
         number removed."""
         removed = 0
-        for path in self._shard_glob():
+        for path in self.shard_glob():
             if _shard_pid(path) not in keep_ids:
                 try:
                     self.fs.rm(path)

@@ -83,8 +83,8 @@ def test_salted_shuffle_bounds_skew(ray_session, tmp_path):
 
     _prev_push = rd.DataContext.get_current().use_push_based_shuffle
     s = encode_pipeline(paths, out, partition_by_source=True)
-    # the push-based-shuffle flag is scoped to the salted execution
-    # and restored afterwards (NEXT r3 #7)
+    # encode leaves the session DataContext as it found it (no code
+    # sets this flag any more; a salted encode must not start to)
     assert rd.DataContext.get_current().use_push_based_shuffle is _prev_push
     assert s["rows"] == 4000
     # the hot source ('web', 95%) must be spread over several shards

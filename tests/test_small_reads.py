@@ -1,7 +1,8 @@
 """Materializing reads decode in the driver: ``EncodedDataset.to_pandas``,
-``head`` and ``take_row_range`` prune on header stats, read only the
-kept shard bodies and decode them in-process — no Ray Data job — and
-return what the streaming ``decode_dataset`` returns."""
+``head`` and ``take_row_range`` prune on the column stats in the
+manifest records (no shard header is opened), read only the kept
+shard bodies and decode them in-process — no Ray Data job — and return
+what the streaming ``decode_dataset`` returns."""
 
 import logging
 
@@ -61,6 +62,22 @@ def body_reads(monkeypatch):
     return reads
 
 
+@pytest.fixture()
+def header_reads(monkeypatch):
+    """Names of the shard files whose header was read on its own."""
+    reads = []
+    real = fsmod.read_header_bytes
+
+    def counting(fs, path, *a, **k):
+        name = path.rsplit("/", 1)[-1]
+        if name.startswith("shard-") and name.endswith(".fprs"):
+            reads.append(name)
+        return real(fs, path, *a, **k)
+
+    monkeypatch.setattr(fsmod, "read_header_bytes", counting)
+    return reads
+
+
 def _rows(df: pd.DataFrame, by: str = "doc_id") -> pd.DataFrame:
     df = df.sort_values(by).reset_index(drop=True)
     if "tokens" in df.columns:
@@ -74,7 +91,7 @@ def _assert_same(got: pd.DataFrame, want: pd.DataFrame, by: str = "doc_id"):
 
 
 def test_point_lookup_runs_no_ray_job_and_reads_one_shard(
-    clustered, no_ray_data, body_reads, caplog
+    clustered, no_ray_data, body_reads, header_reads, caplog
 ):
     out, src = clustered
     eds = EncodedDataset(out)
@@ -84,9 +101,14 @@ def test_point_lookup_runs_no_ray_job_and_reads_one_shard(
     assert df["doc_id"].tolist() == [key]
     assert list(df["tokens"][0]) == src["tokens"][1234].as_py()
     assert len(body_reads) == 1
+    # pruned on the stats in the manifest records: no header is opened
+    assert header_reads == []
     n = len(shard_files(out))
     msgs = [r.getMessage() for r in caplog.records]
     assert any(f"kept 1, pruned {n - 1} of {n} shards" in m for m in msgs)
+    assert any(
+        f"stats from {n} manifest records, 0 header reads" in m for m in msgs
+    )
     assert any("decoded 1 of 1 kept shards" in m for m in msgs)
 
 
@@ -127,6 +149,22 @@ def test_head_stops_at_the_shard_that_completes_n(
     pd.testing.assert_frame_equal(_rows(h), _rows(whole.iloc[: n0 + 1]))
 
 
+def _match(df: pd.DataFrame, filters) -> pd.Series:
+    """The filters evaluated by pandas on an unfiltered read."""
+    ops = {
+        "==": lambda c, v: c == v,
+        "!=": lambda c, v: c != v,
+        ">": lambda c, v: c > v,
+        "<": lambda c, v: c < v,
+        "in": lambda c, v: c.isin(v),
+        "contains": lambda c, v: c.map(lambda x: v in list(x)),
+    }
+    keep = pd.Series(True, index=df.index)
+    for col, op, val in filters:
+        keep &= ops[op](df[col], val).astype(bool)
+    return keep
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -135,8 +173,22 @@ def test_head_stops_at_the_shard_that_completes_n(
         {"columns": ["n_tok", "doc_id"], "filters": [("n_tok", ">", 300)]},
         {"filters": [("source", "in", ["code", "books"])]},
         {"categories": ["source"], "filters": [("n_tok", "<", 100)]},
+        {
+            "columns": ["source", "tokens", "doc_id"],
+            "filters": [("n_tok", "<", 40)],
+        },
+        {
+            "columns": ["tokens", "n_tok", "doc_id"],
+            "filters": [("n_tok", ">", 250), ("source", "!=", "web")],
+        },
+        {"filters": [("tokens", "contains", 5), ("n_tok", "<", 60)]},
+        {"categories": ["source"], "filters": [("source", "==", "code")]},
     ],
-    ids=["all", "columns", "columns-filter", "in-filter", "categories"],
+    ids=[
+        "all", "columns", "columns-filter", "in-filter", "categories",
+        "filter-not-projected", "two-filters", "contains",
+        "categories-filter",
+    ],
 )
 def test_driver_read_matches_decode_dataset(clustered, kw):
     out, _ = clustered
@@ -148,6 +200,14 @@ def test_driver_read_matches_decode_dataset(clustered, kw):
     _assert_same(got, want)
     if "categories" in kw:
         assert isinstance(got["source"].dtype, pd.CategoricalDtype)
+    if "filters" in kw:
+        # both filtered executors return the rows an unfiltered read
+        # holds that match, in the projection's column order
+        full = EncodedDataset(out).to_pandas(categories=kw.get("categories"))
+        full = full[_match(full, kw["filters"])]
+        if "columns" in kw:
+            full = full[kw["columns"]]
+        _assert_same(got, full)
 
 
 def test_zero_match_filter_is_empty(clustered, no_ray_data, body_reads):
@@ -206,6 +266,12 @@ def test_hive_layout_matches_decode_dataset(ray_session, tmp_path):
         _assert_same(got, want)
     got = EncodedDataset(out).to_pandas(filters=[("source", "==", "book")])
     assert set(got["source"]) == {"book"} and len(got) == n // 3
+    # a projection of partition columns alone keeps every row
+    for flt, rows in ((None, n), ([("source", "!=", "web")], 2 * n // 3)):
+        kw = {"columns": ["source"], "filters": flt}
+        got = EncodedDataset(out).to_pandas(**kw)["source"]
+        want = decode_dataset(out, **kw).to_pandas()["source"]
+        assert len(got) == rows and sorted(got) == sorted(want)
 
 
 def test_write_index_restored_by_driver_read(ray_session, tmp_path):
