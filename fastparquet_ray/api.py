@@ -15,10 +15,14 @@ user can switch pipelines with minimal changes:
       .statistics (api.py:822-902)        .statistics()
       .info / .columns                    .info / .columns
 
-Materializing reads — ``to_pandas``, ``head`` and ``take_range`` —
-run in the calling process: shards are pruned on their header stats,
-then the kept ones are read and decoded serially, with no Ray Data
-job (the reference answers these in-process too). Everything else is
+Every stat, count, listing and read of an ``EncodedDataset`` comes
+from one metadata snapshot (``pipelines.decode.Snapshot``: from the
+manifest records; header only for a shard no record covers), rebuilt
+when a sidecar changes. Materializing reads — ``to_pandas``, ``head``
+and ``take_range`` — run in the calling process: shards are pruned on
+the snapshot's stats, then the kept ones are read and decoded
+serially, with no Ray Data job (the reference answers these
+in-process too). Everything else is
 backed by the Ray Data pipelines (streaming, distributed):
 ``write``, and the lazy Datasets from ``dataset()``,
 ``iter_batches()`` and ``eds[i:j]`` for scans. Ray must already be
@@ -36,10 +40,13 @@ import pandas as pd
 import pyarrow as pa
 
 from .container import read_header
-from .pipelines.decode import decode_dataset, read_table, shard_files
+from .pipelines.decode import (
+    Snapshot, decode_dataset, read_table, take_row_range,
+)
 from .pipelines.encode import encode_pipeline
 from .pipelines.export import shard_statistics
 from .pipelines.verify import verify_roundtrip
+from .state import fs as fsmod
 from .state.manifest import Manifest
 
 
@@ -115,15 +122,14 @@ def write(
     if not isinstance(data, (str, list)):
         import json
 
-        from .state import fs as fsmod
-
-        fs, root = fsmod.get_fs(out_dir, filesystem)
-        sidecar = root.rstrip("/") + "/_pandas.json"
+        m = Manifest(out_dir, filesystem=filesystem)
         if index_meta is not None:
-            fsmod.atomic_write(fs, sidecar, json.dumps(index_meta).encode())
+            fsmod.atomic_write(
+                m.fs, m.pandas_path, json.dumps(index_meta).encode()
+            )
         else:
             try:  # overwrite without write_index: drop a stale sidecar
-                fs.rm(sidecar)
+                m.fs.rm(m.pandas_path)
             except (FileNotFoundError, OSError):
                 pass
     return summary
@@ -141,8 +147,7 @@ def write_simple(
     interchange. Read back with :func:`read_simple`. Any filesystem
     URI works (fs layer). ``write_index`` preserves a DataFrame index
     through the shard header's pandas schema metadata."""
-    from .container import ShardEncoder, partition_id_for, read_header
-    from .state import fs as fsmod
+    from .container import ShardEncoder, partition_id_for
 
     table = (
         pa.Table.from_pandas(data, preserve_index=write_index)
@@ -170,7 +175,6 @@ def write_simple(
 def read_simple(path: str, columns: list[str] | None = None) -> pa.Table:
     """Read a :func:`write_simple` file back into an Arrow table."""
     from .container import decode_table
-    from .state import fs as fsmod
 
     fs, rp = fsmod.get_fs(path)
     return decode_table(fsmod.read_bytes(fs, rp), columns=columns)
@@ -186,16 +190,39 @@ class EncodedDataset:
         # protocol resolution — reference S10 open_with analog
         self.filesystem = filesystem
         self.manifest = Manifest(out_dir, filesystem=filesystem)
-        self._paths = shard_files(out_dir, filesystem=filesystem)
-        if not self._paths:
+        self._snap, self._sidecars = None, None
+        if not self._snapshot().paths:
             raise FileNotFoundError(f"no shards under {out_dir}")
+
+    def _snapshot(self) -> Snapshot:
+        """The dir's metadata snapshot, rebuilt when the (size, mtime)
+        of ``_manifest.jsonl``, ``_plan.json`` or ``_pandas.json``
+        changed. Every encode, compact and ``write`` rewrites the
+        manifest; an orphan shard (a run killed before its manifest
+        write) shows after the next completed write or in a new
+        ``EncodedDataset``."""
+        m = self.manifest
+        key = []
+        for path in (m.path, m.plan_path, m.pandas_path):
+            try:
+                key.append(fsmod.stat_key(m.fs, path))
+            except FileNotFoundError:
+                key.append(None)
+        if key != self._sidecars:
+            self._snap = Snapshot(self.out_dir, self.filesystem)
+            self._sidecars = key
+        return self._snap
+
+    def _shards(self) -> list[dict]:
+        snap = self._snapshot()
+        return [snap.shard(p) for p in snap.paths]
 
     # ----- metadata (no data read) -----
 
     @property
     def columns(self) -> list[str]:
-        hdr = self._first_header()
-        return [c["name"] for c in hdr["columns"]]
+        snap = self._snapshot()
+        return list(snap.shard(snap.paths[0])["stats"])
 
     @property
     def schema(self) -> pa.Schema:
@@ -218,35 +245,24 @@ class EncodedDataset:
 
     @property
     def info(self) -> dict:
-        recs = self.manifest.load_records()
+        shards = self._shards()
         return {
-            "partitions": len(self._paths),
-            "rows": sum(r.get("rows", 0) for r in recs.values()),
-            "raw_bytes": sum(r.get("raw_bytes", 0) for r in recs.values()),
-            "enc_bytes": sum(r.get("enc_bytes", 0) for r in recs.values()),
+            "partitions": len(shards),
+            "rows": sum(s["rows"] for s in shards),
+            "raw_bytes": sum(s["raw_bytes"] for s in shards),
+            "enc_bytes": sum(s["enc_bytes"] for s in shards),
             "columns": self.columns,
         }
 
     def _first_header(self) -> dict:
-        from .state import fs as fsmod
-
-        fs, rp = fsmod.get_fs(self._paths[0], self.filesystem)
-        return read_header(fsmod.read_header_bytes(fs, rp))
+        snap = self._snapshot()
+        return read_header(fsmod.read_header_bytes(snap.fs, snap.paths[0]))
 
     def count(self) -> int:
-        recs = self.manifest.load_records()
-        if recs:
-            return sum(r.get("rows", 0) for r in recs.values())
-        from .state import fs as fsmod
-
-        total = 0
-        for p in self._paths:
-            fs, rp = fsmod.get_fs(p, self.filesystem)
-            total += read_header(fsmod.read_header_bytes(fs, rp))["num_rows"]
-        return total
+        return sum(s["rows"] for s in self._shards())
 
     def statistics(self) -> pd.DataFrame:
-        return shard_statistics(self.out_dir)
+        return shard_statistics(self._snapshot())
 
     # ----- data reads -----
 
@@ -263,8 +279,8 @@ class EncodedDataset:
         DictionaryArray without a label gather (reference categories=,
         api.py:387-475)."""
         return decode_dataset(
-            self.out_dir, columns=columns, filters=filters,
-            categories=categories, filesystem=self.filesystem,
+            self._snapshot(), columns=columns, filters=filters,
+            categories=categories,
         )
 
     def to_pandas(
@@ -273,15 +289,15 @@ class EncodedDataset:
     ) -> pd.DataFrame:
         """Full materializing read (the reference's to_pandas
         contract), decoded in this process with no Ray Data job: shards
-        are pruned on their header stats, the kept ones read and
+        are pruned on the snapshot's stats, the kept ones read and
         decoded serially in sorted shard order, then converted through
         Arrow (pyarrow's to_pandas handles ragged list / nested
         columns). Every kept row lands here — stream large scans with
         :meth:`dataset` or :meth:`iter_batches` instead.
         ``categories`` columns come back as pandas.Categorical."""
         t = read_table(
-            self.out_dir, columns, filters=filters, categories=categories,
-            filesystem=self.filesystem,
+            self._snapshot(), columns, filters=filters,
+            categories=categories,
         )
         if t is None:
             return pd.DataFrame()
@@ -292,16 +308,7 @@ class EncodedDataset:
         ``_pandas.json`` sidecar (reference pandas-metadata read-back,
         api.py:556-604). Skipped when a projection dropped the index
         columns."""
-        import json
-
-        from .state import fs as fsmod
-
-        fs, root = fsmod.get_fs(self.out_dir, self.filesystem)
-        sidecar = root.rstrip("/") + "/_pandas.json"
-        try:
-            meta = json.loads(fsmod.read_bytes(fs, sidecar))
-        except (FileNotFoundError, OSError):
-            return df
+        meta = self._snapshot().index_meta
         cols = meta.get("index_columns", [])
         if not cols or not set(cols) <= set(df.columns):
             return df
@@ -328,41 +335,29 @@ class EncodedDataset:
         head, api.py:231-250), decoded in this process like
         :meth:`to_pandas`; no shard after the one that completes ``n``
         rows is opened."""
-        t = read_table(
-            self.out_dir, columns, filters=filters,
-            filesystem=self.filesystem, limit=n,
-        )
+        t = read_table(self._snapshot(), columns, filters=filters, limit=n)
         return pd.DataFrame() if t is None else t.to_pandas()
 
     def take_range(
         self, start: int, stop: int, columns: list[str] | None = None
     ) -> pd.DataFrame:
         """Rows [start, stop) of the key-sorted corpus by GLOBAL ROW
-        POSITION (clustered layouts only): manifest row-count
-        arithmetic locates the overlapping shards, nothing else is
-        decoded (in this process, no Ray Data job) — the
-        dataloader-resume primitive."""
-        from .pipelines.decode import take_row_range
-
-        return take_row_range(
-            self.out_dir, start, stop, columns=columns,
-            filesystem=self.filesystem,
-        )
+        POSITION (clustered layouts only): the snapshot's row counts
+        and key ranges (from the manifest records) locate the
+        overlapping shards, nothing else is decoded (in this process,
+        no Ray Data job) — the dataloader-resume primitive."""
+        return take_row_range(self._snapshot(), start, stop, columns=columns)
 
     def __len__(self) -> int:
-        return len(self._paths)
+        return len(self._snapshot().paths)
 
     def __getitem__(self, key):
         """Shard-subset dataset (reference S4: ParquetFile.__getitem__
         row-group slicing, api.py:251-263) — ``eds[2:5]`` is a lazy
         Dataset over shards 2..4 only."""
-        from .sources.fprs import read_fprs
-
-        paths = self._paths[key] if isinstance(key, slice) else [self._paths[key]]
-        tables = (
-            self.manifest.load_plan().tables if self.manifest.has_plan() else {}
-        )
-        return read_fprs(paths, tables=tables)
+        snap = self._snapshot()
+        paths = snap.paths[key] if isinstance(key, slice) else [snap.paths[key]]
+        return snap.read(paths)
 
     def verify_against(self, src_paths: list[str] | str) -> dict:
         return verify_roundtrip(src_paths, self.out_dir)

@@ -717,14 +717,19 @@ def read_header(blob: bytes) -> dict:
     return json.loads(blob[9 : 9 + hlen])
 
 
-_STAT_KEYS = ("min", "max", "emin", "emax", "ltype", "bloom")
+_STAT_KEYS = (
+    "min", "max", "emin", "emax", "ltype", "bloom",
+    "kind", "null_count", "distinct", "length", "zrank_extras",
+)
 
 
 def column_stats(header: dict) -> dict:
-    """Per-column pruning stats of a parsed shard header:
-    ``{name: {min, max, emin, emax, ltype, bloom}}``, keys the header
-    lacks left out. Manifest records carry the same dict (JSON field
-    ``stats``), so pruning a recorded shard opens no header."""
+    """Per-column stats of a parsed shard header: the pruning stats
+    (min, max, emin, emax, ltype, bloom) and what ``statistics()``
+    reports (kind, null_count, distinct, length, zrank_extras), keys
+    the header lacks left out. Manifest records carry the same dict
+    (JSON field ``stats``), so no stat of a recorded shard opens its
+    header."""
     return {
         c["name"]: {k: c[k] for k in _STAT_KEYS if k in c}
         for c in header["columns"]

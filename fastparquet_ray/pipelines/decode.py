@@ -2,19 +2,19 @@
 executors over the same per-shard steps.
 
 Mirrors the reference read path (fastparquet ParquetFile.to_pandas,
-api.py:387-475). ``scan_shards`` resolves a read once: symbol tables
-(from the plan sidecar), filter validation and shard pruning on
-min/max/bloom stats (reference analog M2
-filter_row_groups/filter_out_stats, api.py:948-999/761-819). The stats
-come from the manifest records, which carry each shard's header stats
-(the reference's consolidated ``_metadata``), so pruning opens no
-shard header unless no record covers the shard. ``decode_shard`` turns
-one shard blob into a table; column projection is honored at decode
-(reference analog M1, api.py:433-439), so unneeded buffers are never
-touched. With filters it decodes the filter columns first, evaluates
-the residual predicate vectorized (M3/M4) to row positions, and
-decodes the other projected columns at those rows only — nothing more
-when no row matches.
+api.py:387-475). A ``Snapshot`` is one dataset's metadata, read once
+(the reference's consolidated ``_metadata``, util.py:115-213, and a
+``ParquetFile`` that parses its footer once, api.py:164-190): shard
+listing, symbol tables, hive root and every shard's rows, bytes, key
+range and column stats, from the manifest records; header only for a
+shard no record covers. ``Snapshot.prune`` drops shards on min/max/
+bloom stats (reference M2 filter_row_groups/filter_out_stats,
+api.py:948-999/761-819). ``decode_shard`` turns one shard blob into a
+table, decoding only the projected columns (M1, api.py:433-439); with
+filters it decodes the filter columns first, evaluates the residual
+predicate vectorized (M3/M4) to row positions, and decodes the other
+projected columns at those rows only — nothing more when no row
+matches.
 
 - ``decode_dataset``: a lazy, streaming ray.data.Dataset (one read
   task per kept shard) for scans.
@@ -22,12 +22,15 @@ when no row matches.
   calling process, for materializing reads (``to_pandas``, ``head``)
   whose result lands in the driver anyway — no Ray Data job, so a
   pruned point lookup costs one shard read.
+
+Readers take a dataset dir or a ``Snapshot`` of one.
 """
 
 from __future__ import annotations
 
+import json
 import logging
-from typing import Any, NamedTuple
+from functools import cached_property
 
 from ..state import fs as fsmod
 from ..state.manifest import Manifest
@@ -42,18 +45,156 @@ _OPS = {
 }
 
 
+class Snapshot:
+    """One encoded dataset's metadata, each part read on first use and
+    kept: ``paths`` (shard files, sorted, relative to ``fs``),
+    ``tables``, ``records`` (by shard), ``hive`` (the root of a
+    `key=value` layout, else None) and ``shard(path)``. Without
+    ``out_dir`` it stands for bare shard paths (stats from headers)."""
+
+    def __init__(self, out_dir: str | None, filesystem=None):
+        self.out_dir = out_dir
+        self.manifest = out_dir and Manifest(out_dir, filesystem=filesystem)
+        self.fs = self.manifest.fs if out_dir else filesystem
+        self.root = self.manifest.root.rstrip("/") if out_dir else ""
+        self.remote = filesystem is not None or not fsmod.is_local(self.fs)
+        # a URI's protocol prefix, which ``shard_files`` keeps
+        self.proto = (
+            out_dir.split("://", 1)[0] + "://"
+            if out_dir and filesystem is None and self.remote
+            else ""
+        )
+        self._shards: dict[str, dict] = {}
+        self._from_headers: set[str] = set()
+
+    @cached_property
+    def paths(self) -> list[str]:
+        return self.manifest.shard_glob()
+
+    @cached_property
+    def tables(self) -> dict:
+        m = self.manifest
+        return m.load_plan().tables if m.has_plan() else {}
+
+    @cached_property
+    def records(self) -> dict[str, dict]:
+        recs = self.manifest.load_records() if self.manifest else {}
+        return {r["shard"]: r for r in recs.values()}
+
+    @cached_property
+    def hive(self) -> str | None:
+        from .hive import parse_hive_parts
+
+        hived = any(parse_hive_parts(self.rel(p)) for p in self.paths)
+        return self.root if hived else None
+
+    @cached_property
+    def index_meta(self) -> dict:
+        """The ``_pandas.json`` sidecar ``write(write_index=True)``
+        leaves, or {}."""
+        try:
+            return json.loads(
+                fsmod.read_bytes(self.fs, self.manifest.pandas_path)
+            )
+        except (FileNotFoundError, OSError):
+            return {}
+
+    def rel(self, path: str) -> str:
+        """A shard path as records name it (relative to the root)."""
+        if path.startswith(self.root):
+            path = path[len(self.root):]
+        return path.lstrip("/")
+
+    def shard(self, path: str) -> dict:
+        """``rows``, ``raw_bytes``, ``enc_bytes``, ``key_min``,
+        ``key_max`` and per-column ``stats`` (``container.column_stats``)
+        of one shard. A record covers its shard when its ``stats``
+        carry every stat key (``kind`` marks them); otherwise (a
+        legacy record, an orphan shard, no manifest) the header is
+        read, once. Headers carry no key range: a shard no record
+        names has None."""
+        info = self._shards.get(path)
+        if info is not None:
+            return info
+        rec = self.records.get(self.rel(path), {})
+        stats = json.loads(rec["stats"]) if "stats" in rec else None
+        if stats is not None and all("kind" in c for c in stats.values()):
+            rows, raw, enc = rec["rows"], rec["raw_bytes"], rec["enc_bytes"]
+        else:
+            from ..container import column_stats, read_header
+
+            hdr = read_header(fsmod.read_header_bytes(self.fs, path))
+            rows, raw, enc = hdr["num_rows"], hdr["raw_bytes"], hdr["enc_bytes"]
+            stats = column_stats(hdr)
+            self._from_headers.add(path)
+        info = self._shards[path] = {
+            "rows": rows, "raw_bytes": raw, "enc_bytes": enc,
+            "key_min": rec.get("key_min"), "key_max": rec.get("key_max"),
+            "stats": stats,
+        }
+        return info
+
+    def prune(self, filters, paths: list[str] | None = None) -> list[str]:
+        """The shards among ``paths`` (filesystem-relative; default
+        every listed shard, raising when there is none) whose column
+        stats and hive path values (reference filter_out_cats,
+        api.py:1002-1039) may match every filter."""
+        from .hive import parse_hive_parts
+
+        if paths is None:
+            if not self.paths:
+                raise FileNotFoundError(f"no shards under {self.out_dir}")
+            paths = self.paths
+        if not filters:
+            return list(paths)
+        for f in filters:
+            if len(f) != 3 or f[1] not in _OPS:
+                raise ValueError(f"bad filter {f}")
+        kept = []
+        for p in paths:
+            stats = dict(self.shard(p)["stats"])
+            for col, val in parse_hive_parts(self.rel(p)).items():
+                stats.setdefault(col, {"min": val, "max": val})
+            if all(
+                _stats_may_match(stats, c, op, v, path=p)
+                for c, op, v in filters
+            ):
+                kept.append(p)
+        from_headers = sum(p in self._from_headers for p in paths)
+        log.debug(
+            "prune_shards: kept %d, pruned %d of %d shards for %s "
+            "(stats from %d manifest records, %d header reads)",
+            len(kept), len(paths) - len(kept), len(paths), filters,
+            len(paths) - from_headers, from_headers,
+        )
+        return kept
+
+    def read(self, paths: list[str], **kw):
+        """Lazy ray.data.Dataset over ``paths``: decode runs in
+        stateless read tasks (symbol tables are KBs, shipped once with
+        the datasource)."""
+        from ..sources.fprs import read_fprs
+
+        return read_fprs(
+            paths, tables=self.tables, hive=self.hive,
+            filesystem=self.fs if self.remote else None, **kw,
+        )
+
+
+def snapshot(out_dir: "str | Snapshot", filesystem=None) -> Snapshot:
+    """The metadata snapshot of a dataset dir (plain path or URI); a
+    ``Snapshot`` is returned as it is."""
+    if isinstance(out_dir, Snapshot):
+        return out_dir
+    return Snapshot(out_dir, filesystem)
+
+
 def shard_files(out_dir: str, filesystem=None) -> list[str]:
-    """Shard paths under an encoded dataset dir (plain path or URI;
-    URIs keep their protocol prefix so downstream opens re-resolve;
-    with an explicit ``filesystem`` instance, paths stay fs-relative).
-    Includes hive `key=value` subdirectories (reference M8 layout)."""
-    manifest = Manifest(out_dir, filesystem=filesystem)
-    proto = (
-        ""
-        if filesystem is not None or fsmod.is_local(manifest.fs)
-        else out_dir.split("://", 1)[0] + "://"
-    )
-    return [proto + p for p in manifest.shard_glob()]
+    """Shard paths under an encoded dataset dir, sorted, including hive
+    `key=value` subdirectories (reference M8 layout). URIs keep their
+    protocol prefix so downstream opens re-resolve."""
+    snap = Snapshot(out_dir, filesystem)
+    return [snap.proto + p for p in snap.paths]
 
 
 def _coerce_stat_value(ltype: str | None, val):
@@ -172,52 +313,16 @@ def prune_shards(
     paths: list[str], filters, root: str | None = None, filesystem=None
 ) -> list[str]:
     """Drop shards whose column stats — or hive partition-path values
-    below ``root`` (reference filter_out_cats, api.py:1002-1039) —
-    preclude any match. With ``root``, a shard's stats come from the
-    manifest record that names it (the reference's consolidated
-    ``_metadata``, util.py:115-213); the header is read only for a
-    shard no record covers (a manifest written before records carried
-    stats, an orphan, a dir without a manifest)."""
-    import json
-
-    from ..container import column_stats, read_header
-    from .hive import parse_hive_parts
-
+    below ``root`` — preclude any match. With ``root``, the stats come
+    from the dataset's snapshot (manifest records; a header only for a
+    shard no record covers); without, from each shard's header."""
     if not paths:
         return []
-    # one dataset, one filesystem: resolve it once, not per shard
     fs = fsmod.get_fs(paths[0], filesystem)[0]
-    rootp = root.rstrip("/") if root else None
-    recorded = {}
-    if rootp:
-        recorded = {
-            r["shard"]: r["stats"]
-            for r in Manifest(rootp, fs).load_records().values()
-            if "stats" in r
-        }
-    kept, from_headers = [], 0
-    for p in paths:
-        rp = fsmod.get_fs(p, fs)[1]
-        rel = rp[len(rootp):] if rootp and rp.startswith(rootp) else rp
-        rec = recorded.get(rel.lstrip("/"))
-        if rec is not None:
-            stats = json.loads(rec)
-        else:
-            stats = column_stats(read_header(fsmod.read_header_bytes(fs, rp)))
-            from_headers += 1
-        for col, val in parse_hive_parts(rel).items():
-            stats.setdefault(col, {"min": val, "max": val})
-        if all(
-            _stats_may_match(stats, c, op, v, path=p) for c, op, v in filters
-        ):
-            kept.append(p)
-    log.debug(
-        "prune_shards: kept %d, pruned %d of %d shards for %s "
-        "(stats from %d manifest records, %d header reads)",
-        len(kept), len(paths) - len(kept), len(paths), filters,
-        len(paths) - from_headers, from_headers,
-    )
-    return kept
+    snap = Snapshot(root.rstrip("/") if root else None, fs)
+    rps = [fsmod.get_fs(p, fs)[1] for p in paths]
+    kept = set(snap.prune(filters, rps))
+    return [p for p, rp in zip(paths, rps) if rp in kept]
 
 
 def _residual_rows(filters, t):
@@ -265,56 +370,6 @@ def _residual_rows(filters, t):
     return np.flatnonzero(
         pc.fill_null(mask, False).to_numpy(zero_copy_only=False)
     )
-
-
-class Scan(NamedTuple):
-    """A resolved read: the kept shards (filesystem-relative paths on
-    ``fs``), the plan's symbol tables and the hive root (None for a
-    flat layout)."""
-
-    fs: Any
-    paths: list[str]
-    tables: dict
-    hive: str | None
-
-
-def scan_shards(
-    out_dir: str,
-    filters=None,
-    filesystem=None,
-) -> Scan:
-    """Validate ``filters`` and prune shards on their column stats.
-    Shared by both executors."""
-    manifest = Manifest(out_dir, filesystem=filesystem)
-    tables = {}
-    if manifest.has_plan():
-        tables = manifest.load_plan().tables
-    paths = shard_files(out_dir, filesystem=filesystem)
-    if not paths:
-        raise FileNotFoundError(f"no shards under {out_dir}")
-    fs, root = fsmod.get_fs(out_dir, filesystem)
-    rootp = root.rstrip("/")
-    if filters:
-        for f in filters:
-            if len(f) != 3 or f[1] not in _OPS:
-                raise ValueError(f"bad filter {f}")
-        paths = prune_shards(paths, filters, root=root, filesystem=filesystem)
-    rel_paths = [fsmod.get_fs(p, fs)[1] for p in paths]
-
-    from .hive import parse_hive_parts
-
-    # hive layout auto-detect: any shard under a `key=value` dir BELOW
-    # the dataset root gets its partition columns reconstructed from
-    # the path (M8)
-    hive = (
-        rootp
-        if any(
-            parse_hive_parts(rp[len(rootp):] if rp.startswith(rootp) else rp)
-            for rp in rel_paths
-        )
-        else None
-    )
-    return Scan(fs, rel_paths, tables, hive)
 
 
 def decode_shard(
@@ -368,7 +423,7 @@ def decode_shard(
 
 
 def decode_dataset(
-    out_dir: str,
+    out_dir: "str | Snapshot",
     columns: list[str] | None = None,
     concurrency=None,
     filters=None,
@@ -378,41 +433,30 @@ def decode_dataset(
     """ray.data.Dataset over the decoded rows of an encoded dataset.
 
     ``filters``: conjunction of (col, op, value) tuples; shards whose
-    column stats preclude matches are skipped entirely, and each read
-    task decodes only the matching rows of its shard (``decode_shard``).
+    column stats (from the manifest records; a header only for a shard
+    no record covers) preclude matches are skipped entirely, and each
+    read task decodes only the matching rows of its shard
+    (``decode_shard``).
 
     ``categories``: string columns returned as pa.DictionaryArray
     (reference categories=, api.py:387-475) — dictionary-coded shards
     skip the per-row label gather entirely."""
     import ray.data
 
-    scan = scan_shards(out_dir, filters, filesystem)
-    if not scan.paths:
+    snap = snapshot(out_dir, filesystem)
+    paths = snap.prune(filters)
+    if not paths:
         import pyarrow as pa
 
         return ray.data.from_arrow(pa.table({}))
-    # native datasource: decode happens inside stateless read tasks on
-    # the warm worker pool (symbol tables are KBs, shipped once with
-    # the serialized datasource) — no actor-pool spin-up cost. (The
-    # encode side matches since round 4: a task pool with
-    # once-per-worker state via stages.encode_stage.task_state.)
-    from ..sources.fprs import read_fprs
-
-    remote = filesystem is not None or not fsmod.is_local(scan.fs)
-    return read_fprs(
-        scan.paths,
-        tables=scan.tables,
-        columns=columns,
-        concurrency=concurrency,
-        filesystem=scan.fs if remote else None,
-        hive=scan.hive,
-        categories=categories,
-        filters=filters,
+    return snap.read(
+        paths, columns=columns, concurrency=concurrency,
+        categories=categories, filters=filters,
     )
 
 
 def read_table(
-    out_dir: str,
+    out_dir: "str | Snapshot",
     columns: list[str] | None = None,
     filters=None,
     categories: list[str] | None = None,
@@ -426,15 +470,16 @@ def read_table(
     when pruning keeps no shard."""
     import pyarrow as pa
 
-    scan = scan_shards(out_dir, filters, filesystem)
-    if not scan.paths:
+    snap = snapshot(out_dir, filesystem)
+    paths = snap.prune(filters)
+    if not paths:
         return None
     parts, rows, nbytes = [], 0, 0
-    for rp in scan.paths:
-        blob = fsmod.read_bytes(scan.fs, rp)
+    for rp in paths:
+        blob = fsmod.read_bytes(snap.fs, rp)
         nbytes += len(blob)
         t = decode_shard(
-            blob, rp, scan.tables, columns, categories, scan.hive, filters
+            blob, rp, snap.tables, columns, categories, snap.hive, filters
         )
         parts.append(t)
         rows += t.num_rows
@@ -442,14 +487,14 @@ def read_table(
             break
     log.debug(
         "read_table %s: decoded %d of %d kept shards, %d bytes, %d rows",
-        out_dir, len(parts), len(scan.paths), nbytes, rows,
+        snap.out_dir, len(parts), len(paths), nbytes, rows,
     )
     out = pa.concat_tables(parts, promote_options="default")
     return out if limit is None else out.slice(0, limit)
 
 
 def take_row_range(
-    out_dir: str,
+    out_dir: "str | Snapshot",
     start: int,
     stop: int,
     columns: list[str] | None = None,
@@ -460,51 +505,47 @@ def take_row_range(
     key-sorted corpus, without a query-time sort and without touching
     any shard outside the range.
 
-    Global order = shards by key_min ascending (a cluster_by encode
-    produces disjoint shard key ranges), stored row order within a
-    shard (the encode's range sort already ordered rows). The
-    manifest's per-shard row counts turn positions into (shard,
-    local offset) in O(shards) driver arithmetic; only overlapping
-    shards are decoded. Raises on a non-clustered layout (overlapping
-    key ranges make positional semantics undefined there — use
-    filters instead).
+    Global order = every listed shard by key range ascending (a
+    cluster_by encode produces disjoint shard key ranges), stored row
+    order within a shard. The snapshot's row counts (from the
+    manifest records; header only for a shard no record covers) turn
+    positions into (shard, local offset) in O(shards) driver
+    arithmetic; only overlapping shards are decoded. Raises on a
+    non-clustered layout (overlapping key ranges make positional
+    semantics undefined — use filters instead) and on a shard no
+    record names (no key range places it).
 
     Reference analog: fastparquet's positional head slicing
     (api.py:387-475 row-group selection); this generalizes it to an
     arbitrary [start, stop) over the clustered order."""
-    manifest = Manifest(out_dir, filesystem=filesystem)
-    recs = [
-        r for r in manifest.load_records().values()
-        if r.get("status") == "encoded"
-    ]
-    if not recs:
-        raise FileNotFoundError(f"no encoded shards under {out_dir}")
-    if any("key_min" not in r or "key_max" not in r for r in recs):
-        raise ValueError(
-            "take_row_range needs a clustered layout "
-            "(encode_pipeline(cluster_by=...)): shard headers carry "
-            "no key ranges"
-        )
-    recs.sort(key=lambda r: (r["key_min"], r["key_max"]))
-    for a, b in zip(recs, recs[1:]):
+    snap = snapshot(out_dir, filesystem)
+    shards = [(snap.shard(p), p) for p in snap.prune(None)]
+    for s, p in shards:
+        if s["key_min"] is None:
+            raise ValueError(
+                f"take_row_range: no manifest record gives shard {p} "
+                "a key range (layouts from cluster_by=... do)"
+            )
+    shards.sort(key=lambda sp: (sp[0]["key_min"], sp[0]["key_max"]))
+    for (a, ap), (b, bp) in zip(shards, shards[1:]):
         if b["key_min"] < a["key_max"]:
             raise ValueError(
                 "take_row_range needs disjoint shard key ranges "
-                f"(shards {a['shard']} and {b['shard']} overlap) — "
+                f"(shards {snap.rel(ap)} and {snap.rel(bp)} overlap) — "
                 "re-encode with cluster_by"
             )
-    total = sum(int(r["rows"]) for r in recs)
+    total = sum(int(s["rows"]) for s, _ in shards)
     start = max(0, min(int(start), total))
     stop = max(start, min(int(stop), total))
 
     chosen, off = [], 0
     first_off = None
-    for r in recs:
-        n = int(r["rows"])
+    for s, p in shards:
+        n = int(s["rows"])
         if off + n > start and off < stop:
             if first_off is None:
                 first_off = off
-            chosen.append(r["shard"])
+            chosen.append(p)
         off += n
         if off >= stop:
             break
@@ -512,12 +553,8 @@ def take_row_range(
     if not chosen:
         # empty slice with the right schema: decode zero rows of the
         # first shard
-        chosen, first_off, stop = [recs[0]["shard"]], 0, 0
+        chosen, first_off, stop = [shards[0][1]], 0, 0
         start = 0
-
-    tables = manifest.load_plan().tables if manifest.has_plan() else {}
-    fs, root = fsmod.get_fs(out_dir, filesystem)
-    paths = [f"{root.rstrip('/')}/{s}" for s in chosen]
 
     import pyarrow as pa
 
@@ -526,7 +563,7 @@ def take_row_range(
     # decoded in the driver, concatenated in key order: 1-2 shards
     # typically — the concat is shard-sized, not corpus-sized
     t = pa.concat_tables([
-        decode_table(fsmod.read_bytes(fs, p), tables, columns=columns)
-        for p in paths
+        decode_table(fsmod.read_bytes(snap.fs, p), snap.tables, columns=columns)
+        for p in chosen
     ])
     return t.slice(start - first_off, stop - start).to_pandas()

@@ -5,9 +5,11 @@
   S5: write(..., partition_on=[...]), writer.py:1066-1105). Output is
   readable by pyarrow/DuckDB — the cross-engine conformance surface
   (SURVEY.md §5 layer 3).
-- shard_statistics: per-column min/max/null stats from shard headers,
-  no data read (reference A2: statistics(pf), api.py:822-902 reads
-  thrift Statistics; ours live in the shard header JSON).
+- shard_statistics: per-shard, per-column min/max/null stats from the
+  manifest records (a header only for a shard no record covers), no
+  data read (reference A2: statistics(pf), api.py:822-902 reads thrift
+  Statistics; ours are copied from the shard header JSON into each
+  record).
 - merge_manifests: consolidate several encoded dirs into one manifest
   view (reference S8: merge()/metadata_from_many, writer.py:1156-1193,
   util.py:115-213).
@@ -20,9 +22,8 @@ import os
 
 import pandas as pd
 
-from ..container import read_header
 from ..state.manifest import Manifest
-from .decode import decode_dataset, shard_files
+from .decode import Snapshot, decode_dataset, snapshot
 
 
 def export_parquet(
@@ -179,27 +180,18 @@ def export_parquet_resumable(
 
     if times not in ("int64", "int96"):
         raise ValueError(f"times must be int64|int96, got {times!r}")
-    manifest = Manifest(enc_dir, filesystem=filesystem)
-    tables = manifest.load_plan().tables if manifest.has_plan() else {}
+    snap = Snapshot(enc_dir, filesystem)
     out_fs, out_root = fsmod.get_fs(out_dir, filesystem)
     out_fs.makedirs(out_root, exist_ok=True)
-    _, in_root = fsmod.get_fs(enc_dir, filesystem)
-    rootp = in_root.rstrip("/")
     jobs: list[dict] = []
     skipped = 0
-    for p in shard_files(enc_dir, filesystem=filesystem):
-        rel = fsmod.get_fs(p, filesystem)[1]
-        rel = (
-            rel[len(rootp):].lstrip("/")
-            if rel.startswith(rootp)
-            else os.path.basename(rel)
-        )
-        rel = rel[: -len(".fprs")] + ".parquet" if rel.endswith(".fprs") else rel + ".parquet"
+    for p in snap.paths:
+        rel = snap.rel(p)[: -len(".fprs")] + ".parquet"
         dst = fsmod.join(out_fs, out_root, rel)
         if out_fs.exists(dst):
             skipped += 1
             continue
-        jobs.append({"src": p, "dst": dst})
+        jobs.append({"src": snap.proto + p, "dst": dst})
     if not jobs:
         # nothing to export, but a run killed between the last shard
         # and either sidecar write still needs both published; an
@@ -213,7 +205,7 @@ def export_parquet_resumable(
             "exported": 0, "skipped": skipped, "rows": 0, "out_dir": out_dir
         }
 
-    tables_ref = ray.put(tables)
+    tables_ref = ray.put(snap.tables)
     cols = columns
     int96 = times == "int96"
     fs_for_tasks = filesystem  # fsspec filesystems pickle into tasks
@@ -252,27 +244,28 @@ def export_parquet_resumable(
     }
 
 
-def shard_statistics(enc_dir: str) -> pd.DataFrame:
-    """Per-shard, per-column stats from headers only (cheap metadata
-    scan — the reference reads footer Statistics the same way)."""
-    from ..state import fs as fsmod
-
+def shard_statistics(
+    enc_dir: "str | Snapshot", filesystem=None
+) -> pd.DataFrame:
+    """Per-shard, per-column stats from the dataset's snapshot: the
+    manifest records, a header only for a shard no record covers (the
+    reference reads footer Statistics the same way)."""
+    snap = snapshot(enc_dir, filesystem)
     rows = []
-    for path in shard_files(enc_dir):
-        fs, rp = fsmod.get_fs(path)
-        hdr = read_header(fsmod.read_header_bytes(fs, rp))
-        for c in hdr["columns"]:
+    for path in snap.paths:
+        s = snap.shard(path)
+        for name, c in s["stats"].items():
             rows.append(
                 {
                     "shard": os.path.basename(path),
-                    "column": c["name"],
+                    "column": name,
                     "kind": c["kind"],
                     "null_count": c.get("null_count", 0),
                     "min": c.get("min"),
                     "max": c.get("max"),
                     "distinct": c.get("distinct"),
                     "enc_bytes": c["length"],
-                    "rows": hdr["num_rows"],
+                    "rows": s["rows"],
                     # vocabulary-drift signal: values this shard had to
                     # escape past the plan-shared zrank table
                     "zrank_extras": c.get("zrank_extras", 0),
@@ -281,7 +274,7 @@ def shard_statistics(enc_dir: str) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def sorted_partitioned_columns(enc_dir: str) -> pd.DataFrame:
+def sorted_partitioned_columns(enc_dir: "str | Snapshot") -> pd.DataFrame:
     """Columns whose per-shard [min, max] ranges do not overlap across
     shards — i.e. globally range-partitioned (reference A4:
     sorted_partitioned_columns, api.py:905-945)."""
@@ -296,11 +289,11 @@ def sorted_partitioned_columns(enc_dir: str) -> pd.DataFrame:
     return pd.DataFrame(out)
 
 
-def consolidate_categories(enc_dir: str) -> pd.DataFrame:
+def consolidate_categories(enc_dir: "str | Snapshot") -> pd.DataFrame:
     """Per-column maximum distinct-value count across shards
     (reference A6: consolidate_categories merges num_categories across
     row groups into the pandas metadata, writer.py:1138-1153; here the
-    distinct hints live in shard headers). Metadata-only scan."""
+    distinct hints live in the shard stats). Metadata-only scan."""
     stats = shard_statistics(enc_dir)
     out = (
         stats.dropna(subset=["distinct"])

@@ -96,6 +96,17 @@ def ensure_encoded(
     return paths, out
 
 
+def _assert_prunes(out: str, filters, what: str, over: int = 4) -> None:
+    """Raise unless ``filters`` drop a shard of ``out`` (when it has
+    more than ``over`` shards), pruning on the manifest records."""
+    from .decode import Snapshot
+
+    snap = Snapshot(out)
+    kept, n = snap.prune(filters), len(snap.paths)
+    if n > over and not len(kept) < n:
+        raise AssertionError(f"{what} pruned nothing: {len(kept)}/{n} shards")
+
+
 def _source_partial(t: pa.Table) -> pa.Table:
     """Arrow-native per-source partial (count + token sum), no pandas."""
     g = t.group_by(["source"]).aggregate(
@@ -149,7 +160,7 @@ def clustered_lookup(sf_dir: str):
     """Key-pruned point lookup over a CLUSTERED layout: encode with
     cluster_by='doc_id' (range sort -> disjoint shard key ranges),
     then an equality filter on the globally-minimal doc_id decodes
-    O(1) shards via header-stats pruning. Oracle: the same row from
+    O(1) shards via stats pruning. Oracle: the same row from
     the source parquet by min(doc_id)."""
     from ..state.manifest import Manifest
 
@@ -177,18 +188,12 @@ def bloom_lookup(sf_dir: str):
     lacks the key. Asserts real pruning happened (false-positive
     shards tolerated), then decodes the match. Oracle: the same row
     from the source parquet by min(doc_id)."""
-    from .decode import prune_shards, shard_files
     from ..state.manifest import Manifest
 
     _, out = ensure_encoded(sf_dir, bloom_cols=["doc_id"])
     recs = Manifest(out).load_records()
     key = min(r["key_min"] for r in recs.values())
-    shards = shard_files(out)
-    kept = prune_shards(shards, [("doc_id", "==", key)])
-    if len(shards) > 1 and not len(kept) < len(shards):
-        raise AssertionError(
-            f"bloom pruned nothing: {len(kept)}/{len(shards)} shards"
-        )
+    _assert_prunes(out, [("doc_id", "==", key)], "bloom", over=1)
     df = (
         decode_dataset(
             out,
@@ -265,17 +270,16 @@ def sorted_detect_files(sf_dir: str):
 def tokens_roundtrip_summary(sf_dir: str):
     """Full encode + bit-identical verify; one summary row (rows-only
     check: covers what SQL cannot — per-row positional equality)."""
+    from ..api import EncodedDataset
+
     paths, out = ensure_encoded(sf_dir)
     res = verify_roundtrip(paths, out)
-    from ..state.manifest import Manifest
-
-    recs = Manifest(out).load_records()
-    raw = sum(r["raw_bytes"] for r in recs.values())
-    enc = sum(r["enc_bytes"] for r in recs.values())
+    info = EncodedDataset(out).info
+    raw, enc = info["raw_bytes"], info["enc_bytes"]
     return pd.DataFrame(
         {
             "rows": [int(res["fingerprint_groups"])],
-            "partitions": [len(recs)],
+            "partitions": [info["partitions"]],
             "raw_bytes": [int(raw)],
             "enc_bytes": [int(enc)],
             "ratio": [enc / raw if raw else None],
@@ -474,7 +478,7 @@ def hive_partition_counts(sf_dir: str):
 
 
 def shard_stats_report(sf_dir: str):
-    """Per-shard per-column statistics from shard headers only
+    """Per-shard per-column statistics from the manifest records
     (reference A2 statistics(); rows-only)."""
     from .export import shard_statistics
 
@@ -525,21 +529,13 @@ def zorder_lookup(sf_dir: str, lo: int = 200, hi: int = 400):
     then aggregates the survivors per source. Oracle: the same filter
     + aggregate in SQL over the source parquet — equality also proves
     the z-order exchange is row-preserving."""
-    from ..state.manifest import Manifest  # noqa: F401 (layout check)
-    from .decode import prune_shards, shard_files
-
     _, out = ensure_encoded(sf_dir, cluster_by=["source", "n_tok"])
     filters = [
         ("source", "==", "books"),
         ("n_tok", ">=", lo),
         ("n_tok", "<=", hi),
     ]
-    shards = shard_files(out)
-    kept = prune_shards(shards, filters)
-    if len(shards) > 4 and not len(kept) < len(shards):
-        raise AssertionError(
-            f"z-order pruned nothing: {len(kept)}/{len(shards)} shards"
-        )
+    _assert_prunes(out, filters, "z-order")
     t = (
         decode_dataset(out, columns=["source", "n_tok"], filters=filters)
         .map_batches(_source_partial, batch_format="pyarrow")
@@ -562,16 +558,9 @@ def token_bloom_lookup(sf_dir: str, token: int = 4999):
     shards hold token X" primitive a token-corpus store needs. The
     residual row predicate is one vectorized flatten + segment-any
     per batch. Oracle: SQL list_contains over the source parquet."""
-    from .decode import prune_shards, shard_files
-
     _, out = ensure_encoded(sf_dir, bloom_cols=["tokens"])
     filters = [("tokens", "contains", token)]
-    shards = shard_files(out)
-    kept = prune_shards(shards, filters)
-    if len(shards) > 4 and not len(kept) < len(shards):
-        raise AssertionError(
-            f"token bloom pruned nothing: {len(kept)}/{len(shards)}"
-        )
+    _assert_prunes(out, filters, "token bloom")
     df = (
         decode_dataset(
             out,
@@ -599,16 +588,9 @@ def token_probe_any(sf_dir: str, tokens: tuple = (4999, 1009)):
     corpus audits): the per-shard element blooms drop shards lacking
     the WHOLE probe set, the residual is one np.isin flatten +
     segment-any. Oracle: SQL list_has_any."""
-    from .decode import prune_shards, shard_files
-
     _, out = ensure_encoded(sf_dir, bloom_cols=["tokens"])
     filters = [("tokens", "contains_any", list(tokens))]
-    shards = shard_files(out)
-    kept = prune_shards(shards, filters)
-    if len(shards) > 4 and not len(kept) < len(shards):
-        raise AssertionError(
-            f"probe-set bloom pruned nothing: {len(kept)}/{len(shards)}"
-        )
+    _assert_prunes(out, filters, "probe-set bloom")
     df = (
         decode_dataset(
             out,

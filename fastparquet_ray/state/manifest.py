@@ -24,6 +24,7 @@ from . import fs as fsmod
 
 MANIFEST_NAME = "_manifest.jsonl"
 PLAN_NAME = "_plan.json"
+PANDAS_NAME = "_pandas.json"  # write(write_index=True) index sidecar
 
 log = logging.getLogger("fastparquet_ray")
 
@@ -39,6 +40,7 @@ class Manifest:
         self.fs, self.root = fsmod.get_fs(out_dir, filesystem)
         self.path = fsmod.join(self.fs, self.root, MANIFEST_NAME)
         self.plan_path = fsmod.join(self.fs, self.root, PLAN_NAME)
+        self.pandas_path = fsmod.join(self.fs, self.root, PANDAS_NAME)
 
     # ----- plan sidecar (includes shared symbol tables) -----
 
@@ -202,23 +204,6 @@ class Manifest:
                 log.warning("shard %s not adopted: %r", path, e)
         return out
 
-    def append(self, records: list[dict]) -> None:
-        payload = "".join(
-            json.dumps(rec, separators=(",", ":")) + "\n" for rec in records
-        )
-        if fsmod.is_local(self.fs):
-            with self.fs.open(self.path, "ab") as f:
-                f.write(payload.encode())
-        else:
-            # object stores have no append — read-modify-write the
-            # (tiny, one-line-per-partition) manifest
-            prior = (
-                fsmod.read_bytes(self.fs, self.path)
-                if self.fs.exists(self.path)
-                else b""
-            )
-            fsmod.atomic_write(self.fs, self.path, prior + payload.encode())
-
     def write_records(self, records: list[dict]) -> None:
         """Atomically rewrite the manifest to EXACTLY this partition
         set (overwrite semantics, reference append='overwrite'
@@ -242,11 +227,3 @@ class Manifest:
                 except OSError:
                     pass
         return removed
-
-    def shard_paths(self) -> list[str]:
-        recs = self.load_records()
-        return sorted(
-            fsmod.join(self.fs, self.root, r["shard"])
-            for r in recs.values()
-            if r.get("status") in ("encoded", "skipped")
-        )

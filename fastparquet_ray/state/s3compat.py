@@ -20,10 +20,14 @@ from __future__ import annotations
 import io
 from typing import Any
 
+from botocore.exceptions import ClientError
 from fsspec.spec import AbstractFileSystem
 
 MULTIPART_THRESHOLD = 8 * 1024 * 1024  # bytes; >= this -> UploadPart
 PART_SIZE = 5 * 1024 * 1024  # S3 minimum part size
+# error codes meaning "no such key/bucket"; any other error (auth,
+# network) raises rather than reading as a missing file
+MISSING = ("404", "NoSuchKey", "NoSuchBucket")
 
 
 class S3CompatFileSystem(AbstractFileSystem):
@@ -81,8 +85,9 @@ class S3CompatFileSystem(AbstractFileSystem):
             try:
                 h = self.client.head_object(Bucket=bucket, Key=key)
                 return {"name": path, "size": h["ContentLength"], "type": "file"}
-            except Exception:
-                pass
+            except ClientError as e:
+                if e.response.get("Error", {}).get("Code") not in MISSING:
+                    raise
             # directory if any key lives under the prefix
             r = self.client.list_objects_v2(
                 Bucket=bucket, Prefix=key.rstrip("/") + "/", MaxKeys=1
@@ -140,7 +145,9 @@ class S3CompatFileSystem(AbstractFileSystem):
         bucket, _ = self._split(self._strip_protocol(path))
         try:
             self.client.head_bucket(Bucket=bucket)
-        except Exception:
+        except ClientError as e:
+            if e.response.get("Error", {}).get("Code") not in MISSING:
+                raise
             self.client.create_bucket(Bucket=bucket)
 
     def mkdirs(self, path: str, exist_ok: bool = False) -> None:

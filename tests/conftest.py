@@ -23,3 +23,21 @@ def ray_session():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture()
+def header_reads(monkeypatch):
+    """Paths of the shard files whose header was read on its own
+    (``state.fs.read_header_bytes``)."""
+    from fastparquet_ray.state import fs as fsmod
+
+    reads = []
+    real = fsmod.read_header_bytes
+
+    def counting(fs, path, *a, **k):
+        if path.endswith(".fprs"):
+            reads.append(path)
+        return real(fs, path, *a, **k)
+
+    monkeypatch.setattr(fsmod, "read_header_bytes", counting)
+    return reads

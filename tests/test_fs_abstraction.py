@@ -133,3 +133,47 @@ def test_wrapped_fsspec_fs_inside_ray_read(ray_session, tmp_path):
     exp = t.to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert got["doc_id"].tolist() == exp["doc_id"].tolist()
     assert all(list(a) == list(b) for a, b in zip(got["tokens"], exp["tokens"]))
+
+
+def test_s3compat_raises_on_errors_other_than_missing():
+    """A 403 (or any error that does not say the key or bucket is
+    missing) raises instead of reading as a missing file; a 404 still
+    reads as missing, and makedirs creates a missing bucket only."""
+    from botocore.exceptions import ClientError
+
+    from fastparquet_ray.state.s3compat import S3CompatFileSystem
+
+    def error(code):
+        return ClientError({"Error": {"Code": code}}, "HeadObject")
+
+    class Stub:
+        def __init__(self, code):
+            self.code, self.created = code, []
+
+        def head_object(self, **kw):
+            raise error(self.code)
+
+        head_bucket = head_object
+
+        def list_objects_v2(self, **kw):
+            return {"KeyCount": 0}
+
+        def create_bucket(self, Bucket):
+            self.created.append(Bucket)
+
+    fs = S3CompatFileSystem("http://stub.invalid", skip_instance_cache=True)
+    fs._client = Stub("403")
+    with pytest.raises(ClientError):
+        fs.info("bucket/enc/_manifest.jsonl")
+    with pytest.raises(ClientError):
+        fs.exists("bucket/enc/_manifest.jsonl")
+    with pytest.raises(ClientError):
+        fs.makedirs("bucket/enc")
+    assert fs._client.created == []
+
+    fs._client = Stub("404")
+    assert not fs.exists("bucket/enc/_manifest.jsonl")
+    with pytest.raises(FileNotFoundError):
+        fsmod.stat_key(fs, "bucket/enc/_manifest.jsonl")
+    fs.makedirs("bucket/enc")
+    assert fs._client.created == ["bucket"]

@@ -1,7 +1,8 @@
-"""Pruning reads column stats from manifest records: a filtered read
-over a dataset with a current manifest opens no shard header, and a
-manifest without the ``stats`` field (written before records carried
-it) prunes to exactly the same shards from the headers."""
+"""Pruning and every other stat read the column stats in the manifest
+records: over a dataset with a current manifest no shard header is
+opened, and a legacy manifest — records without the ``stats`` field,
+or with stats written before records carried every stat key — gives
+exactly the same answers from the headers."""
 
 import json
 
@@ -12,11 +13,16 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from fastparquet_ray.api import EncodedDataset
 from fastparquet_ray.container import column_stats, read_header
 from fastparquet_ray.data import generate_fragment
 from fastparquet_ray.pipelines import encode_pipeline
 from fastparquet_ray.pipelines.compact import compact_shards
 from fastparquet_ray.pipelines.decode import prune_shards, shard_files
+from fastparquet_ray.pipelines.export import (
+    consolidate_categories,
+    sorted_partitioned_columns,
+)
 from fastparquet_ray.state import fs as fsmod
 from fastparquet_ray.state.manifest import Manifest
 
@@ -47,20 +53,6 @@ LAYOUTS = {
     "zorder": {"cluster_by": ["doc_id", "n_tok"]},
     "bloom": {"bloom_cols": ["doc_id", "tokens"]},
 }
-
-
-@pytest.fixture()
-def header_reads(monkeypatch):
-    reads = []
-    real = fsmod.read_header_bytes
-
-    def counting(fs, path, *a, **k):
-        if path.endswith(".fprs"):
-            reads.append(path)
-        return real(fs, path, *a, **k)
-
-    monkeypatch.setattr(fsmod, "read_header_bytes", counting)
-    return reads
 
 
 def _header(out: str, shard: str) -> dict:
@@ -120,6 +112,59 @@ def test_record_stats_prune_like_headers(
     assert with_stats == legacy
     # the filters do prune: parity is not all-shards-kept
     assert sum(len(k) for k in with_stats) < len(filters) * len(shards)
+
+
+# the stats keys records carried before they carried every stat
+PRUNE_KEYS = ("min", "max", "emin", "emax", "ltype", "bloom")
+
+LEGACY = {
+    "no-stats": lambda r: {k: v for k, v in r.items() if k != "stats"},
+    "pruning-stats-only": lambda r: dict(r, stats=json.dumps({
+        c: {k: s[k] for k in PRUNE_KEYS if k in s}
+        for c, s in json.loads(r["stats"]).items()
+    })),
+}
+
+
+@pytest.mark.parametrize("legacy", list(LEGACY))
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_legacy_manifest_metadata_parity(
+    ray_session, src, tmp_path, header_reads, layout, legacy
+):
+    """statistics, sorted/category consolidation, count, info and
+    pruning answer the same from legacy records (via the headers) as
+    from current ones (no header)."""
+    paths, table = src
+    out = str(tmp_path / layout)
+    encode_pipeline(paths, out, resume=False, **LAYOUTS[layout])
+    shards = shard_files(out)
+    root = fsmod.get_fs(out)[1]
+    filters = _filters(table)
+
+    def metadata():
+        eds = EncodedDataset(out)
+        return (
+            eds.statistics(), sorted_partitioned_columns(out),
+            consolidate_categories(out), eds.count(), eds.info,
+            [prune_shards(shards, f, root=root) for f in filters],
+        )
+
+    header_reads.clear()
+    current = metadata()
+    assert header_reads == []
+    stats = current[0]
+    assert len(stats) == len(shards) * stats["column"].nunique()
+    assert set(stats["kind"]) and stats["enc_bytes"].gt(0).all()
+    assert current[3] == table.num_rows == current[4]["rows"]
+
+    manifest = Manifest(out)
+    records = list(manifest.load_records().values())
+    manifest.write_records([LEGACY[legacy](r) for r in records])
+    old = metadata()
+    assert header_reads
+    for got, want in zip(old[:3], current[:3]):
+        pd.testing.assert_frame_equal(got, want)
+    assert old[3:] == current[3:]
 
 
 def test_uncovered_shard_reads_its_header(

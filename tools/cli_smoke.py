@@ -29,9 +29,8 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run(args: list[str]) -> dict:
-    """Run one CLI verb; return its final JSON line."""
-    t0 = time.time()
+def cli(args: list[str]) -> str:
+    """Run one CLI verb; return its stdout."""
     env = dict(os.environ, PYTHONPATH=REPO)
     proc = subprocess.run(
         [sys.executable, "-m", "fastparquet_ray", *args],
@@ -44,10 +43,14 @@ def run(args: list[str]) -> dict:
         print(proc.stdout[-2000:])
         print(proc.stderr[-4000:])
         raise SystemExit(f"FAIL: {' '.join(args)} rc={proc.returncode}")
+    return proc.stdout
+
+
+def run(args: list[str]) -> dict:
+    """Run one CLI verb; return its final JSON line."""
+    t0 = time.time()
     line = [
-        ln
-        for ln in proc.stdout.strip().splitlines()
-        if ln.startswith("{")
+        ln for ln in cli(args).strip().splitlines() if ln.startswith("{")
     ]
     out = json.loads(line[-1]) if line else {}
     print(f"PASS  {args[0]:<8s} {time.time() - t0:5.1f}s  {out}")
@@ -94,7 +97,19 @@ def main() -> None:
     v = run(["verify", src, enc, "--exact"])
     assert v["ok"] and v["mismatched_groups"] == 0, v
 
-    run(["stats", enc])  # table output; rc-0 is the check
+    # one table row per (shard, column), one shard per manifest record
+    t0 = time.time()
+    rows = [ln.split() for ln in cli(["stats", enc]).strip().splitlines()[1:]]
+    pairs = {(r[1], r[2]) for r in rows}
+    shards = {shard for shard, _ in pairs}
+    with open(os.path.join(enc, "_manifest.jsonl")) as f:
+        records = [json.loads(ln) for ln in f if ln.strip()]
+    assert len(pairs) == len(rows) == len(shards) * len(
+        {col for _, col in pairs}
+    ), rows
+    assert shards == {os.path.basename(r["shard"]) for r in records}, shards
+    print(f"PASS  stats    {time.time() - t0:5.1f}s  "
+          f"{len(shards)} shards x {len(rows) // len(shards)} columns")
 
     o = run(["optimize", enc, opt, "--cluster-by", "source,n_tok"])
     v2 = run(["verify", src, opt, "--exact"])
