@@ -1,7 +1,9 @@
 """Lightweight columnar codec kernels (numpy-vectorized, no Cython).
 
-Int codecs: PLAIN / FOR+bit-pack / RLE hybrid / DICT  (intcodec)
-String codecs: PLAIN / DICT / FSST                     (strcodec)
+Int codecs (intcodec, ids 0-9): PLAIN / FOR+bit-pack / RLE hybrid /
+  DICT / DELTA / PFOR / DICT2 (decode-only) / FOR64 / ZRANK / ZRANKS
+  (ZRANK over a plan-shared rank table)
+String codecs (strcodec, ids 16-18): PLAIN / DICT / FSST
 Primitives: varint, zigzag, Parquet-spec bit-pack, RLE/bit-pack hybrid.
 
 Reference semantics: /root/reference/fastparquet/cencoding.pyx (RLE,

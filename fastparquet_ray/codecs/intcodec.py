@@ -5,20 +5,30 @@ Each ``encode_*`` takes a 1-D numpy integer array and returns bytes that
 values). All kernels are numpy-vectorized; Python loops run only over
 miniblocks / runs / width-groups, never values.
 
-Codecs:
+Codecs, by codec-id byte:
 
-- PLAIN      raw little-endian bytes (reference analog: encode_plain,
+0 PLAIN      raw little-endian bytes (reference analog: encode_plain,
              /root/reference/fastparquet/writer.py:347-353)
-- FOR_BP     frame-of-reference + bit-pack in miniblocks of 1024 values:
+1 FOR_BP     frame-of-reference + bit-pack in miniblocks of 1024 values:
              per block [min i64][width u8] headers then byte-aligned
              packed deltas. Delta/miniblock semantics modeled on
              DELTA_BINARY_PACKED which the reference only decodes
              (/root/reference/fastparquet/cencoding.pyx:213-242); the
              encode side is new.
-- RLE_INT    min-subtract then Parquet RLE/bit-pack hybrid
+2 RLE_INT    min-subtract then Parquet RLE/bit-pack hybrid
              (cencoding.pyx:190-211 semantics) — wins on runny data.
-- DICT_INT   np.unique symbol table + RLE/bit-packed indices
-             (reference analog: dict pages, writer.py:481-517).
+3 DICT_INT   symbol table + RLE/bit-packed indices (dict pages,
+             writer.py:481-517).
+4 DELTA      zigzag first differences, FOR-packed.
+5 PFOR       patched FOR: per-miniblock width + exception patches.
+6 DICT2      frequency-ranked dict; decode-only (no input picks it;
+             older shards and the golden corpus hold its bytes).
+7 FOR64      FOR_BP with 64-bit miniblock ranges.
+8 ZRANK      frequency-ranked dict + zstd over the rank codes.
+9 ZRANKS     ZRANK over a plan-shared rank table + embedded extras.
+
+``INT_CANDIDATES``: the codecs the planner and the per-shard auto path
+trial, in encode-speed order.
 
 Wire format: [u8 codec_id][u8 dtype_id][varint n][codec-specific body].
 """
@@ -37,6 +47,7 @@ __all__ = [
     "encode_rle_int",
     "encode_dict_int",
     "decode_any_int",
+    "INT_CANDIDATES",
     "INT_ENCODERS",
 ]
 
@@ -391,63 +402,15 @@ def encode_delta(values: np.ndarray) -> bytes:
     return head + first.to_bytes(8, "little", signed=True) + body
 
 
-def encode_dict2_int(values: np.ndarray) -> bytes:
-    """Frequency-ranked dictionary: the most frequent value gets index
-    0, so the index stream is small-skewed and the best of
-    PFOR / RLE / FOR is chosen for it (self-describing recursive
-    blob). Beats plain DICT on zipf-like token streams where rare
-    values otherwise force wide indices."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    v = np.ascontiguousarray(values)
-    head = _header(_C_DICT2, v)
-    if v.size == 0:
-        return head
-    denc = pc.dictionary_encode(pa.array(v))
-    table = denc.dictionary.to_numpy(zero_copy_only=False).astype(
-        v.dtype, copy=False
-    )
-    idx = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    counts = np.bincount(idx, minlength=table.size)
-    order = np.argsort(-counts, kind="stable")
-    rank = np.empty(table.size, dtype=np.int64)
-    rank[order] = np.arange(table.size)
-    new_idx = rank[idx].astype(np.int32)
-    new_table = table[order]
-    # pick the index-stream codec on a bounded sample, then encode the
-    # full stream ONCE with the winner (full trial-encodes of all three
-    # candidates cost ~3x the winning encode on 10M-value token shards)
-    body = None
-    for name in rank_int_codecs(new_idx, ("rle", "pfor", "for_bp")):
-        try:
-            body = INT_ENCODERS[name](new_idx)
-            break
-        except ValueError:
-            continue
-    if body is None:
-        body = encode_plain_int(new_idx)
-    tbytes = np.ascontiguousarray(
-        new_table.astype(new_table.dtype.newbyteorder("<"), copy=False)
-    ).tobytes()
-    return (
-        head
-        + encode_uvarint(new_table.size)
-        + tbytes
-        + encode_uvarint(len(body))
-        + body
-    )
-
-
 def encode_zrank_int(values: np.ndarray) -> bytes:
     """Frequency-ranked dictionary + zstd entropy stage over the rank
     codes: the most frequent value gets code 0, the code stream is
     byte-serialized (u16, u32 above 64k distinct) and zstd-compressed.
-    Where DICT2 bit-packs codes at a fixed width (~= log2(distinct)
-    bits/value), the entropy stage reaches the stream's ACTUAL
-    zeroth-order entropy plus context repeats — on zipf-like token
-    streams (H ~ 4.5 bits vs 12-bit packed codes) this measures ~2.9x
-    smaller than DICT2. Decode is one zstd decompress + one vectorized
+    Where a bit-packed dictionary spends a fixed width per code (~=
+    log2(distinct) bits/value), the entropy stage reaches the stream's
+    ACTUAL zeroth-order entropy plus context repeats — on zipf-like
+    token streams (H ~ 4.5 bits vs 12-bit packed codes) this measures
+    ~2.9x smaller than a bit-packed frequency-ranked dict. Decode is one zstd decompress + one vectorized
     table gather."""
     import pyarrow as pa
 
@@ -768,7 +731,7 @@ def decode_any_int(
         pos += table.nbytes
         idx = rle_decode(buf[pos:], w, n)
         return table[idx if take is None else idx[take]]
-    if codec == _C_DICT2:
+    if codec == _C_DICT2:  # decode-only (module docstring)
         tsize, pos = decode_uvarint(buf, pos)
         table = np.frombuffer(buf, dtype=dt, count=tsize, offset=pos)
         pos += table.nbytes
@@ -886,6 +849,12 @@ def decode_any_int(
     raise ValueError(f"unknown int codec id {codec}")
 
 
+# encode-speed order: a slower codec must beat the faster ones by >5%
+# encoded size to be chosen (plan._pick_int_codec)
+INT_CANDIDATES = (
+    "plain", "for_bp", "delta", "pfor", "rle", "dict", "zrank", "for64",
+)
+
 INT_ENCODERS = {
     "plain": encode_plain_int,
     "for_bp": encode_for_bp,
@@ -893,7 +862,6 @@ INT_ENCODERS = {
     "dict": encode_dict_int,
     "delta": encode_delta,
     "pfor": encode_pfor,
-    "dict2": encode_dict2_int,
     "for64": encode_for_bp64,
     "zrank": encode_zrank_int,
 }

@@ -14,7 +14,7 @@ referenced by hash and resolved from a sidecar (see state/manifest.py).
 
 Columns are encoded by arrow type:
     int / uint / timestamp / date / bool -> intcodec (auto or plan)
-    float32/64                           -> PLAIN bytes
+    float32/64                           -> float_dec / shuffle / PLAIN
     string                               -> strcodec (plain/dict/fsst)
     list<int*> / list<float*>            -> lengths intcodec + values
 Nullable columns store a packed validity bitmap; values are encoded
@@ -108,6 +108,42 @@ def _storage_kind(t: pa.DataType) -> str:
     raise TypeError(f"unsupported column type {t}")
 
 
+def _codec_slots(t: pa.DataType) -> dict[str | None, tuple]:
+    """Spec slot (None: the column itself) -> the codecs the encoder
+    obeys there (``ShardEncoder`` docstring); other slots obey none."""
+    kind = _storage_kind(t)
+    if kind == "list":
+        vals = ic.INT_CANDIDATES if _is_intish(t.value_type) else ()
+        return {"lengths": ic.INT_CANDIDATES, "values": vals}
+    strs = tuple(_STR_CODEC_NAMES.values())
+    return {"int": {None: ic.INT_CANDIDATES}, "str": {None: strs}}.get(kind, {})
+
+
+def check_codec_specs(specs: dict, schema: pa.Schema) -> None:
+    """Raise ValueError, naming the column and the codec, for a user
+    codec spec the encoder would not obey: a column ``schema`` lacks,
+    a spec that is not a dict, or a codec its slot does not take."""
+    for name, spec in specs.items():
+        if name not in schema.names:
+            raise ValueError(f"column_codecs: no column {name!r} in the input")
+        t = schema.field(name).type
+        slots = _codec_slots(t)
+        for slot in (None, "lengths", "values"):
+            sub = spec if slot is None else spec.get(slot, {})
+            if not isinstance(sub, dict):
+                raise ValueError(
+                    f"column_codecs: {name!r} needs a dict spec like "
+                    f"{{'codec': ...}}, not {spec!r}"
+                )
+            codec, allowed = sub.get("codec"), slots.get(slot, ())
+            if codec is not None and codec not in allowed:
+                where = name if slot is None else f"{name}.{slot}"
+                raise ValueError(
+                    f"column_codecs: {where!r} ({t}) takes "
+                    f"{list(allowed) or 'no codec'}, not {codec!r}"
+                )
+
+
 def _to_int_np(arr: pa.Array) -> np.ndarray:
     """Arrow numeric-ish array (no nulls) -> numpy int array."""
     t = arr.type
@@ -195,10 +231,7 @@ def _encode_int_auto(values: np.ndarray, codec: str | None) -> bytes:
             return ic.INT_ENCODERS[codec](values)
         except ValueError:
             return ic.encode_plain_int(values)
-    for name in ic.rank_int_codecs(
-        values,
-        ("plain", "for_bp", "delta", "pfor", "rle", "dict", "zrank", "for64"),
-    ):
+    for name in ic.rank_int_codecs(values, ic.INT_CANDIDATES):
         try:
             b = ic.INT_ENCODERS[name](values)
         except ValueError:
@@ -216,11 +249,16 @@ class ShardEncoder:
     """Encodes pyarrow Tables into shard blobs under a CodecPlan.
 
     plan: {column: spec} where spec is
-        int col:  {"codec": "plain|for_bp|rle|dict"}
+        int col:  {"codec": one of ic.INT_CANDIDATES,
+                   "table_hash": shared rank table (zrank only)}
         str col:  {"codec": "plain|dict|fsst", "table_hash": str|None}
-        list col: {"lengths": spec, "values": spec}
-    tables: {table_hash: serialized table bytes} for shared dict/fsst.
-    Missing columns/specs use per-shard auto-selection.
+        list<int> col:   {"lengths": int spec, "values": int spec}
+        list<float> col: {"lengths": int spec}
+    any of them plus {"bloom": True}. Other kinds (float, binary,
+    decimal, nested) take no codec: their encoder picks per shard, as
+    for a column without a spec (``check_codec_specs`` holds user specs
+    to this). tables: {table_hash: serialized table} for shared
+    dict/fsst/rank tables.
     """
 
     def __init__(
@@ -415,9 +453,7 @@ class ShardEncoder:
         elif kind == "float":
             vnp = arr.to_numpy(zero_copy_only=False)
             info["float_dtype"] = str(vnp.dtype)
-            dec = None if (spec or {}).get("codec") == "plain_float_forced" else (
-                _float_decimal_ints(vnp)
-            )
+            dec = _float_decimal_ints(vnp)
             if dec is not None:
                 ints, scale = dec
                 body = _encode_int_auto(ints, None)
@@ -427,9 +463,7 @@ class ShardEncoder:
                 else:
                     dec = None
             if dec is None:
-                body = None
-                if (spec or {}).get("codec") != "plain_float_forced":
-                    body = _float_shuffle_body(vnp)
+                body = _float_shuffle_body(vnp)
                 if body is not None:
                     info["fshuffle"] = True
                     info["codec"] = "shuffle_float"

@@ -33,7 +33,7 @@ import logging
 from functools import cached_property
 
 from ..state import fs as fsmod
-from ..state.manifest import Manifest
+from ..state.manifest import Manifest, covering_stats
 
 log = logging.getLogger("fastparquet_ray")
 
@@ -117,8 +117,8 @@ class Snapshot:
         if info is not None:
             return info
         rec = self.records.get(self.rel(path), {})
-        stats = json.loads(rec["stats"]) if "stats" in rec else None
-        if stats is not None and all("kind" in c for c in stats.values()):
+        stats = covering_stats(rec)
+        if stats is not None:
             rows, raw, enc = rec["rows"], rec["raw_bytes"], rec["enc_bytes"]
         else:
             from ..container import column_stats, read_header

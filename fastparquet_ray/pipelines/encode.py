@@ -54,6 +54,7 @@ import json
 import logging
 import time
 
+from ..container import check_codec_specs
 from ..data import SOURCES
 from ..plan import CodecPlan, sample_fragments, train_plan
 from ..stages.encode_stage import (
@@ -198,6 +199,15 @@ def encode_pipeline(
             )
         else:
             paths = [paths]
+    # the first input's schema: user codec specs are checked against it
+    # before any work, and it tells whether the user owns a "path"
+    import pyarrow.parquet as pq
+
+    first_fs, first_rp = fsmod.get_fs(paths[0])
+    with first_fs.open(first_rp, "rb") as f:
+        schema = pq.ParquetFile(f).schema_arrow
+    if column_codecs:
+        check_codec_specs(column_codecs, schema)
     out_fs, out_root = fsmod.get_fs(out_dir, filesystem)
     out_fs.makedirs(out_root, exist_ok=True)
     manifest = Manifest(out_dir, filesystem=filesystem)
@@ -238,8 +248,8 @@ def encode_pipeline(
     elif outer_spec is not None:
         plan.outer = outer_spec
     if column_codecs:
-        # per-column user override, reference analog: the per-column
-        # compression dict incl. '_default' (writer.py:829-860)
+        # per-column user override (checked above), reference analog:
+        # the per-column compression dict (writer.py:829-860)
         plan.specs.update(column_codecs)
     if bloom_cols:
         # opt-in equality-pruning bloom filters: flag rides in the
@@ -256,11 +266,7 @@ def encode_pipeline(
     # provenance under cluster_by: a range sort redistributes rows
     # anyway, so file-identity salting no longer applies (content
     # hashing still makes ids unique and resume-safe)
-    import pyarrow.parquet as _pq
-
-    first_fs, first_rp = fsmod.get_fs(paths[0])
-    with first_fs.open(first_rp, "rb") as _f:
-        user_has_path = "path" in _pq.ParquetFile(_f).schema_arrow.names
+    user_has_path = "path" in schema.names
     provenance_col = (
         None if user_has_path or cluster_by else "path"
     )
@@ -329,6 +335,10 @@ def encode_pipeline(
         r["fragment"] = "\x00".join(frags) if fps else ""
         r["fragment_fp"] = fps[frags[0]][1] if single else ""
         r["layout"] = layout if single else ""
+    # a reused record written before records carried every stat key
+    # takes them from its shard's header, once
+    with _timed(stage_s, "manifest"):
+        reused = manifest.with_covering_stats(reused)
     records = [dict(r, status="skipped") for r in reused] + records
     # overwrite semantics: the manifest holds EXACTLY this run's
     # partition set, and shards from older runs over a different input

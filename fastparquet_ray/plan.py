@@ -1,5 +1,5 @@
-"""Codec auto-selection: sample partitions, compute per-column stats,
-trial-encode the sample with each applicable codec, pick the smallest.
+"""Codec auto-selection: sample partitions, trial-encode the sample
+with each applicable codec, pick the smallest.
 
 Reference analog: `infer_object_encoding` head-sniffing
 (/root/reference/fastparquet/writer.py:316-336) and per-column
@@ -38,7 +38,8 @@ class CodecPlan:
 
     specs: dict = field(default_factory=dict)  # column -> spec dict
     tables: dict = field(default_factory=dict)  # hash -> serialized bytes
-    stats: dict = field(default_factory=dict)  # column -> sampled stats
+    # "__source_hist__": sampled rows per source (salted layouts)
+    stats: dict = field(default_factory=dict)
     outer: tuple | None = None  # ("zstd", level) block codec, or None
 
     def to_json(self) -> str:
@@ -67,33 +68,16 @@ class CodecPlan:
         )
 
 
-def _int_stats(values: np.ndarray) -> dict:
+def _pick_int_codec(values: np.ndarray, outer: tuple | None = None) -> str:
+    """Trial-encode the ``ic.INT_CANDIDATES``, pick the smallest
+    (deterministic; a slower codec must beat the faster ones by >5%).
+    With an ``outer`` block codec configured, candidates are ranked by
+    size AFTER outer compression of the sample — the archival choice
+    measures what it ships: on the 400k-value perfbench tokens sample
+    (seed 1) under zstd:22, plain ships in 148,743 B and wins, while
+    without an outer codec zrank wins outright."""
     if values.size == 0:
-        return {"n": 0}
-    v = values
-    runs = int(np.count_nonzero(v[1:] != v[:-1])) + 1
-    sample = v[: 100_000]
-    return {
-        "n": int(v.size),
-        "min": int(v.min()),
-        "max": int(v.max()),
-        "run_frac": runs / v.size,
-        "n_distinct_sample": int(np.unique(sample).size),
-    }
-
-
-def _pick_int_codec(
-    values: np.ndarray, outer: tuple | None = None
-) -> tuple[str, dict]:
-    """Trial-encode, pick smallest (deterministic). With an ``outer``
-    block codec configured, candidates are ranked by size AFTER outer
-    compression of the sample — the archival choice measures what it
-    ships: e.g. bit-packed dict2 codes compress better under zstd:22
-    than zrank's already-entropy-coded bytes (3.25 vs 3.55 bits/token
-    on the flagship stream), while without an outer codec zrank wins
-    outright (3.7 vs 9.9)."""
-    if values.size == 0:
-        return "plain", {"n": 0}
+        return "plain"
     if values.size > SAMPLE_VALUES_CAP:
         values = values[:SAMPLE_VALUES_CAP]
 
@@ -103,24 +87,18 @@ def _pick_int_codec(
         codec = pa.Codec(outer[0], compression_level=outer[1])
         return len(codec.compress(blob, asbytes=True))
 
-    # candidates in encode-speed order; a slower codec must beat the
-    # faster ones by >5% encoded size to be chosen (deterministic)
-    names = ("plain", "for_bp", "delta", "pfor", "rle", "dict", "dict2", "zrank", "for64")
-    sizes: dict[str, int] = {"plain": shipped(ic.encode_plain_int(values))}
-    for name in names[1:]:
+    sizes: dict[str, int] = {}
+    for name in ic.INT_CANDIDATES:
         try:
             sizes[name] = shipped(ic.INT_ENCODERS[name](values))
         except ValueError:
             continue
     best = min(sizes.values())
-    for name in names:
-        if name in sizes and sizes[name] <= best * 1.05:
-            return name, _int_stats(values)
-    return "plain", _int_stats(values)
+    return next(n for n, size in sizes.items() if size <= best * 1.05)
 
 
-def _pick_str_codec(arr: pa.Array) -> tuple[dict, dict[str, bytes], dict]:
-    """Returns (spec, tables, stats) for a string column sample.
+def _pick_str_codec(arr: pa.Array) -> tuple[dict, dict[str, bytes]]:
+    """Returns (spec, tables) for a string column sample.
 
     dict: shared table when sampled cardinality is small;
     fsst: shared table otherwise, if it beats plain; else plain.
@@ -128,11 +106,6 @@ def _pick_str_codec(arr: pa.Array) -> tuple[dict, dict[str, bytes], dict]:
     lengths, data = sc.str_to_bufs(arr)
     n = len(arr)
     distinct = pc.count_distinct(arr).as_py() if n else 0
-    stats = {
-        "n": n,
-        "n_distinct_sample": distinct,
-        "avg_len": float(data.size / max(n, 1)),
-    }
     plain_len = len(sc.encode_plain_str(lengths, data))
     out_tables: dict[str, bytes] = {}
     cands: list[tuple[int, dict]] = [(plain_len, {"codec": "plain"})]
@@ -154,7 +127,7 @@ def _pick_str_codec(arr: pa.Array) -> tuple[dict, dict[str, bytes], dict]:
     cands.sort(key=lambda x: x[0])
     spec = cands[0][1]
     used = {spec.get("table_hash")} if spec.get("table_hash") else set()
-    return spec, {k: v for k, v in out_tables.items() if k in used}, stats
+    return spec, {k: v for k, v in out_tables.items() if k in used}
 
 
 def _maybe_share_zrank(spec: dict, values: np.ndarray, plan: "CodecPlan") -> dict:
@@ -265,57 +238,38 @@ def train_plan(sample: pa.Table, outer: tuple | None = None) -> CodecPlan:
         if pa.types.is_string(t) or pa.types.is_large_string(t):
             if arr.null_count:
                 arr = arr.fill_null("")
-            spec, tables, stats = _pick_str_codec(arr)
+            spec, tables = _pick_str_codec(arr)
             plan.specs[name] = spec
             plan.tables.update(tables)
-            plan.stats[name] = stats
-        elif pa.types.is_struct(t) or pa.types.is_map(t):
-            # recursive container path; codecs chosen per shard (auto)
-            plan.specs[name] = {}
-            plan.stats[name] = {"nested": True}
         elif pa.types.is_list(t) or pa.types.is_large_list(t):
             values = arr.flatten()
+            vt = t.value_type
             if (
                 arr.null_count
                 or values.null_count
-                or not (
-                    pa.types.is_integer(t.value_type)
-                    or pa.types.is_floating(t.value_type)
-                )
+                or not (pa.types.is_integer(vt) or pa.types.is_floating(vt))
             ):
                 # nullable / non-numeric lists go through the recursive
                 # container path; codecs chosen per shard (auto)
                 plan.specs[name] = {}
-                plan.stats[name] = {"nested": True}
                 continue
             lengths = pc.list_value_length(arr).cast(pa.int32()).to_numpy()
-            lcodec, lstats = _pick_int_codec(np.asarray(lengths), outer)
-            if pa.types.is_floating(t.value_type):
-                vspec = {"codec": "plain_float"}
-                vstats = {"n": len(values)}
-            else:
+            spec = {"lengths": {"codec": _pick_int_codec(lengths, outer)}}
+            if pa.types.is_integer(vt):
+                # float values: shuffle or plain, chosen per shard
                 vnp = values.to_numpy()
-                vcodec, vstats = _pick_int_codec(vnp, outer)
-                vspec = _maybe_share_zrank({"codec": vcodec}, vnp, plan)
-            plan.specs[name] = {
-                "lengths": {"codec": lcodec},
-                "values": vspec,
-            }
-            plan.stats[name] = {"lengths": lstats, "values": vstats}
-        elif pa.types.is_floating(t):
-            from .container import _float_decimal_ints, _float_shuffle_body
-
-            vnp = (
-                arr.fill_null(0.0) if arr.null_count else arr
-            ).to_numpy(zero_copy_only=False)
-            if _float_decimal_ints(vnp) is not None:
-                codec = "float_dec"  # fixed-point -> scaled ints
-            elif _float_shuffle_body(vnp) is not None:
-                codec = "shuffle_float"  # byte-shuffle + zstd
-            else:
-                codec = "plain_float"
-            plan.specs[name] = {"codec": codec}
-            plan.stats[name] = {"n": len(arr)}
+                spec["values"] = _maybe_share_zrank(
+                    {"codec": _pick_int_codec(vnp, outer)}, vnp, plan
+                )
+            plan.specs[name] = spec
+        elif (
+            pa.types.is_struct(t)
+            or pa.types.is_map(t)
+            or pa.types.is_floating(t)
+        ):
+            # recursive container path, or float_dec / shuffle / plain:
+            # codecs chosen per shard (auto)
+            plan.specs[name] = {}
         else:
             try:
                 from .container import _to_int_np
@@ -325,14 +279,11 @@ def train_plan(sample: pa.Table, outer: tuple | None = None) -> CodecPlan:
                         False if pa.types.is_boolean(t) else 0
                     )
                 vnp = _to_int_np(arr)
-                codec, stats = _pick_int_codec(vnp, outer)
                 plan.specs[name] = _maybe_share_zrank(
-                    {"codec": codec}, vnp, plan
+                    {"codec": _pick_int_codec(vnp, outer)}, vnp, plan
                 )
-                plan.stats[name] = stats
             except (TypeError, pa.ArrowInvalid):
                 plan.specs[name] = {}
-                plan.stats[name] = {}
     # source-skew histogram for the salting stage
     if "source" in sample.column_names:
         vc = sample.column("source").combine_chunks().value_counts()

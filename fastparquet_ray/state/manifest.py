@@ -34,6 +34,17 @@ def _shard_pid(path: str) -> str:
     return name[len("shard-") : -len(".fprs")]
 
 
+def covering_stats(rec: dict) -> dict | None:
+    """A record's column stats (JSON field ``stats``) when they cover
+    its shard, i.e. every column carries every key
+    ``container.column_stats`` writes (``kind`` marks them); None for a
+    record written before records carried them."""
+    stats = json.loads(rec["stats"]) if "stats" in rec else None
+    if stats is not None and all("kind" in c for c in stats.values()):
+        return stats
+    return None
+
+
 class Manifest:
     def __init__(self, out_dir: str, filesystem=None):
         self.out_dir = out_dir
@@ -155,6 +166,22 @@ class Manifest:
             else:
                 reused.extend(recs)
         return reused, reasons
+
+    def with_covering_stats(self, records: list[dict]) -> list[dict]:
+        """``records``, each whose stats do not cover its shard
+        (``covering_stats``) given the stats of the shard's header, so
+        a resume upgrades a legacy manifest once."""
+        from ..container import column_stats, read_header
+
+        out = []
+        for rec in records:
+            if covering_stats(rec) is None:
+                path = fsmod.join(self.fs, self.root, rec["shard"])
+                hdr = read_header(fsmod.read_header_bytes(self.fs, path))
+                stats = column_stats(hdr)
+                rec = dict(rec, stats=json.dumps(stats, separators=(",", ":")))
+            out.append(rec)
+        return out
 
     def _shard_intact(self, rec: dict) -> bool:
         """The record's shard exists at its recorded size (one stat;

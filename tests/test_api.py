@@ -98,6 +98,29 @@ def test_column_codec_override(ray_session, tmp_path):
     assert codecs["n_tok"] == "plain"
 
 
+@pytest.mark.parametrize(
+    "codecs, named",
+    [
+        ({"n_tok": {"codec": "dict2"}}, "'n_tok'"),  # decode-only now
+        ({"n_tok": {"codec": "nope"}}, "'n_tok'"),
+        ({"n_tok": "plain"}, "'n_tok'"),
+        ({"doc_id": {"codec": "zrank"}}, "'doc_id'"),
+        ({"tokens": {"codec": "rle"}}, "'tokens'"),
+        ({"tokens": {"lengths": {"codec": "fsst"}}}, "'tokens.lengths'"),
+        ({"tokens": {"values": {"codec": "dict2"}}}, "'tokens.values'"),
+        ({"n_tokens": {"codec": "plain"}}, "'n_tokens'"),
+    ],
+)
+def test_column_codecs_checked_before_any_job(tmp_path, codecs, named):
+    """A codec the encoder would not obey is refused up front,
+    naming the column, before anything is sampled, run or written."""
+    paths = write_tokens_dataset(str(tmp_path / "src"), 200, n_fragments=1)
+    out = tmp_path / "enc"
+    with pytest.raises(ValueError, match=named):
+        write(str(out), paths, column_codecs=codecs)
+    assert not out.exists()
+
+
 def test_shard_subset_getitem(ray_session, tmp_path):
     """eds[i] / eds[a:b] -> lazy Dataset over a shard subset
     (reference S4 row-group slicing parity)."""

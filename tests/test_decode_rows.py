@@ -1,9 +1,12 @@
 """``decode_table(blob, rows=idx)`` returns exactly
 ``decode_table(blob).take(idx)`` for every column codec and kind: the
-row-selective decode behind filtered reads."""
+row-selective decode behind filtered reads. dict2, which no encoder
+writes any more, is covered through the golden corpus blob."""
 
 import datetime
 import decimal
+import json
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -15,10 +18,29 @@ from fastparquet_ray.codecs.fsst import train_fsst
 from fastparquet_ray.container import ShardEncoder, decode_table, read_header
 
 N = 3000
-INT_CODECS = [
-    "plain", "for_bp", "rle", "dict", "delta", "pfor", "dict2", "for64",
-    "zrank",
-]
+INT_CODECS = list(ic.INT_CANDIDATES)
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_codecs.json")
+
+
+def _golden_dict2() -> tuple[np.ndarray, bytes]:
+    """The golden corpus dict2 case: N int32 values and their blob."""
+    with open(GOLDEN) as f:
+        case = next(
+            c for c in json.load(f)["intcodec"] if c["codec"] == "dict2"
+        )
+    return np.array(case["values"], case["dtype"]), bytes.fromhex(case["bytes"])
+
+
+class _GoldenDict2Encoder(ShardEncoder):
+    """Writes the golden dict2 blob for the column whose spec asks for
+    it; every other column encodes as usual."""
+
+    def _encode_int(self, vnp, spec):
+        if (spec or {}).get("codec") == "golden_dict2":
+            values, blob = _golden_dict2()
+            assert (vnp == values).all()
+            return blob
+        return super()._encode_int(vnp, spec)
 
 
 def _shard():
@@ -33,6 +55,8 @@ def _shard():
     tables[rt.table_hash()] = rt.serialize()
     cols["i_zranks"] = pa.array(tok)
     specs["i_zranks"] = {"codec": "zrank", "table_hash": rt.table_hash()}
+    cols["i_dict2"] = pa.array(_golden_dict2()[0])
+    specs["i_dict2"] = {"codec": "golden_dict2"}
 
     lengths, data = sc.str_to_bufs(pa.array(words))
     fsst = train_fsst(lengths, data)
@@ -65,8 +89,11 @@ def _shard():
 
     cols["f_dec"] = pa.array(np.round(rng.normal(size=N), 2))
     cols["f_shuffle"] = pa.array(rng.normal(size=N).astype(np.float32))
-    cols["f_plain"] = pa.array(rng.normal(size=N))
-    specs["f_plain"] = {"codec": "plain_float_forced"}
+    # random bits: shuffle + zstd cannot shrink them by 5%, so the
+    # encoder keeps them plain (NaN never equals itself, so the parity
+    # checks get 0 in its place)
+    bits = np.frombuffer(rng.bytes(N * 8), np.float64).copy()
+    cols["f_plain"] = pa.array(np.where(np.isnan(bits), 0.0, bits))
 
     valid = rng.random(N) > 0.2
     cols["n_int"] = pa.array(
@@ -99,7 +126,7 @@ def _shard():
     )
     cols["cat"] = pa.array(words).dictionary_encode()
     t = pa.table(cols)
-    blob = ShardEncoder(specs, tables).encode_table(t, "p")
+    blob = _GoldenDict2Encoder(specs, tables).encode_table(t, "p")
     return blob, tables
 
 
@@ -111,7 +138,7 @@ def shard():
 def test_census_codecs_are_covered(shard):
     blob, _ = shard
     used = {c["name"]: c["codec"] for c in read_header(blob)["columns"]}
-    for name in INT_CODECS:
+    for name in [*INT_CODECS, "dict2"]:
         assert used[f"i_{name}"] == name, used
     assert used["i_zranks"] == used["l_zranks"].split("values=")[1][:-1]
     assert {used[f"s_{n}"] for n in ("plain", "dict", "fsst")} == {
@@ -164,12 +191,14 @@ def test_rows_with_projection_and_categories(shard):
     assert empty.num_rows == 0 and empty.schema.equals(whole.schema)
 
 
-@pytest.mark.parametrize("codec", [*INT_CODECS, "zranks"])
+@pytest.mark.parametrize("codec", [*INT_CODECS, "zranks", "dict2"])
 def test_decode_any_int_take(codec):
     rng = np.random.default_rng(2)
     v = rng.zipf(1.4, 5000).clip(max=900).astype(np.int64)
     tables = None
-    if codec == "zranks":
+    if codec == "dict2":
+        v, blob = _golden_dict2()
+    elif codec == "zranks":
         rt = ic.RankTable(ic.train_rank_table(v[:100]))
         tables = {rt.table_hash(): rt.serialize()}
         blob = ic.encode_zrank_shared(v, rt, rt.table_hash())

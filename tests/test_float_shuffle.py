@@ -11,7 +11,6 @@ from fastparquet_ray.container import (
     decode_table,
     read_header,
 )
-from fastparquet_ray.plan import train_plan
 
 
 def _encode(col: np.ndarray):
@@ -57,16 +56,6 @@ def test_fixed_point_decimals_still_prefer_scaled_ints():
     col = np.round(rng.uniform(0, 100, 20_000), 2)  # prices
     _, info, _ = _encode(col)
     assert info["codec"].startswith("float_dec")
-
-
-def test_plan_records_shuffle_float():
-    rng = np.random.default_rng(8)
-    sample = pa.table(
-        {"gauss": rng.normal(size=5_000), "price": np.round(rng.uniform(0, 9, 5_000), 2)}
-    )
-    plan = train_plan(sample)
-    assert plan.specs["gauss"]["codec"] == "shuffle_float"
-    assert plan.specs["price"]["codec"] == "float_dec"
 
 
 def test_nullable_float_shuffle_roundtrip():

@@ -202,3 +202,31 @@ def test_skip_and_compact_records_carry_stats(ray_session, src, tmp_path):
     for x in Manifest(out).load_records().values():
         hdr = _header(out, x["shard"])
         assert json.loads(x["stats"]) == column_stats(hdr)
+
+
+@pytest.mark.parametrize("legacy", list(LEGACY))
+def test_resume_upgrades_legacy_record_stats(
+    ray_session, src, tmp_path, header_reads, legacy
+):
+    """A record reused from its fragment fingerprint takes the stats of
+    its shard's header on resume when its own do not cover the shard,
+    so the upgraded manifest answers every stat without a header."""
+    paths, _ = src
+    out = str(tmp_path / "enc")
+    encode_pipeline(paths, out, resume=False)
+    manifest = Manifest(out)
+    current = list(manifest.load_records().values())
+    manifest.write_records([LEGACY[legacy](r) for r in current])
+    r = encode_pipeline(paths, out, resume=True)
+    assert r["fragments_reused"] == len(paths) and r["fragments_read"] == 0
+    records = manifest.load_records()
+    assert {p: x["stats"] for p, x in records.items()} == {
+        x["partition_id"]: x["stats"] for x in current
+    }
+    assert all(
+        "kind" in c
+        for x in records.values() for c in json.loads(x["stats"]).values()
+    )
+    header_reads.clear()
+    stats = EncodedDataset(out).statistics()
+    assert header_reads == [] and len(stats)

@@ -39,24 +39,12 @@ def test_zrank_deterministic():
     assert ic.encode_zrank_int(v) == ic.encode_zrank_int(v.copy())
 
 
-def test_zrank_beats_dict2_on_zipf():
-    v = _zipf_tokens()
-    z = len(ic.encode_zrank_int(v))
-    d2 = len(ic.encode_dict2_int(v))
-    # iid zipf: ~0.68x (zeroth-order entropy only); real token streams
-    # with context repeats measure ~0.37x (sf0.1 shard: 3.7 vs 9.9
-    # bits/token)
-    assert z < d2 * 0.75
-
-
 def test_plan_picks_zrank_for_zipf_tokens():
-    codec, stats = _pick_int_codec(_zipf_tokens())
-    assert codec == "zrank"
-    assert stats["n_distinct_sample"] < 5000
+    assert _pick_int_codec(_zipf_tokens()) == "zrank"
 
 
 def test_plan_still_picks_cheap_codec_for_sequential():
-    codec, _ = _pick_int_codec(np.arange(100_000, dtype=np.int64))
+    codec = _pick_int_codec(np.arange(100_000, dtype=np.int64))
     assert codec in ("delta", "for_bp")  # zrank must not win here
 
 

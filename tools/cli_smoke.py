@@ -2,7 +2,8 @@
 verb surface on a fresh dir and assert the manifest / resume / layout
 invariants that unit tests cover only piecewise:
 
-    gen -> encode (plain) -> re-encode (fingerprint resume, no read)
+    gen -> encode --column-codecs with a bad codec (refused, no shard)
+        -> encode (plain) -> re-encode (fingerprint resume, no read)
         -> encode --cluster-by --bloom -> verify --exact -> stats
         -> optimize -> verify --exact (optimized layout)
         -> decode --resumable (idempotent rerun + single-file repair)
@@ -29,16 +30,21 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def cli(args: list[str]) -> str:
-    """Run one CLI verb; return its stdout."""
+def run_proc(args: list[str]) -> subprocess.CompletedProcess:
+    """Run one CLI verb, whatever its exit code."""
     env = dict(os.environ, PYTHONPATH=REPO)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "fastparquet_ray", *args],
         capture_output=True,
         text=True,
         env=env,
         cwd=REPO,
     )
+
+
+def cli(args: list[str]) -> str:
+    """Run one CLI verb; return its stdout."""
+    proc = run_proc(args)
     if proc.returncode != 0:
         print(proc.stdout[-2000:])
         print(proc.stderr[-4000:])
@@ -70,6 +76,16 @@ def main() -> None:
 
     g = run(["gen", src, "--rows", "4000", "--fragments", "4"])
     assert g["rows"] == 4000, g
+
+    # a codec the encoder would not obey fails up front, naming
+    # the column, before any shard is written
+    t0 = time.time()
+    bad = os.path.join(work, "bad")
+    p = run_proc(["encode", src, bad, "--column-codecs",
+                  json.dumps({"n_tok": {"codec": "nope"}})])
+    assert p.returncode != 0 and "n_tok" in p.stderr, p.stderr[-2000:]
+    assert not glob.glob(bad + "/**/shard-*.fprs", recursive=True)
+    print(f"PASS  encode   {time.time() - t0:5.1f}s  bad codec refused")
 
     # plain layout: a re-encode reuses every input file from its
     # fingerprint — no Ray Data read, nothing re-encoded
@@ -148,7 +164,7 @@ def main() -> None:
             n_rows += sum(1 for _ in f)
     assert n_rows == 4000, n_rows
 
-    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 13}))
+    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 14}))
 
 
 if __name__ == "__main__":
