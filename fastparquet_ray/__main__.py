@@ -3,8 +3,9 @@
     python -m fastparquet_ray encode  SRC_DIR OUT_DIR [--outer zstd:3]
                                       [--partition-by-source] [--no-resume]
                                       [--hive-cols col1,col2]
-    python -m fastparquet_ray decode  ENC_DIR OUT_PARQUET_DIR [--columns a,b]
-                                      [--filter "col>value"]
+    python -m fastparquet_ray decode  ENC_DIR OUT_DIR [--columns a,b]
+                                      [--filter "col>value"] [--times int96]
+                                      [--format jsonl]
     python -m fastparquet_ray verify  SRC_DIR ENC_DIR [--exact]
     python -m fastparquet_ray stats   ENC_DIR
     python -m fastparquet_ray gen     OUT_DIR --rows N [--fragments K] [--skewed]
@@ -125,19 +126,11 @@ def main(argv: list[str] | None = None) -> int:
         "= legacy Impala/Hive 12-byte timestamps",
     )
     dec.add_argument(
-        "--resumable",
-        action="store_true",
-        help="one deterministic parquet file per shard, published "
-        "atomically: a re-run skips finished files (kill-resumable "
-        "export; incompatible with --filter)",
-    )
-    dec.add_argument(
         "--format",
         default="parquet",
         choices=["parquet", "jsonl"],
         help="output format; jsonl = JSON-Lines interchange files "
-        "(integer payloads lossless; incompatible with --resumable/"
-        "--times)",
+        "(integer payloads lossless; --times does not apply)",
     )
 
     ver = sub.add_parser("verify")
@@ -187,6 +180,15 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"files": len(paths), "rows": args.rows}))
         return 0
 
+    codecs = None
+    if args.cmd == "encode" and args.column_codecs:
+        from .container import check_codec_specs
+        from .pipelines.encode import resolve_inputs
+
+        # a refused override costs no Ray start
+        codecs = json.loads(args.column_codecs)
+        check_codec_specs(codecs, resolve_inputs(args.src)[1])
+
     _init_ray()
     import ray
 
@@ -212,11 +214,7 @@ def main(argv: list[str] | None = None) -> int:
                     else args.cluster_by
                 ),
                 retrain_on_drift=args.retrain_on_drift,
-                column_codecs=(
-                    json.loads(args.column_codecs)
-                    if args.column_codecs
-                    else None
-                ),
+                column_codecs=codecs,
                 bloom_cols=args.bloom.split(",") if args.bloom else None,
             )
             print(json.dumps(summary))
@@ -225,36 +223,16 @@ def main(argv: list[str] | None = None) -> int:
             filters = None
             if args.filter:
                 filters = [_parse_filter(f) for f in args.filter]
+            from .pipelines.export import export_jsonl, export_parquet
+
             if args.format == "jsonl":
-                if args.resumable:
-                    raise SystemExit(
-                        "--resumable is incompatible with --format jsonl"
-                    )
-                from .pipelines.decode import decode_dataset
-
-                ds = decode_dataset(args.enc, columns=cols, filters=filters)
-                ds.write_json(args.out)
-                print(json.dumps({"out": args.out, "format": "jsonl"}))
-            elif filters:
-                if args.resumable:
-                    raise SystemExit("--resumable is incompatible with --filter")
-                from .pipelines.decode import decode_dataset
-
-                ds = decode_dataset(args.enc, columns=cols, filters=filters)
-                ds.write_parquet(args.out)
-                print(json.dumps({"out": args.out}))
-            elif args.resumable:
-                from .pipelines.export import export_parquet_resumable
-
-                s = export_parquet_resumable(
-                    args.enc, args.out, columns=cols, times=args.times
-                )
-                print(json.dumps(s))
+                s = export_jsonl(args.enc, args.out, columns=cols, filters=filters)
             else:
-                from .pipelines.export import export_parquet
-
-                export_parquet(args.enc, args.out, columns=cols, times=args.times)
-                print(json.dumps({"out": args.out}))
+                s = export_parquet(
+                    args.enc, args.out, columns=cols, filters=filters,
+                    times=args.times,
+                )
+            print(json.dumps(s))
         elif args.cmd == "verify":
             from .pipelines.verify import verify_roundtrip
 

@@ -33,6 +33,7 @@ local session on first use).
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 from typing import Any, Iterator
 
@@ -80,6 +81,7 @@ def write(
         partition_on_source = "local"
     elif partition_on_source == "shuffle":
         partition_on_source = True
+    tmp = None
     if isinstance(data, (str, list)):
         paths = data
     else:
@@ -104,21 +106,25 @@ def write(
         else:
             table = data
         tmp = tempfile.mkdtemp(prefix="fpray_write_")
-        import pyarrow.parquet as pq
+        paths = [os.path.join(tmp, "input-00000.parquet")]
+    try:
+        if tmp is not None:
+            import pyarrow.parquet as pq
 
-        src = os.path.join(tmp, "input-00000.parquet")
-        pq.write_table(table, src, compression="none")
-        paths = [src]
-    summary = encode_pipeline(
-        paths,
-        out_dir,
-        resume=resume,
-        outer=outer,
-        column_codecs=column_codecs,
-        partition_by_source=partition_on_source,
-        hive_cols=hive_cols,
-        filesystem=filesystem,
-    )
+            pq.write_table(table, paths[0], compression="none")
+        summary = encode_pipeline(
+            paths,
+            out_dir,
+            resume=resume,
+            outer=outer,
+            column_codecs=column_codecs,
+            partition_by_source=partition_on_source,
+            hive_cols=hive_cols,
+            filesystem=filesystem,
+        )
+    finally:
+        if tmp is not None:  # the input copy, encoded or refused
+            shutil.rmtree(tmp, ignore_errors=True)
     if not isinstance(data, (str, list)):
         import json
 

@@ -972,24 +972,20 @@ def decode_table(
     )
 
 
-def partition_id_for(
-    table: pa.Table, key_column: str | None = None, extra: str = ""
-) -> str:
+def partition_id_for(table: pa.Table, *, extra: str = "") -> str:
     """Deterministic content-derived partition id: blake2b over the
-    Arrow IPC serialization of the FULL block (schema + every column's
-    values and validity). Used for idempotent shard naming + resume
+    FULL block (schema + every column's values and validity), salted
+    with ``extra``. Used for idempotent shard naming + resume
     (reference analog: append='overwrite' path keying,
     writer.py:1014-1032).
 
-    The id covers ALL columns, not just ``key_column``: two blocks that
+    The id covers ALL columns, not just a key column: two blocks that
     share key values but differ in any other column get different ids,
     so resume can never keep a stale shard for changed rows, and blocks
-    without the key column can never collide (both were real defects —
-    ADVICE r01). ``key_column`` is kept for API compatibility only.
-    Cost: one memcpy + hash pass over the block (~GB/s), small next to
-    the encode itself and the unavoidable price of content-verified
-    resume."""
-    del key_column  # content hash covers every column
+    without a key column can never collide (both were real defects —
+    ADVICE r01). Cost: one memcpy + hash pass over the block (~GB/s),
+    small next to the encode itself and the unavoidable price of
+    content-verified resume."""
     table = table.combine_chunks()  # chunking-invariant layout
     h = hashlib.blake2b(digest_size=8)
     h.update(table.num_rows.to_bytes(8, "little"))

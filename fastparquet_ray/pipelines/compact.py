@@ -20,10 +20,13 @@ Design (Ray-Data-first, resume-safe):
 - Each bin is decoded + re-encoded INSIDE a Ray actor-pool task
   (plan tables deserialized once per actor); the driver only ever
   sees manifest records.
-- New shard ids are content-derived (partition_id_for), so the op is
-  idempotent; the manifest rewrite + orphan removal at the end
-  publishes the new layout atomically — a killed run leaves the old
-  manifest pointing at the old (still present) shards.
+- Each merged table is written by the encode step itself
+  (``EncodeShard.encode_block``): content-derived shard ids
+  (partition_id_for), so the op is idempotent, and the same atomic
+  write and manifest record as an encode. The manifest rewrite +
+  orphan removal at the end publishes the new layout atomically — a
+  killed run leaves the old manifest pointing at the old (still
+  present) shards.
 """
 
 from __future__ import annotations
@@ -32,63 +35,35 @@ import json
 
 import pyarrow as pa
 
-from ..container import ShardEncoder, decode_table, partition_id_for, read_header
-from ..plan import CodecPlan
+from ..container import decode_table
+from ..state import fs as fsmod
 from ..state.manifest import Manifest
-from ..stages.encode_stage import _manifest_batch
+from ..stages.encode_stage import EncodeShard
 
 
 class _CompactBin:
-    """Actor: decode a bin's shards, concat, re-encode as ONE shard."""
+    """Actor: decode a bin's shards, concat, and write them as ONE
+    shard through the encode step (``EncodeShard.encode_block``)."""
 
-    def __init__(self, plan_json: str, out_dir: str, key_column: str):
-        from ..state import fs as fsmod
-
-        plan = CodecPlan.from_json(plan_json)
-        self.tables = plan.tables
-        self.encoder = ShardEncoder(plan.specs, plan.tables, outer=plan.outer)
-        self.fs, self.root = fsmod.get_fs(out_dir)
-        self.key_column = key_column
+    def __init__(self, plan_json: str, out_dir: str, key_column: str,
+                 filesystem=None):
+        self.encode = EncodeShard(
+            plan_json, out_dir, key_column=key_column, filesystem=filesystem
+        )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import os
-
-        import pyarrow.compute as pc
-
-        from ..state import fs as fsmod
-
+        fs, root = self.encode.fs, self.encode.root
+        tables = self.encode.encoder.tables
         outs = []
         for shards_json in batch.column("shards").to_pylist():
-            names = json.loads(shards_json)
             parts = [
                 decode_table(
-                    fsmod.read_bytes(
-                        self.fs, fsmod.join(self.fs, self.root, s)
-                    ),
-                    self.tables,
+                    fsmod.read_bytes(fs, fsmod.join(fs, root, s)), tables
                 )
-                for s in names
+                for s in json.loads(shards_json)
             ]
             merged = pa.concat_tables(parts).combine_chunks()
-            pid = partition_id_for(merged)
-            key_range = None
-            if self.key_column in merged.column_names and merged.num_rows:
-                mm = pc.min_max(merged.column(self.key_column))
-                key_range = (str(mm["min"].as_py()), str(mm["max"].as_py()))
-            shard = f"shard-{pid}.fprs"
-            blob = self.encoder.encode_table(merged, pid)
-            fsmod.atomic_write(
-                self.fs,
-                fsmod.join(self.fs, self.root, shard),
-                blob,
-                suffix=f".{os.getpid()}",
-            )
-            outs.append(
-                _manifest_batch(
-                    pid, shard, merged.num_rows, read_header(blob),
-                    "encoded", key_range, shard_bytes=len(blob),
-                )
-            )
+            outs.append(self.encode.encode_block(merged))
         return pa.concat_tables(outs)
 
 
@@ -159,6 +134,7 @@ def compact_shards(
                 "plan_json": plan.to_json(),
                 "out_dir": enc_dir,
                 "key_column": key_column,
+                "filesystem": filesystem,
             },
             batch_format="pyarrow",
             batch_size=1,
@@ -210,15 +186,16 @@ def optimize_layout(
     import shutil
     import tempfile
 
+    from .decode import decode_dataset
     from .encode import encode_pipeline
-    from .export import export_parquet
 
     manifest = Manifest(enc_dir)
     plan = manifest.load_plan() if manifest.has_plan() else None
     spill = tempfile.mkdtemp(prefix="fpray_optimize_")
     try:
-        # temp spill: no _metadata sidecar needed
-        export_parquet(enc_dir, spill, common_metadata=False)
+        # a fresh temp dir with the hive columns in the rows: no
+        # sidecar and no resume needed
+        decode_dataset(enc_dir).write_parquet(spill)
         return encode_pipeline(
             spill,
             out_dir,

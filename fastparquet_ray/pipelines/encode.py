@@ -123,6 +123,29 @@ def salt_buckets(plan: CodecPlan, proportional: bool) -> dict[str, int]:
     return buckets
 
 
+def resolve_inputs(paths: list[str] | str) -> tuple[list[str], "pa.Schema"]:
+    """The input parquet files (a dir, possibly a URI, lists its
+    ``*.parquet`` fragments; a single file is one) and the first
+    one's Arrow schema, read from its footer."""
+    import pyarrow.parquet as pq
+
+    from ..state import fs as fsmod
+
+    if isinstance(paths, str):
+        in_fs, in_root = fsmod.get_fs(paths)
+        proto = "" if fsmod.is_local(in_fs) else paths.split("://", 1)[0] + "://"
+        if in_fs.isdir(in_root):
+            paths = sorted(
+                proto + p
+                for p in in_fs.glob(fsmod.join(in_fs, in_root, "*.parquet"))
+            )
+        else:
+            paths = [paths]
+    first_fs, first_rp = fsmod.get_fs(paths[0])
+    with first_fs.open(first_rp, "rb") as f:
+        return paths, pq.ParquetFile(f).schema_arrow
+
+
 def encode_pipeline(
     paths: list[str] | str,
     out_dir: str,
@@ -187,25 +210,9 @@ def encode_pipeline(
         )
     from ..state import fs as fsmod
 
-    if isinstance(paths, str):
-        # a directory (possibly a URI) -> enumerate its parquet
-        # fragments; a single file -> one-element list
-        in_fs, in_root = fsmod.get_fs(paths)
-        proto = "" if fsmod.is_local(in_fs) else paths.split("://", 1)[0] + "://"
-        if in_fs.isdir(in_root):
-            paths = sorted(
-                proto + p
-                for p in in_fs.glob(fsmod.join(in_fs, in_root, "*.parquet"))
-            )
-        else:
-            paths = [paths]
     # the first input's schema: user codec specs are checked against it
     # before any work, and it tells whether the user owns a "path"
-    import pyarrow.parquet as pq
-
-    first_fs, first_rp = fsmod.get_fs(paths[0])
-    with first_fs.open(first_rp, "rb") as f:
-        schema = pq.ParquetFile(f).schema_arrow
+    paths, schema = resolve_inputs(paths)
     if column_codecs:
         check_codec_specs(column_codecs, schema)
     out_fs, out_root = fsmod.get_fs(out_dir, filesystem)

@@ -1,8 +1,16 @@
-"""Interop sink + dataset maintenance:
+"""Interop sinks + dataset maintenance:
 
-- export_parquet: decoded shards -> Parquet dataset via
-  ds.write_parquet, optionally hive-partitioned by columns (reference
-  S5: write(..., partition_on=[...]), writer.py:1066-1105). Output is
+- export_parquet / export_jsonl: decoded shards -> one Parquet or
+  JSON-Lines file PER KEPT SHARD, named after the shard's relative
+  path and published atomically (tmp + rename). A rerun skips every
+  file that already exists, so a killed export resumes where it died
+  (the encode manifest's resume contract extended to the sink).
+  ``filters`` prune shards on their stats and select rows exactly as
+  ``decode_dataset`` does. Parquet output mirrors hive `key=value`
+  dirs (partition columns live in the path, as the reference's
+  partition_on layout writes them, writer.py:1066-1105) and gets
+  ``_metadata`` + ``_common_metadata`` sidecars last; JSON-Lines
+  output is flat, with the hive columns in the rows. Output is
   readable by pyarrow/DuckDB — the cross-engine conformance surface
   (SURVEY.md §5 layer 3).
 - shard_statistics: per-shard, per-column min/max/null stats from the
@@ -22,43 +30,165 @@ import os
 
 import pandas as pd
 
+from ..state import fs as fsmod
 from ..state.manifest import Manifest
-from .decode import Snapshot, decode_dataset, snapshot
+from .decode import Snapshot, decode_shard, snapshot
+from .hive import parse_hive_parts
+
+# the arguments an export dir was first written with: a rerun with
+# other arguments would keep the old files next to the new ones. The
+# "_" prefix and the extension keep it out of pyarrow's listing,
+# DuckDB's "*.json" glob and Ray's read_json.
+EXPORT_ARGS = "_export.args"
+SIDECARS = ("_metadata", "_common_metadata")
 
 
 def export_parquet(
     enc_dir: str,
     out_dir: str,
     columns: list[str] | None = None,
-    partition_cols: list[str] | None = None,
+    filters=None,
     times: str = "int64",
-    common_metadata: bool = True,
-) -> str:
-    """Write the decoded dataset as a Parquet directory (streaming;
-    one file per block, hive dirs when partition_cols given).
+    filesystem=None,
+) -> dict:
+    """Write the decoded dataset as a Parquet directory, one file per
+    kept shard, then consolidated ``_metadata`` + ``_common_metadata``
+    sidecars so single-footer readers (fastparquet/dask convention,
+    pyarrow ``parquet_dataset``) open it without listing and reading
+    every footer (reference write_common_metadata writer.py:1108-1135).
+    Returns ``{"exported", "skipped", "rows", "out_dir"}``.
 
     ``times``: "int64" (default, modern TIMESTAMP) or "int96"
     (legacy 12-byte Impala/Hive timestamps — reference
-    times='int96', writer.py:302-307) for old readers.
-
-    ``common_metadata``: also write consolidated ``_metadata`` +
-    ``_common_metadata`` sidecars so single-footer readers
-    (fastparquet/dask convention, pyarrow ``parquet_dataset``) open
-    the directory without listing+reading every file footer
-    (reference write_common_metadata writer.py:1108-1135)."""
+    times='int96', writer.py:302-307) for old readers."""
     if times not in ("int64", "int96"):
         raise ValueError(f"times must be int64|int96, got {times!r}")
-    ds = decode_dataset(enc_dir, columns=columns)
-    kw = {}
-    if times == "int96":
-        kw["use_deprecated_int96_timestamps"] = True
-    if partition_cols:
-        ds.write_parquet(out_dir, partition_cols=partition_cols, **kw)
-    else:
-        ds.write_parquet(out_dir, **kw)
-    if common_metadata:
-        write_common_metadata(out_dir)
-    return out_dir
+    return _export(enc_dir, out_dir, "parquet", columns, filters, times,
+                   filesystem)
+
+
+def export_jsonl(
+    enc_dir: str,
+    out_dir: str,
+    columns: list[str] | None = None,
+    filters=None,
+) -> dict:
+    """Write the decoded dataset as flat ``<shard>.json`` JSON-Lines
+    files, one per kept shard — the interchange format LLM data
+    pipelines pass between curation stages. List columns (token
+    arrays) serialize as JSON arrays; `read_jsonl` / DuckDB
+    `read_json_auto` read the output back losslessly for integer
+    payloads. For floats prefer the Parquet sink (JSON text roundtrips
+    are not bit-exact). Returns the summary ``export_parquet`` does."""
+    return _export(enc_dir, out_dir, "jsonl", columns, filters, None, None)
+
+
+def _export(enc_dir, out_dir, fmt, columns, filters, times, filesystem):
+    """The one export path: every kept shard becomes one file named
+    after its relative path, decoded by ``decode_shard`` in a Ray task
+    and published with ``atomic_write``; files already present are
+    skipped. An encoded dir with no kept shard writes nothing."""
+    import io
+
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data
+
+    snap = Snapshot(enc_dir, filesystem)
+    kept = snap.prune(filters, snap.paths)
+    out_fs, out_root = fsmod.get_fs(out_dir, filesystem)
+    out_fs.makedirs(out_root, exist_ok=True)
+    summary = {"exported": 0, "skipped": 0, "rows": 0, "out_dir": out_dir}
+    if not kept:
+        return summary
+    _claim(out_fs, out_root, {
+        "format": fmt, "columns": columns, "filters": filters, "times": times,
+    })
+    ext = {"parquet": ".parquet", "jsonl": ".json"}[fmt]
+    jobs: list[dict] = []
+    for p in kept:
+        rel = snap.rel(p)
+        # JSON-Lines output is flat: the hive values ride in the rows
+        name = rel.rsplit("/", 1)[-1] if fmt == "jsonl" else rel
+        dst = fsmod.join(out_fs, out_root, name[: -len(".fprs")] + ext)
+        if out_fs.exists(dst):
+            summary["skipped"] += 1
+        else:
+            jobs.append({"path": p, "rel": rel, "dst": dst})
+
+    if jobs:
+        tables_ref = ray.put(snap.tables)
+        in_fs, hive = snap.fs, snap.hive
+        int96 = times == "int96"
+
+        def export_shards(batch: pd.DataFrame) -> pd.DataFrame:
+            tables = ray.get(tables_ref)
+            rows = []
+            for path, rel, dst in zip(batch["path"], batch["rel"], batch["dst"]):
+                t = decode_shard(
+                    fsmod.read_bytes(in_fs, path), path, tables, columns,
+                    hive=hive, filters=filters,
+                )
+                if fmt == "jsonl":
+                    # an empty table would print one blank line
+                    data = (
+                        t.to_pandas().to_json(orient="records", lines=True)
+                        .encode() if t.num_rows else b""
+                    )
+                else:
+                    # the mirrored key=value dirs carry the partition
+                    # columns; repeating them in the file makes
+                    # pyarrow refuse the dataset
+                    t = t.drop_columns(
+                        [c for c in parse_hive_parts(rel) if c in t.column_names]
+                    )
+                    buf = io.BytesIO()
+                    pq.write_table(t, buf, use_deprecated_int96_timestamps=int96)
+                    data = buf.getvalue()
+                out_fs.makedirs(dst.rsplit("/", 1)[0], exist_ok=True)
+                fsmod.atomic_write(out_fs, dst, data)
+                rows.append({"rows": t.num_rows})
+            return pd.DataFrame(rows)
+
+        done = (
+            ray.data.from_items(jobs)
+            .map_batches(export_shards, batch_format="pandas", batch_size=64)
+            .take_all()  # tiny: one row per shard
+        )
+        summary["exported"] = len(done)
+        summary["rows"] = int(sum(r["rows"] for r in done))
+    # sidecars last, over ALL files present (skipped ones included):
+    # a rerun after a kill between the last file and either sidecar
+    # publishes both
+    if fmt == "parquet" and (jobs or not all(
+        out_fs.exists(fsmod.join(out_fs, out_root, n)) for n in SIDECARS
+    )):
+        write_common_metadata(out_dir, filesystem=filesystem)
+    return summary
+
+
+def _claim(fs, root: str, args: dict) -> None:
+    """Record ``args`` as the arguments of the export in ``root`` or,
+    when an earlier run recorded others, raise a ValueError naming the
+    first that differs. The record is written before any file, so it
+    holds for a run killed before its sidecars too."""
+    path = fsmod.join(fs, root, EXPORT_ARGS)
+    # set values sort: their iteration order varies between processes
+    args = json.loads(json.dumps(args, default=lambda v: (
+        sorted(v, key=repr) if isinstance(v, (set, frozenset)) else str(v)
+    )))
+    try:
+        old = json.loads(fsmod.read_bytes(fs, path))
+    except FileNotFoundError:
+        fsmod.atomic_write(fs, path, json.dumps(args).encode())
+        return
+    for k, v in args.items():
+        if old.get(k) != v:
+            raise ValueError(
+                f"{root} holds an export made with {k}={old.get(k)!r}, "
+                f"not {k}={v!r}: rerun with the same arguments or "
+                "export into another dir"
+            )
 
 
 def write_common_metadata(out_dir: str, filesystem=None) -> dict:
@@ -80,8 +210,6 @@ def write_common_metadata(out_dir: str, filesystem=None) -> dict:
     import ray
     import ray.data
 
-    from ..state import fs as fsmod
-
     fs, root = fsmod.get_fs(out_dir, filesystem)
     rootp = root.rstrip("/")
     files = sorted(
@@ -92,13 +220,10 @@ def write_common_metadata(out_dir: str, filesystem=None) -> dict:
     if not files:
         raise FileNotFoundError(f"no parquet files under {out_dir}")
 
-    fs_for_tasks = filesystem
-
     def collect(batch: pd.DataFrame) -> pd.DataFrame:
         out = []
         for path, rel in zip(batch["path"], batch["rel"]):
-            f, p = fsmod.get_fs(path, fs_for_tasks)
-            with f.open(p, "rb") as fh:
+            with fs.open(path, "rb") as fh:
                 md = pq.read_metadata(fh)
             md.set_file_path(rel)
             out.append({"rel": rel, "md": md})
@@ -121,126 +246,15 @@ def write_common_metadata(out_dir: str, filesystem=None) -> dict:
             merged.append_row_groups(md)
     import io
 
-    buf = io.BytesIO()
-    merged.write_metadata_file(buf)
-    fsmod.atomic_write(fs, fsmod.join(fs, rootp, "_metadata"), buf.getvalue())
-    buf = io.BytesIO()
-    pq.write_metadata(merged.schema.to_arrow_schema(), buf)
-    fsmod.atomic_write(
-        fs, fsmod.join(fs, rootp, "_common_metadata"), buf.getvalue()
-    )
+    full, common = io.BytesIO(), io.BytesIO()
+    merged.write_metadata_file(full)
+    pq.write_metadata(merged.schema.to_arrow_schema(), common)
+    for name, buf in zip(SIDECARS, (full, common)):
+        fsmod.atomic_write(fs, fsmod.join(fs, rootp, name), buf.getvalue())
     return {
         "files": len(files),
         "row_groups": merged.num_row_groups,
         "rows": merged.num_rows,
-    }
-
-
-def export_jsonl(
-    enc_dir: str,
-    out_dir: str,
-    columns: list[str] | None = None,
-) -> str:
-    """Write the decoded dataset as JSON-Lines files (streaming, one
-    file per block) — the interchange format LLM data pipelines pass
-    between curation stages. List columns (token arrays) serialize as
-    JSON arrays; `read_jsonl` / DuckDB `read_json_auto` read the
-    output back losslessly for integer payloads. For floats prefer
-    the Parquet sink (JSON text roundtrips are not bit-exact)."""
-    ds = decode_dataset(enc_dir, columns=columns)
-    ds.write_json(out_dir)
-    return out_dir
-
-
-def export_parquet_resumable(
-    enc_dir: str,
-    out_dir: str,
-    columns: list[str] | None = None,
-    filesystem=None,
-    times: str = "int64",
-) -> dict:
-    """Kill-resumable interop export: ONE Parquet file PER SHARD with
-    a deterministic name mirrored from the shard's relative path,
-    published atomically (tmp + rename) — a re-run skips shards whose
-    output already exists, so a killed export resumes from where it
-    died instead of rewriting the dataset (the encode manifest's
-    resume contract extended to the sink; `ds.write_parquet` names
-    files per run, so it cannot skip). Hive `key=value` subdirs are
-    mirrored verbatim: partition columns survive via the path, and
-    pyarrow/DuckDB reconstruct them exactly as they do for the native
-    layout."""
-    import io
-
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data
-
-    from ..container import decode_table
-    from ..state import fs as fsmod
-
-    if times not in ("int64", "int96"):
-        raise ValueError(f"times must be int64|int96, got {times!r}")
-    snap = Snapshot(enc_dir, filesystem)
-    out_fs, out_root = fsmod.get_fs(out_dir, filesystem)
-    out_fs.makedirs(out_root, exist_ok=True)
-    jobs: list[dict] = []
-    skipped = 0
-    for p in snap.paths:
-        rel = snap.rel(p)[: -len(".fprs")] + ".parquet"
-        dst = fsmod.join(out_fs, out_root, rel)
-        if out_fs.exists(dst):
-            skipped += 1
-            continue
-        jobs.append({"src": snap.proto + p, "dst": dst})
-    if not jobs:
-        # nothing to export, but a run killed between the last shard
-        # and either sidecar write still needs both published; an
-        # empty encoded dir has no footer to publish
-        if skipped and not all(
-            out_fs.exists(fsmod.join(out_fs, out_root, name))
-            for name in ("_metadata", "_common_metadata")
-        ):
-            write_common_metadata(out_dir, filesystem=filesystem)
-        return {
-            "exported": 0, "skipped": skipped, "rows": 0, "out_dir": out_dir
-        }
-
-    tables_ref = ray.put(snap.tables)
-    cols = columns
-    int96 = times == "int96"
-    fs_for_tasks = filesystem  # fsspec filesystems pickle into tasks
-
-    def export_shards(batch: pd.DataFrame) -> pd.DataFrame:
-        tbls = ray.get(tables_ref)
-        rows = []
-        for src, dst in zip(batch["src"], batch["dst"]):
-            w_fs, w_path = fsmod.get_fs(dst, fs_for_tasks)
-            r_fs, r_path = fsmod.get_fs(src, fs_for_tasks)
-            t = decode_table(
-                fsmod.read_bytes(r_fs, r_path), tbls, columns=cols
-            )
-            parent = w_path.rsplit("/", 1)[0]
-            if parent:
-                w_fs.makedirs(parent, exist_ok=True)
-            buf = io.BytesIO()
-            pq.write_table(t, buf, use_deprecated_int96_timestamps=int96)
-            fsmod.atomic_write(w_fs, w_path, buf.getvalue())
-            rows.append({"dst": dst, "rows": t.num_rows})
-        return pd.DataFrame(rows)
-
-    done = (
-        ray.data.from_items(jobs)
-        .map_batches(export_shards, batch_format="pandas", batch_size=64)
-        .take_all()  # tiny: one row per shard
-    )
-    # sidecar last, over ALL files present (skipped ones included), so
-    # a resumed run that finishes the stragglers refreshes the footer
-    write_common_metadata(out_dir, filesystem=filesystem)
-    return {
-        "exported": len(done),
-        "skipped": skipped,
-        "rows": int(sum(r["rows"] for r in done)),
-        "out_dir": out_dir,
     }
 
 

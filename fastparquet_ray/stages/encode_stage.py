@@ -110,7 +110,10 @@ class EncodeShard:
             finished = ray.get(finished)
         self.finished: set[str] = finished or set()
 
-    def _encode_one(self, batch: pa.Table) -> pa.Table:
+    def encode_block(self, batch: pa.Table) -> pa.Table:
+        """One block -> one shard + its manifest record, the block
+        taken as it is (``__call__`` first normalizes a block to its
+        transported form)."""
         import pyarrow.compute as pc
 
         # exchange helper columns (source salt, range bucket): split
@@ -135,7 +138,7 @@ class EncodeShard:
                 )
             )
             batch = batch.drop_columns([pcol])
-        pid = partition_id_for(batch, self.key_column, extra=extra)
+        pid = partition_id_for(batch, extra=extra)
         key_range = None
         if self.key_column in batch.column_names and batch.num_rows:
             mm = pc.min_max(batch.column(self.key_column))
@@ -182,7 +185,7 @@ class EncodeShard:
         if not self.split_by or not all(
             c in batch.column_names for c in self.split_by
         ):
-            return self._encode_one(batch)
+            return self.encode_block(batch)
         # a block may hold several shuffle groups — split so each shard
         # is pure in the split keys (e.g. one (source, salt) bucket)
         import pyarrow.compute as pc
@@ -196,7 +199,7 @@ class EncodeShard:
         outs = []
         for k in np.unique(keys):
             sub = batch.filter(pa.array(keys == k))
-            outs.append(self._encode_one(sub))
+            outs.append(self.encode_block(sub))
         return pa.concat_tables(outs)
 
 

@@ -33,7 +33,7 @@ def test_partition_id_covers_content_without_key_column():
 def test_partition_id_covers_non_key_columns():
     a = pa.table({"doc_id": ["a", "b"], "v": [1, 2]})
     b = pa.table({"doc_id": ["a", "b"], "v": [100, 200]})
-    assert partition_id_for(a, "doc_id") != partition_id_for(b, "doc_id")
+    assert partition_id_for(a) != partition_id_for(b)
 
 
 def test_resume_reencodes_changed_content(ray_session, tmp_path):

@@ -121,6 +121,51 @@ def test_column_codecs_checked_before_any_job(tmp_path, codecs, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "codecs", [None, {"n_tok": {"codec": "nope"}}], ids=["written", "refused"]
+)
+def test_write_removes_its_input_copy(ray_session, tmp_path, monkeypatch, codecs):
+    """``write`` of a table spills it to a temp parquet file for the
+    encode job; the temp dir goes whether the write succeeds or a bad
+    ``column_codecs`` refuses it."""
+    import tempfile
+
+    import pyarrow as pa
+
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    table = pa.table({"doc_id": ["a", "b", "c"], "n_tok": [1, 2, 3]})
+    out = str(tmp_path / "enc")
+    if codecs is None:
+        assert write(out, table)["rows"] == 3
+    else:
+        with pytest.raises(ValueError, match="n_tok"):
+            write(out, table, column_codecs=codecs)
+    assert list(temp.iterdir()) == []
+
+
+def test_cli_encode_refuses_bad_codecs_before_ray(tmp_path, monkeypatch):
+    """The CLI ``encode`` verb refuses a bad ``--column-codecs`` before
+    it starts Ray."""
+    import json
+
+    from fastparquet_ray import __main__ as cli
+
+    def no_ray():
+        raise AssertionError("Ray started before the codec check")
+
+    monkeypatch.setattr(cli, "_init_ray", no_ray)
+    write_tokens_dataset(str(tmp_path / "src"), 200, n_fragments=1)
+    out = tmp_path / "enc"
+    with pytest.raises(ValueError, match="'n_tok'"):
+        cli.main([
+            "encode", str(tmp_path / "src"), str(out),
+            "--column-codecs", json.dumps({"n_tok": {"codec": "nope"}}),
+        ])
+    assert not out.exists()
+
+
 def test_shard_subset_getitem(ray_session, tmp_path):
     """eds[i] / eds[a:b] -> lazy Dataset over a shard subset
     (reference S4 row-group slicing parity)."""

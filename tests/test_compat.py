@@ -81,7 +81,7 @@ def test_export_parquet_int96(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     import fastparquet_ray as fr
-    from fastparquet_ray.pipelines.export import export_parquet_resumable
+    from fastparquet_ray.pipelines.export import export_parquet
 
     ts = pd.date_range("2001-05-01", periods=50, freq="h")
     df = pd.DataFrame(
@@ -90,7 +90,7 @@ def test_export_parquet_int96(ray_session, tmp_path):
     enc = str(tmp_path / "enc96")
     fr.write(enc, df)
     out = str(tmp_path / "pq96")
-    s = export_parquet_resumable(enc, out, times="int96")
+    s = export_parquet(enc, out, times="int96")
     assert s["exported"] >= 1
     files = sorted(
         str(p) for p in __import__("pathlib").Path(out).rglob("*.parquet")
@@ -111,4 +111,4 @@ def test_export_parquet_int96(ray_session, tmp_path):
     assert (back["ts"].astype("datetime64[us]") == df["ts"]).all()
 
     with pytest.raises(ValueError):
-        export_parquet_resumable(enc, out, times="int32")
+        export_parquet(enc, out, times="int32")

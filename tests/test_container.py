@@ -119,14 +119,14 @@ def test_beats_uncompressed_parquet():
 
 def test_partition_id_deterministic():
     t = generate_fragment(100, 0)
-    a = partition_id_for(t, "doc_id")
-    b = partition_id_for(generate_fragment(100, 0), "doc_id")
+    a = partition_id_for(t)
+    b = partition_id_for(generate_fragment(100, 0))
     assert a == b
-    c = partition_id_for(generate_fragment(100, 1), "doc_id")
+    c = partition_id_for(generate_fragment(100, 1))
     assert a != c
     # stable under slicing/rechunking
     sliced = pa.concat_tables([t.slice(0, 40), t.slice(40)])
-    assert partition_id_for(sliced, "doc_id") == a
+    assert partition_id_for(sliced) == a
 
 
 def test_header_stats():

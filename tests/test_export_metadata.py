@@ -79,21 +79,21 @@ def test_export_resumable_writes_and_refreshes_sidecar(
     ray_session, tmp_path
 ):
     from fastparquet_ray.pipelines import encode_pipeline
-    from fastparquet_ray.pipelines.export import export_parquet_resumable
+    from fastparquet_ray.pipelines.export import export_parquet
 
     src = str(tmp_path / "src")
     paths = write_tokens_dataset(src, 1500, n_fragments=3)
     enc_dir = str(tmp_path / "enc")
     encode_pipeline(paths, enc_dir)
     out_dir = str(tmp_path / "pq")
-    export_parquet_resumable(enc_dir, out_dir)
+    export_parquet(enc_dir, out_dir)
     md_path = os.path.join(out_dir, "_metadata")
     assert pq.read_metadata(md_path).num_rows == 1500
 
     # kill-between-last-shard-and-sidecar: removing only _metadata and
     # re-running (all shards skip) republishes it
     os.remove(md_path)
-    s = export_parquet_resumable(enc_dir, out_dir)
+    s = export_parquet(enc_dir, out_dir)
     assert s["exported"] == 0 and s["skipped"] == 3
     assert pq.read_metadata(md_path).num_rows == 1500
 
@@ -112,9 +112,9 @@ def test_partitioned_export_sidecar(ray_session, tmp_path):
     src = str(tmp_path / "src")
     paths = write_tokens_dataset(src, 1000, n_fragments=2)
     enc_dir = str(tmp_path / "enc")
-    encode_pipeline(paths, enc_dir)
+    encode_pipeline(paths, enc_dir, hive_cols=["source"])
     out_dir = str(tmp_path / "pq")
-    export_parquet(enc_dir, out_dir, partition_cols=["source"])
+    export_parquet(enc_dir, out_dir)
     md_path = os.path.join(out_dir, "_metadata")
     md = pq.read_metadata(md_path)
     assert md.num_rows == 1000

@@ -140,22 +140,22 @@ def test_export_parquet_resumable(ray_session, tmp_path):
     the final dataset matches the source (north-star 'resumable
     output' at the interop sink)."""
     from fastparquet_ray.pipelines import encode_pipeline
-    from fastparquet_ray.pipelines.export import export_parquet_resumable
+    from fastparquet_ray.pipelines.export import export_parquet
 
     src = str(tmp_path / "src")
     paths = write_tokens_dataset(src, 2000, n_fragments=4)
     enc_dir = str(tmp_path / "enc")
     encode_pipeline(paths, enc_dir)
     out_dir = str(tmp_path / "pq")
-    s1 = export_parquet_resumable(enc_dir, out_dir)
+    s1 = export_parquet(enc_dir, out_dir)
     assert s1["exported"] == 4 and s1["skipped"] == 0
     # no-op resume
-    s2 = export_parquet_resumable(enc_dir, out_dir)
+    s2 = export_parquet(enc_dir, out_dir)
     assert s2["exported"] == 0 and s2["skipped"] == 4
     # delete one output -> exactly one shard re-exports
     victim = sorted(glob.glob(out_dir + "/*.parquet"))[1]
     os.remove(victim)
-    s3 = export_parquet_resumable(enc_dir, out_dir)
+    s3 = export_parquet(enc_dir, out_dir)
     assert s3["exported"] == 1 and s3["skipped"] == 3
     back = pq.read_table(out_dir)
     orig = pa.concat_tables([pq.read_table(p) for p in paths])
@@ -172,12 +172,12 @@ def test_export_parquet_resumable(ray_session, tmp_path):
 def test_export_resumable_empty_encoded_dir(ray_session, tmp_path):
     """An encoded dir with no shards exports nothing and publishes no
     sidecar, instead of raising from the footer merge."""
-    from fastparquet_ray.pipelines.export import export_parquet_resumable
+    from fastparquet_ray.pipelines.export import export_parquet
 
     enc_dir = tmp_path / "enc"
     enc_dir.mkdir()
     out_dir = tmp_path / "pq"
-    s = export_parquet_resumable(str(enc_dir), str(out_dir))
+    s = export_parquet(str(enc_dir), str(out_dir))
     assert (s["exported"], s["skipped"]) == (0, 0)
     assert os.listdir(out_dir) == []
 
@@ -188,16 +188,16 @@ def test_export_resumable_publishes_missing_common_metadata(
     """A run killed between the two sidecar writes left _metadata but
     not _common_metadata: the no-op rerun must publish both."""
     from fastparquet_ray.pipelines import encode_pipeline
-    from fastparquet_ray.pipelines.export import export_parquet_resumable
+    from fastparquet_ray.pipelines.export import export_parquet
 
     paths = write_tokens_dataset(str(tmp_path / "src"), 1000, n_fragments=2)
     enc_dir = str(tmp_path / "enc")
     encode_pipeline(paths, enc_dir)
     out_dir = str(tmp_path / "pq")
-    export_parquet_resumable(enc_dir, out_dir)
+    export_parquet(enc_dir, out_dir)
     common = os.path.join(out_dir, "_common_metadata")
     os.remove(common)
-    s = export_parquet_resumable(enc_dir, out_dir)
+    s = export_parquet(enc_dir, out_dir)
     assert (s["exported"], s["skipped"]) == (0, 2)
     assert os.path.exists(common)
     assert pq.read_schema(common).names == pq.read_table(out_dir).schema.names
@@ -208,14 +208,14 @@ def test_export_resumable_mirrors_hive_layout(ray_session, tmp_path):
     output, so partition columns survive via the path and pyarrow
     reconstructs them."""
     from fastparquet_ray.pipelines import encode_pipeline
-    from fastparquet_ray.pipelines.export import export_parquet_resumable
+    from fastparquet_ray.pipelines.export import export_parquet
 
     src = str(tmp_path / "src")
     paths = write_tokens_dataset(src, 1000, n_fragments=2)
     enc_dir = str(tmp_path / "enc")
     encode_pipeline(paths, enc_dir, hive_cols=["source"])
     out_dir = str(tmp_path / "pq")
-    export_parquet_resumable(enc_dir, out_dir)
+    export_parquet(enc_dir, out_dir)
     subdirs = {os.path.basename(p) for p in glob.glob(out_dir + "/*")}
     assert any(s.startswith("source=") for s in subdirs)
     back = pq.read_table(out_dir)  # hive columns from the path
@@ -230,13 +230,179 @@ def test_export_partitioned(ray_session, tmp_path):
     src = str(tmp_path / "src")
     paths = write_tokens_dataset(src, 1000, n_fragments=2)
     enc_dir = str(tmp_path / "enc")
-    encode_pipeline(paths, enc_dir)
+    encode_pipeline(paths, enc_dir, hive_cols=["source"])
     out_dir = str(tmp_path / "pq")
-    export_parquet(enc_dir, out_dir, partition_cols=["source"])
+    export_parquet(enc_dir, out_dir)
     subdirs = {os.path.basename(p) for p in glob.glob(out_dir + "/*")}
     assert any(s.startswith("source=") for s in subdirs)
     back = pq.read_table(out_dir)
     assert back.num_rows == 1000
+
+
+def _exported_rows(out_dir: str, fmt: str) -> int:
+    if fmt == "jsonl":
+        n = 0
+        for p in glob.glob(out_dir + "/*.json"):
+            with open(p) as f:
+                n += sum(1 for _ in f)
+        return n
+    return pq.read_table(out_dir).num_rows
+
+
+@pytest.fixture(scope="module")
+def tokens_enc(ray_session, tmp_path_factory):
+    """A 3,000-row, 3-file tokens dataset and its plain encode."""
+    from fastparquet_ray.pipelines import encode_pipeline
+
+    base = tmp_path_factory.mktemp("tokens_enc")
+    paths = write_tokens_dataset(str(base / "src"), 3000, n_fragments=3)
+    enc_dir = str(base / "enc")
+    encode_pipeline(paths, enc_dir)
+    return paths, enc_dir
+
+
+@pytest.mark.parametrize(
+    "fmt, filters",
+    [
+        ("parquet", None),
+        ("jsonl", None),
+        ("parquet", [("source", "==", "web")]),
+    ],
+    ids=["parquet", "jsonl", "parquet-filtered"],
+)
+def test_export_rerun_writes_each_row_once(tokens_enc, tmp_path, fmt, filters):
+    """Exporting twice into one dir leaves one run's rows, and
+    ``_metadata`` counts them once: the rerun skips every file."""
+    import pyarrow.compute as pc
+
+    from fastparquet_ray.pipelines.export import export_jsonl, export_parquet
+
+    paths, enc_dir = tokens_enc
+    out_dir = str(tmp_path / "out")
+
+    def export():
+        if fmt == "jsonl":
+            return export_jsonl(enc_dir, out_dir)
+        return export_parquet(enc_dir, out_dir, filters=filters)
+
+    orig = pa.concat_tables([pq.read_table(p) for p in paths])
+    want = orig.num_rows
+    if filters:
+        want = pc.sum(pc.equal(orig["source"], "web")).as_py()
+        assert 0 < want < orig.num_rows
+    first = export()
+    assert first["rows"] == _exported_rows(out_dir, fmt) == want
+    second = export()
+    assert (second["exported"], second["skipped"]) == (0, first["exported"])
+    assert _exported_rows(out_dir, fmt) == want
+    if fmt == "parquet":
+        md = pq.read_metadata(os.path.join(out_dir, "_metadata"))
+        assert md.num_rows == want
+
+
+@pytest.mark.parametrize("killed", [False, True],
+                         ids=["finished", "killed-before-sidecars"])
+@pytest.mark.parametrize(
+    "other, named",
+    [
+        ({"columns": ["doc_id", "tokens"]}, "columns"),
+        ({"filters": [("n_tok", ">", 100)]}, "filters"),
+        ({"times": "int96"}, "times"),
+        ({"fmt": "jsonl"}, "format"),
+    ],
+    ids=["columns", "filters", "times", "format"],
+)
+def test_export_rerun_with_other_arguments_raises(
+    tokens_enc, tmp_path, other, named, killed
+):
+    """A rerun into a dir exported with other arguments would keep the
+    old files next to new ones: it raises, naming the argument, and
+    writes nothing — also when the first run died before its
+    sidecars."""
+    from fastparquet_ray.pipelines.export import export_jsonl, export_parquet
+
+    _, enc_dir = tokens_enc
+    out_dir = str(tmp_path / "out")
+    export_parquet(enc_dir, out_dir)
+    if killed:
+        for name in ("_metadata", "_common_metadata"):
+            os.remove(os.path.join(out_dir, name))
+    before = sorted(os.listdir(out_dir))
+    other = dict(other)
+    with pytest.raises(ValueError, match=named):
+        if other.pop("fmt", None) == "jsonl":
+            export_jsonl(enc_dir, out_dir)
+        else:
+            export_parquet(enc_dir, out_dir, **other)
+    assert sorted(os.listdir(out_dir)) == before
+    # the record of the arguments is no data file to any reader
+    assert pq.read_table(out_dir).num_rows == 3000
+
+
+def test_filtered_export_int96_writes_sidecars(ray_session, tmp_path):
+    """A filtered Parquet export honours ``times="int96"`` and gets
+    both sidecars, counting only the matching rows."""
+    import pandas as pd
+
+    import fastparquet_ray as fr
+    from fastparquet_ray.pipelines.export import export_parquet
+
+    ts = pd.date_range("2001-05-01", periods=200, freq="h")
+    df = pd.DataFrame(
+        {"k": np.arange(200, dtype=np.int64), "ts": ts.astype("datetime64[us]")}
+    )
+    enc = str(tmp_path / "enc")
+    fr.write(enc, df)
+    out = str(tmp_path / "pq")
+    s = export_parquet(enc, out, filters=[("k", ">=", 150)], times="int96")
+    assert s["rows"] == 50
+    files = [
+        p for p in glob.glob(out + "/*.parquet")
+        if not os.path.basename(p).startswith("_")
+    ]
+    assert files
+    for f in files:
+        schema = pq.ParquetFile(f).schema
+        ts_col = schema.column(schema.names.index("ts"))
+        assert ts_col.physical_type == "INT96"
+    assert pq.read_metadata(os.path.join(out, "_metadata")).num_rows == 50
+    cm = pq.read_schema(os.path.join(out, "_common_metadata"))
+    assert cm.names == ["k", "ts"]
+    back = pq.read_table(out).to_pandas().sort_values("k")
+    assert back["k"].tolist() == list(range(150, 200))
+    assert (back["ts"].astype("datetime64[us]").to_numpy()
+            == df["ts"].to_numpy()[150:]).all()
+
+
+def test_export_jsonl_hive_rows_carry_partition_columns(
+    ray_session, tmp_path
+):
+    """JSON-Lines output of a hive layout stays flat ``<shard>.json``
+    files, and every row carries the partition column."""
+    import duckdb
+
+    from fastparquet_ray.pipelines import encode_pipeline
+    from fastparquet_ray.pipelines.export import export_jsonl
+
+    paths = write_tokens_dataset(str(tmp_path / "src"), 1000, n_fragments=2)
+    enc_dir = str(tmp_path / "enc")
+    encode_pipeline(paths, enc_dir, hive_cols=["source"])
+    out_dir = str(tmp_path / "jl")
+    export_jsonl(enc_dir, out_dir)
+    shards = glob.glob(enc_dir + "/*/shard-*.fprs")
+    assert sorted(
+        n for n in os.listdir(out_dir) if not n.startswith("_")
+    ) == sorted(os.path.basename(p)[: -len(".fprs")] + ".json" for p in shards)
+    got = duckdb.connect().execute(
+        "SELECT source, count(*) FROM "
+        f"read_json_auto('{out_dir}/*.json') GROUP BY source ORDER BY source"
+    ).fetchall()
+    orig = pa.concat_tables([pq.read_table(p) for p in paths])
+    want = sorted(
+        orig.group_by("source").aggregate([("doc_id", "count")]).to_pylist(),
+        key=lambda r: r["source"],
+    )
+    assert got == [(r["source"], r["doc_id_count"]) for r in want]
 
 
 def test_shard_statistics_and_sorted(ray_session, tmp_path):

@@ -982,3 +982,29 @@ def test_bag_set_ops_vs_duckdb(ray_session, tmp_path):
         ).df()
         assert got["o_custkey"].tolist() == exp["o_custkey"].tolist()
         assert got["n"].tolist() == exp["n"].tolist()
+
+
+def test_optimize_layout_keeps_hive_columns(ray_session, tmp_path):
+    """OPTIMIZE of a hive layout: the spill flattens the partition
+    column into the rows, so the re-layout keeps every row and the
+    column."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from fastparquet_ray.data import write_tokens_dataset
+    from fastparquet_ray.pipelines.compact import optimize_layout
+    from fastparquet_ray.pipelines.decode import decode_dataset
+    from fastparquet_ray.pipelines.encode import encode_pipeline
+
+    paths = write_tokens_dataset(str(tmp_path / "src"), 3000, n_fragments=3)
+    enc = str(tmp_path / "enc")
+    encode_pipeline(paths, enc, hive_cols=["source"])
+    out = str(tmp_path / "opt")
+    s = optimize_layout(enc, out, "doc_id")
+    assert s["rows"] == 3000
+    got = decode_dataset(out, columns=["doc_id", "source"]).to_pandas()
+    orig = pa.concat_tables([pq.read_table(p) for p in paths])
+    assert len(got) == 3000
+    assert sorted(zip(got["doc_id"], got["source"])) == sorted(
+        zip(orig["doc_id"].to_pylist(), orig["source"].to_pylist())
+    )

@@ -6,7 +6,8 @@ invariants that unit tests cover only piecewise:
         -> encode (plain) -> re-encode (fingerprint resume, no read)
         -> encode --cluster-by --bloom -> verify --exact -> stats
         -> optimize -> verify --exact (optimized layout)
-        -> decode --resumable (idempotent rerun + single-file repair)
+        -> decode (idempotent rerun + single-file repair)
+        -> decode --filter --times int96 twice (rerun changes nothing)
         -> decode --format jsonl
 
 Each verb runs as its own `python -m fastparquet_ray` process (its own
@@ -26,6 +27,9 @@ import subprocess
 import sys
 import tempfile
 import time
+
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -131,7 +135,7 @@ def main() -> None:
     v2 = run(["verify", src, opt, "--exact"])
     assert v2["ok"], (o, v2)
 
-    d1 = run(["decode", opt, pqd, "--resumable"])
+    d1 = run(["decode", opt, pqd])
     n_files = len(
         [
             p
@@ -144,7 +148,7 @@ def main() -> None:
         "consolidated _metadata sidecar missing"
     )
     # idempotent rerun: everything skips
-    d2 = run(["decode", opt, pqd, "--resumable"])
+    d2 = run(["decode", opt, pqd])
     assert d2["exported"] == 0 and d2["skipped"] == n_files, d2
     # single-file repair: delete one output, exactly one re-exports
     victim = sorted(
@@ -153,9 +157,36 @@ def main() -> None:
         if not os.path.basename(p).startswith("_")
     )[0]
     os.remove(victim)
-    d3 = run(["decode", opt, pqd, "--resumable"])
+    d3 = run(["decode", opt, pqd])
     assert d3["exported"] == 1 and d3["skipped"] == n_files - 1, d3
     assert os.path.exists(victim), "repaired file not republished"
+
+    # a filtered INT96 export is resumable too: the rerun rewrites no
+    # file and _metadata counts the matching rows once
+    fpq = os.path.join(work, "pq_web")
+    web = sum(
+        pc.sum(pc.equal(pq.read_table(p, columns=["source"])["source"],
+                        "web")).as_py()
+        for p in glob.glob(src + "/*.parquet")
+    )
+    f1 = run(["decode", opt, fpq, "--filter", "source==web",
+              "--times", "int96"])
+    assert f1["rows"] == web and f1["exported"] > 0, (f1, web)
+
+    def listing() -> dict:
+        return {
+            p: (st.st_size, st.st_mtime_ns)
+            for p in glob.glob(fpq + "/**/*", recursive=True)
+            for st in [os.stat(p)]
+        }
+
+    before = listing()
+    f2 = run(["decode", opt, fpq, "--filter", "source==web",
+              "--times", "int96"])
+    assert f2["exported"] == 0 and f2["skipped"] == f1["exported"], f2
+    assert listing() == before, "rerun changed the export dir"
+    md = pq.read_metadata(os.path.join(fpq, "_metadata"))
+    assert md.num_rows == web, (md.num_rows, web)
 
     run(["decode", opt, jld, "--format", "jsonl"])
     n_rows = 0
@@ -164,7 +195,7 @@ def main() -> None:
             n_rows += sum(1 for _ in f)
     assert n_rows == 4000, n_rows
 
-    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 14}))
+    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 16}))
 
 
 if __name__ == "__main__":
