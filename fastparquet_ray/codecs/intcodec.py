@@ -19,13 +19,21 @@ Codecs, by codec-id byte:
              (cencoding.pyx:190-211 semantics) — wins on runny data.
 3 DICT_INT   symbol table + RLE/bit-packed indices (dict pages,
              writer.py:481-517).
-4 DELTA      zigzag first differences, FOR-packed.
+4 DELTA      zigzag first differences; the body is a FOR_BP blob, or
+             a FOR64 blob when a block of deltas needs > 32 bits.
 5 PFOR       patched FOR: per-miniblock width + exception patches.
 6 DICT2      frequency-ranked dict; decode-only (no input picks it;
              older shards and the golden corpus hold its bytes).
-7 FOR64      FOR_BP with 64-bit miniblock ranges.
+7 FOR64      FOR_BP's block layout with 64-bit miniblock ranges: a
+             block of width <= 32 is bit-packed as in FOR_BP, a wider
+             one stores ceil(w/8)-byte deltas. Where FOR_BP succeeds,
+             the two blobs differ only in the codec byte.
 8 ZRANK      frequency-ranked dict + zstd over the rank codes.
-9 ZRANKS     ZRANK over a plan-shared rank table + embedded extras.
+9 ZRANKS     ZRANK over a plan-shared rank table + embedded extras;
+             both write one code stream [width u8][varint zlen][zstd].
+
+FOR_BP, FOR64, PFOR and DELTA's body share one miniblock writer and
+reader (``_frames``, ``_pack_frames``, ``_unpack_frames``).
 
 ``INT_CANDIDATES``: the codecs the planner and the per-shard auto path
 trial, in encode-speed order.
@@ -38,8 +46,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bitpack import bit_width, pack_bits, unpack_bits, unpack_bits_add
-from .rle import rle_decode, rle_encode
-from .varint import decode_uvarint, encode_uvarint
+from .rle import _scatter_ragged, rle_decode, rle_encode
+from .varint import decode_uvarint, encode_uvarint, zigzag_decode, zigzag_encode
 
 __all__ = [
     "encode_plain_int",
@@ -85,9 +93,14 @@ def _header(codec: int, arr: np.ndarray) -> bytes:
     return bytes([codec, _dtype_id(arr)]) + encode_uvarint(arr.size)
 
 
+def _le_bytes(a: np.ndarray) -> bytes:
+    le = a.astype(a.dtype.newbyteorder("<"), copy=False)
+    return np.ascontiguousarray(le).tobytes()
+
+
 def encode_plain_int(values: np.ndarray) -> bytes:
     v = np.ascontiguousarray(values)
-    return _header(_C_PLAIN, v) + v.astype(v.dtype.newbyteorder("<")).tobytes()
+    return _header(_C_PLAIN, v) + _le_bytes(v)
 
 
 def _vec_bit_widths(maxd: np.ndarray) -> np.ndarray:
@@ -110,131 +123,180 @@ def _vec_bit_widths_est(d: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0).astype(np.uint8)
 
 
-def encode_for_bp(values: np.ndarray) -> bytes:
-    """Frame-of-reference + bit-pack. Raises ValueError when any
-    miniblock's value range needs > 32 bits (caller falls back)."""
-    v = np.ascontiguousarray(values)
+# Miniblock layout shared by FOR_BP, FOR64, PFOR (and DELTA's body):
+# per-block headers, then the block payloads in block order. A block
+# of width w <= 32 holds 1024*w LSB-first packed bits; a wider block
+# holds ceil(w/8)-byte little-endian deltas.
+_HDR = np.dtype([("min", "<i8"), ("w", "u1")])
+_PFOR_HDR = np.dtype(_HDR.descr + [("ne", "<u2")])
+_PATCH = np.dtype([("p", "<u2"), ("v", "<u4")])  # PFOR exception
+
+
+def _no_uint64(v: np.ndarray, name: str) -> None:
     if v.dtype.itemsize == 8 and v.dtype.kind == "u":
-        raise ValueError("FOR_BP: uint64 unsupported (min may not fit i64)")
-    head = _header(_C_FOR, v)
-    n = v.size
-    if n == 0:
-        return head
-    nb = -(-n // MINIBLOCK)
-    pad = nb * MINIBLOCK - n
+        raise ValueError(f"{name}: uint64 unsupported (min may not fit i64)")
+
+
+def _frames(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pad ``v`` to whole miniblocks with its last value; return the
+    per-block minimums and the (nb, MINIBLOCK) deltas from them: uint32
+    for dtypes of 4 bytes or fewer (the int32 wrap-around subtraction
+    viewed as uint32 is the exact mod-2**32 delta), else uint64."""
+    nb = -(-v.size // MINIBLOCK)
+    pad = nb * MINIBLOCK - v.size
     if pad:
         v = np.concatenate([v, np.full(pad, v[-1], dtype=v.dtype)])
     m = v.reshape(nb, MINIBLOCK)
     mins = m.min(axis=1)
-    if v.dtype.itemsize <= 4:
-        # int32 wrap-around subtraction viewed as uint32 is the correct
-        # mod-2**32 delta; <=32-bit input ranges always fit
-        d32 = (m.astype(np.int32, copy=False) - mins.astype(np.int32)[:, None]).view(
-            np.uint32
-        )
-    else:
-        d = (m - mins[:, None]).astype(np.uint64)
-        if (d >> np.uint64(32)).any():
-            raise ValueError("FOR_BP: miniblock range exceeds 32 bits")
-        d32 = d.astype(np.uint32)
-    widths = _vec_bit_widths(d32.max(axis=1))
-    hdr = np.zeros(nb, dtype=[("min", "<i8"), ("w", "u1")])
-    hdr["min"] = mins
-    hdr["w"] = widths
-    uw = np.unique(widths)
-    if uw.size == 1:  # common case: one width -> one vectorized pack
-        w = int(uw[0])
-        payload = pack_bits(d32.ravel(), w) if w else b""
-        return head + hdr.tobytes() + payload
-    from .rle import _scatter_ragged
+    sdt, udt = (
+        (np.int32, np.uint32) if v.dtype.itemsize <= 4 else (np.int64, np.uint64)
+    )
+    d = m.astype(sdt, copy=False) - mins.astype(sdt)[:, None]
+    return mins, d.view(udt)
 
-    piece_lens = widths.astype(np.int64) * (MINIBLOCK // 8)
-    poff = np.concatenate([[0], np.cumsum(piece_lens)])
-    out = np.zeros(int(poff[-1]), dtype=np.uint8)
-    for w in uw:
+
+def _block_widths(d: np.ndarray) -> np.ndarray:
+    """Exact bit width of each block's largest delta (the float64
+    frexp trick is exact below 2**53; larger maxima are split 32/32)."""
+    mx = d.max(axis=1)
+    if d.itemsize == 4 or int(mx.max()) < 1 << 53:
+        return _vec_bit_widths(mx)
+    hi = (mx >> np.uint64(32)).astype(np.uint32)
+    return np.where(
+        hi != 0, _vec_bit_widths(hi) + 32, _vec_bit_widths(mx.astype(np.uint32))
+    )
+
+
+# payload bytes of one block by width: a table lookup, several µs
+# cheaper per call than np.where on the few blocks of a small array
+_BLOCK_BYTES = np.array(
+    [
+        w * MINIBLOCK // 8 if w <= 32 else (w + 7) // 8 * MINIBLOCK
+        for w in range(65)
+    ],
+    dtype=np.int64,
+)
+
+
+def _byte_pack(d: np.ndarray, w: int) -> np.ndarray:
+    """uint64 deltas as ceil(w/8)-byte little-endian values (blocks
+    wider than 32 bits)."""
+    return np.ascontiguousarray(
+        d.reshape(-1, 1).view(np.uint8)[:, : (w + 7) // 8]
+    ).reshape(-1)
+
+
+def _pack_frames(d: np.ndarray, widths: np.ndarray, tails=None) -> bytes:
+    """Block payloads of deltas ``d`` at ``widths``, in block order.
+    ``tails`` = (bytes, per-block lengths): block i's slice of the bytes
+    follows its deltas (PFOR's patches)."""
+    uw = np.unique(widths)
+    if tails is None and uw.size == 1:  # one width: one pack
+        w = int(uw[0])
+        return pack_bits(d.ravel(), w) if w <= 32 else _byte_pack(d, w).tobytes()
+    sizes = _BLOCK_BYTES[widths]
+    lens = sizes if tails is None else sizes + tails[1]
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    out = np.zeros(int(ends[-1]), dtype=np.uint8)
+    for w, bs in zip(uw.tolist(), _BLOCK_BYTES[uw].tolist()):
         if w == 0:
             continue
         rows = np.flatnonzero(widths == w)
-        bs = int(w) * (MINIBLOCK // 8)
-        packed = np.frombuffer(pack_bits(d32[rows].ravel(), int(w)), np.uint8)
+        if w <= 32:
+            packed = np.frombuffer(pack_bits(d[rows].ravel(), w), np.uint8)
+        else:
+            packed = _byte_pack(d[rows], w)
         _scatter_ragged(
             out,
-            poff[rows],
+            starts[rows],
             packed,
             np.arange(rows.size, dtype=np.int64) * bs,
             np.full(rows.size, bs, dtype=np.int64),
         )
-    return head + hdr.tobytes() + out.tobytes()
+    if tails is not None:
+        tail, tail_lens = tails
+        _scatter_ragged(
+            out, starts + sizes, tail, np.cumsum(tail_lens) - tail_lens, tail_lens
+        )
+    return out.tobytes()
 
 
-def _bit_widths64(d: np.ndarray) -> np.ndarray:
-    """Exact bit widths for uint64 values (split 32/32 so the float64
-    frexp trick stays exact)."""
-    hi = (d >> np.uint64(32)).astype(np.uint32)
-    lo = d.astype(np.uint32)
-    return np.where(
-        hi != 0,
-        _vec_bit_widths(hi).astype(np.int64) + 32,
-        _vec_bit_widths(lo).astype(np.int64),
-    )
+def _unpack_frames(payload: np.ndarray, widths, out, tail_lens=None):
+    """Inverse of ``_pack_frames``: add the deltas of the blocks laid
+    out from ``payload[0]`` into ``out`` (nb, MINIBLOCK) int64, preloaded
+    with the block minimums (wraps mod 2**64). ``tail_lens[i]`` bytes
+    after block i are skipped (PFOR's patches); the offsets where the
+    tails start are returned."""
+    nb = widths.size
+    w0 = int(widths[0])
+    if tail_lens is None and w0 <= 32 and (widths == w0).all():
+        # one width, blocks back to back: single fused unpack+add sweep
+        unpack_bits_add(payload, w0, nb * MINIBLOCK, out.ravel())
+        return
+    lens = _BLOCK_BYTES[widths]
+    if tail_lens is not None:
+        lens = lens + tail_lens
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    uw = np.unique(widths)
+    for w, bs in zip(uw.tolist(), _BLOCK_BYTES[uw].tolist()):
+        if w == 0:
+            continue
+        rows = np.flatnonzero(widths == w)
+        chunk = np.empty(rows.size * bs, dtype=np.uint8)
+        _scatter_ragged(
+            chunk,
+            np.arange(rows.size, dtype=np.int64) * bs,
+            payload,
+            starts[rows],
+            np.full(rows.size, bs, dtype=np.int64),
+        )
+        if w <= 32:
+            vals = unpack_bits(chunk, w, rows.size * MINIBLOCK)
+        else:
+            full = np.zeros((rows.size * MINIBLOCK, 8), dtype=np.uint8)
+            full[:, : bs // MINIBLOCK] = chunk.reshape(-1, bs // MINIBLOCK)
+            vals = full.reshape(-1).view("<i8")
+        sel = slice(None) if rows.size == nb else rows
+        out[sel] += vals.reshape(rows.size, MINIBLOCK)
+    return None if tail_lens is None else ends - tail_lens
+
+
+def _encode_for(v: np.ndarray, codec: int, widen: bool = False) -> bytes:
+    """FOR_BP or FOR64 blob of ``v``; both write the same bytes after
+    the codec id. A block wider than 32 bits makes FOR_BP raise
+    ValueError or, with ``widen``, turns the blob into FOR64."""
+    v = np.ascontiguousarray(v)
+    _no_uint64(v, "FOR_BP" if codec == _C_FOR else "FOR64")
+    if v.size == 0:
+        return _header(codec, v)
+    mins, d = _frames(v)
+    widths = _block_widths(d)
+    # uint32 deltas always fit FOR_BP's 32 bits
+    if codec == _C_FOR and d.itemsize == 8 and int(widths.max()) > 32:
+        if not widen:
+            raise ValueError("FOR_BP: miniblock range exceeds 32 bits")
+        codec = _C_FOR64
+    hdr = np.zeros(mins.size, dtype=_HDR)
+    hdr["min"] = mins
+    hdr["w"] = widths
+    return _header(codec, v) + hdr.tobytes() + _pack_frames(d, widths)
+
+
+def encode_for_bp(values: np.ndarray) -> bytes:
+    """Frame-of-reference + bit-pack. Raises ValueError when any
+    miniblock's value range needs > 32 bits (caller falls back)."""
+    return _encode_for(values, _C_FOR)
 
 
 def encode_for_bp64(values: np.ndarray) -> bytes:
     """Frame-of-reference for FULL 64-bit ranges (timestamp columns
-    whose shard range exceeds the 32-bit FOR/PFOR miniblock limit and
-    previously fell back to PLAIN — NEXT r01 item 4). Miniblocks of
-    1024: width <= 32 bit-packs as usual; wider blocks store
+    whose shard range exceeds the 32-bit FOR/PFOR miniblock limit).
+    Blocks of width <= 32 bit-pack as in FOR_BP; wider blocks store
     ceil(w/8)-byte little-endian truncated deltas (byte-aligned "byte
     packing": <= 7 wasted bits/value, fully vectorized)."""
-    v = np.ascontiguousarray(values)
-    if v.dtype.itemsize == 8 and v.dtype.kind == "u":
-        raise ValueError("FOR64: uint64 unsupported (min may not fit i64)")
-    head = _header(_C_FOR64, v)
-    n = v.size
-    if n == 0:
-        return head
-    nb = -(-n // MINIBLOCK)
-    pad = nb * MINIBLOCK - n
-    if pad:
-        v = np.concatenate([v, np.full(pad, v[-1], dtype=v.dtype)])
-    m = v.reshape(nb, MINIBLOCK).astype(np.int64, copy=False)
-    mins = m.min(axis=1)
-    d = (m - mins[:, None]).view(np.uint64)  # mod-2^64 wraparound delta
-    widths = _bit_widths64(d.max(axis=1)).astype(np.uint8)
-    hdr = np.zeros(nb, dtype=[("min", "<i8"), ("w", "u1")])
-    hdr["min"] = mins
-    hdr["w"] = widths
-    from .rle import _scatter_ragged
-
-    w64 = widths.astype(np.int64)
-    piece_lens = np.where(
-        w64 <= 32, w64 * (MINIBLOCK // 8), ((w64 + 7) // 8) * MINIBLOCK
-    )
-    poff = np.concatenate([[0], np.cumsum(piece_lens)])
-    out = np.zeros(int(poff[-1]), dtype=np.uint8)
-    for w in np.unique(w64):
-        if w == 0:
-            continue
-        rows = np.flatnonzero(w64 == w)
-        if w <= 32:
-            bs = int(w) * (MINIBLOCK // 8)
-            packed = np.frombuffer(
-                pack_bits(d[rows].ravel().astype(np.uint32), int(w)), np.uint8
-            )
-        else:
-            wb = int(w + 7) // 8
-            bs = wb * MINIBLOCK
-            packed = np.ascontiguousarray(
-                d[rows].ravel().astype("<u8").view(np.uint8).reshape(-1, 8)[:, :wb]
-            ).reshape(-1)
-        _scatter_ragged(
-            out,
-            poff[rows],
-            packed,
-            np.arange(rows.size, dtype=np.int64) * bs,
-            np.full(rows.size, bs, dtype=np.int64),
-        )
-    return head + hdr.tobytes() + out.tobytes()
+    return _encode_for(values, _C_FOR64)
 
 
 def encode_rle_int(values: np.ndarray) -> bytes:
@@ -271,9 +333,7 @@ def encode_dict_int(values: np.ndarray) -> bytes:
     idx = denc.indices.to_numpy(zero_copy_only=False).astype(np.uint32)
     w = bit_width(table.size - 1)
     body = rle_encode(idx, w)
-    tbytes = np.ascontiguousarray(
-        table.astype(table.dtype.newbyteorder("<"), copy=False)
-    ).tobytes()
+    tbytes = _le_bytes(table)
     return head + encode_uvarint(table.size) + bytes([w]) + tbytes + body
 
 
@@ -289,27 +349,16 @@ def encode_pfor(values: np.ndarray) -> bytes:
     payload [packed 1024*w bits][n_exc * (u16 pos + u32 value)].
     """
     v = np.ascontiguousarray(values)
-    if v.dtype.itemsize == 8 and v.dtype.kind == "u":
-        raise ValueError("PFOR: uint64 unsupported")
+    _no_uint64(v, "PFOR")
     head = _header(_C_PFOR, v)
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return head
-    nb = -(-n // MINIBLOCK)
-    pad = nb * MINIBLOCK - n
-    if pad:
-        v = np.concatenate([v, np.full(pad, v[-1], dtype=v.dtype)])
-    m = v.reshape(nb, MINIBLOCK)
-    mins = m.min(axis=1)
-    if v.dtype.itemsize <= 4:
-        d32 = (m.astype(np.int32, copy=False) - mins.astype(np.int32)[:, None]).view(
-            np.uint32
-        )
-    else:
-        d = (m - mins[:, None]).astype(np.uint64)
-        if (d >> np.uint64(32)).any():
+    mins, d32 = _frames(v)
+    nb = mins.size
+    if d32.dtype == np.uint64:
+        if int(d32.max()) >> 32:
             raise ValueError("PFOR: miniblock range exceeds 32 bits")
-        d32 = d.astype(np.uint32)
+        d32 = d32.astype(np.uint32)
     vwidths = _vec_bit_widths_est(d32)  # (nb, MINIBLOCK), may overestimate
     # per-block width histogram via bincount on a combined index
     # (np.add.at is ~10x slower for this shape)
@@ -327,79 +376,64 @@ def encode_pfor(values: np.ndarray) -> bytes:
     cost = MINIBLOCK * ws // 8 + exc_counts * 6
     wstar = cost[:, :33].argmin(axis=1).astype(np.uint8)
     nexc = exc_counts[np.arange(nb), wstar].astype(np.uint16)
-    # header
-    hdr = np.zeros(nb, dtype=[("min", "<i8"), ("w", "u1"), ("ne", "<u2")])
+    hdr = np.zeros(nb, dtype=_PFOR_HDR)
     hdr["min"] = mins
     hdr["w"] = wstar
     hdr["ne"] = nexc
-    # main stream: exception values replaced by 0 (patched at decode)
-    exc_mask = vwidths > wstar[:, None]
-    d_main = np.where(exc_mask, 0, d32)
-    # exceptions in block order (np.nonzero is row-major)
-    _, exc_cols = np.nonzero(exc_mask)
-    exc_all = np.zeros(exc_cols.size, dtype=[("p", "<u2"), ("v", "<u4")])
-    exc_all["p"] = exc_cols
-    exc_all["v"] = d32[exc_mask]
-    exc_off = np.concatenate([[0], np.cumsum(nexc.astype(np.int64))])
-    # assemble with ragged scatters (a per-block Python loop with
-    # .tobytes() per piece was the encode hot spot at ~10k miniblocks)
-    from .rle import _scatter_ragged
-
-    piece_lens = wstar.astype(np.int64) * (MINIBLOCK // 8) + nexc.astype(np.int64) * 6
-    poff = np.concatenate([[0], np.cumsum(piece_lens)])
-    out = np.zeros(int(poff[-1]), dtype=np.uint8)
-    for w in np.unique(wstar):
-        if w == 0:
-            continue
-        rows = np.flatnonzero(wstar == w)
-        bs = int(w) * (MINIBLOCK // 8)
-        packed = np.frombuffer(pack_bits(d_main[rows].ravel(), int(w)), np.uint8)
-        _scatter_ragged(
-            out,
-            poff[rows],
-            packed,
-            np.arange(rows.size, dtype=np.int64) * bs,
-            np.full(rows.size, bs, dtype=np.int64),
-        )
-    if exc_cols.size:
-        ebytes = np.frombuffer(exc_all.tobytes(), dtype=np.uint8)
-        _scatter_ragged(
-            out,
-            poff[:-1] + wstar.astype(np.int64) * (MINIBLOCK // 8),
-            ebytes,
-            exc_off[:-1] * 6,
-            nexc.astype(np.int64) * 6,
-        )
-    return head + hdr.tobytes() + out.tobytes()
+    tails = None
+    if nexc.any():
+        # main stream: exception values replaced by 0 (patched at
+        # decode); patches in block order (np.nonzero is row-major)
+        exc_mask = vwidths > wstar[:, None]
+        _, exc_cols = np.nonzero(exc_mask)
+        exc = np.zeros(exc_cols.size, dtype=_PATCH)
+        exc["p"] = exc_cols
+        exc["v"] = d32[exc_mask]
+        tails = (exc.view(np.uint8), nexc.astype(np.int64) * 6)
+        d32 = np.where(exc_mask, 0, d32)
+    return head + hdr.tobytes() + _pack_frames(d32, wstar, tails)
 
 
 def encode_delta(values: np.ndarray) -> bytes:
     """Delta coding for (near-)sorted / smooth sequences: zigzag of
-    consecutive differences, then FOR+bit-pack over the (small) zigzag
-    deltas. Reference analog: DELTA_BINARY_PACKED, which the reference
-    only decodes (/root/reference/fastparquet/cencoding.pyx:213-242);
-    this is the encode side the reference lacks. Wins on timestamp and
+    consecutive differences, then a FOR_BP body (FOR64 when a block of
+    zigzag deltas needs more than 32 bits). Reference analog:
+    DELTA_BINARY_PACKED, which the reference only decodes
+    (cencoding.pyx:213-242); this is the encode side the reference
+    lacks. Wins on timestamp and
     monotonically-assigned id columns whose ABSOLUTE range exceeds the
     32-bit FOR miniblock limit but whose deltas are small."""
     v = np.ascontiguousarray(values)
-    if v.dtype.itemsize == 8 and v.dtype.kind == "u":
-        raise ValueError("DELTA: uint64 unsupported")
+    _no_uint64(v, "DELTA")
     head = _header(_C_DELTA, v)
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return head
     v64 = v.astype(np.int64, copy=False)
-    first = int(v64[0])
-    from .varint import zigzag_encode
+    zz = zigzag_encode(np.diff(v64)).astype(np.int64)
+    first = int(v64[0]).to_bytes(8, "little", signed=True)
+    return head + first + _encode_for(zz, _C_FOR, widen=True)
 
-    deltas = np.diff(v64)
-    zz = zigzag_encode(deltas)
-    try:
-        body = encode_for_bp(zz.astype(np.int64))
-    except ValueError:
-        # wide deltas (e.g. unsorted timestamps): 64-bit miniblock FOR
-        body = encode_for_bp64(zz.astype(np.int64))
-    return head + first.to_bytes(8, "little", signed=True) + body
+
+def _write_codes(ranks: np.ndarray, n_codes: int) -> bytes:
+    """ZRANK/ZRANKS code stream: [width u8][varint zlen][zstd codes],
+    each rank a u16 (u32 above 64k codes)."""
+    import pyarrow as pa
+
+    width = 2 if n_codes <= 65536 else 4
+    codes = ranks.astype(np.uint16 if width == 2 else np.uint32, copy=False)
+    z = pa.Codec("zstd", compression_level=3).compress(codes.tobytes(), asbytes=True)
+    return bytes([width]) + encode_uvarint(len(z)) + z
+
+
+def _read_codes(buf, pos: int, n: int) -> np.ndarray:
+    import pyarrow as pa
+
+    width = buf[pos]
+    zlen, pos = decode_uvarint(buf, pos + 1)
+    raw = pa.Codec("zstd").decompress(
+        buf[pos : pos + zlen], decompressed_size=n * width, asbytes=True
+    )
+    return np.frombuffer(raw, dtype=np.uint16 if width == 2 else np.uint32)
 
 
 def encode_zrank_int(values: np.ndarray) -> bytes:
@@ -410,10 +444,8 @@ def encode_zrank_int(values: np.ndarray) -> bytes:
     log2(distinct) bits/value), the entropy stage reaches the stream's
     ACTUAL zeroth-order entropy plus context repeats — on zipf-like
     token streams (H ~ 4.5 bits vs 12-bit packed codes) this measures
-    ~2.9x smaller than a bit-packed frequency-ranked dict. Decode is one zstd decompress + one vectorized
-    table gather."""
-    import pyarrow as pa
-
+    ~2.9x smaller than a bit-packed frequency-ranked dict. Decode is
+    one zstd decompress + one vectorized table gather."""
     v = np.ascontiguousarray(values)
     head = _header(_C_ZRANK, v)
     if v.size == 0:
@@ -431,11 +463,7 @@ def encode_zrank_int(values: np.ndarray) -> bytes:
         order = np.lexsort((present, -counts[present]))
         rank_dense = np.zeros(vrange + 1, dtype=np.int64)
         rank_dense[present[order]] = np.arange(present.size)
-        n_distinct = present.size
-        width = 2 if n_distinct <= 65536 else 4
-        codes = rank_dense[dense].astype(
-            np.uint16 if width == 2 else np.uint32
-        )
+        ranks = rank_dense[dense]
         table = (present[order] + vmin).astype(v.dtype)
     else:
         u, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
@@ -443,23 +471,13 @@ def encode_zrank_int(values: np.ndarray) -> bytes:
         order = np.lexsort((u, -counts))
         rank = np.empty(u.size, dtype=np.int64)
         rank[order] = np.arange(u.size)
-        n_distinct = u.size
-        width = 2 if n_distinct <= 65536 else 4
-        codes = rank[inv].astype(np.uint16 if width == 2 else np.uint32)
+        ranks = rank[inv]
         table = u[order]
-    z = pa.Codec("zstd", compression_level=3).compress(
-        codes.tobytes(), asbytes=True
-    )
-    tbytes = np.ascontiguousarray(
-        table.astype(table.dtype.newbyteorder("<"), copy=False)
-    ).tobytes()
     return (
         head
-        + encode_uvarint(n_distinct)
-        + tbytes
-        + bytes([width])
-        + encode_uvarint(len(z))
-        + z
+        + encode_uvarint(table.size)
+        + _le_bytes(table)
+        + _write_codes(ranks, table.size)
     )
 
 
@@ -528,13 +546,7 @@ class RankTable:
 
     def serialize(self) -> bytes:
         t = self.table
-        return (
-            bytes([_dtype_id(t)])
-            + encode_uvarint(t.size)
-            + np.ascontiguousarray(
-                t.astype(t.dtype.newbyteorder("<"), copy=False)
-            ).tobytes()
-        )
+        return bytes([_dtype_id(t)]) + encode_uvarint(t.size) + _le_bytes(t)
 
     @classmethod
     def deserialize(cls, buf: bytes) -> "RankTable":
@@ -573,8 +585,6 @@ def encode_zrank_shared(values: np.ndarray, rt: RankTable, thash: str) -> bytes:
     len(shared) into an embedded extras list (the dict_str escape
     pattern, strcodec.py:148-178). Body: [md5 16B][varint n_extras]
     [extras LE][width u8][varint zlen][zstd codes]."""
-    import pyarrow as pa
-
     v = np.ascontiguousarray(values)
     head = _header(_C_ZRANKS, v)
     if v.size == 0:
@@ -587,23 +597,12 @@ def encode_zrank_shared(values: np.ndarray, rt: RankTable, thash: str) -> bytes:
         ranks[miss] = n_shared + np.searchsorted(extras, v[miss])
     else:
         extras = np.empty(0, dtype=v.dtype)
-    total = n_shared + extras.size
-    width = 2 if total <= 65536 else 4
-    codes = ranks.astype(np.uint16 if width == 2 else np.uint32)
-    z = pa.Codec("zstd", compression_level=3).compress(
-        codes.tobytes(), asbytes=True
-    )
-    xbytes = np.ascontiguousarray(
-        extras.astype(extras.dtype.newbyteorder("<"), copy=False)
-    ).tobytes()
     return (
         head
         + bytes.fromhex(thash)
         + encode_uvarint(extras.size)
-        + xbytes
-        + bytes([width])
-        + encode_uvarint(len(z))
-        + z
+        + _le_bytes(extras)
+        + _write_codes(ranks, n_shared + extras.size)
     )
 
 
@@ -644,79 +643,47 @@ def decode_any_int(
         return decode_any_int(buf, tables)[take]
     if codec == _C_PLAIN:
         return np.frombuffer(buf, dtype=dt, count=n, offset=pos).copy()
-    if codec == _C_FOR:
+    if codec in (_C_FOR, _C_FOR64, _C_PFOR):
+        pfor = codec == _C_PFOR
         nb = -(-n // MINIBLOCK)
         hdr = np.frombuffer(
-            buf, dtype=[("min", "<i8"), ("w", "u1")], count=nb, offset=pos
+            buf, dtype=_PFOR_HDR if pfor else _HDR, count=nb, offset=pos
         )
-        pos += hdr.nbytes
-        widths = hdr["w"].astype(np.int64)
-        payload = np.frombuffer(buf, dtype=np.uint8, offset=pos)
+        payload = np.frombuffer(buf, dtype=np.uint8, offset=pos + hdr.nbytes)
         out = np.empty((nb, MINIBLOCK), dtype=np.int64)
         out[:] = hdr["min"][:, None]
-        uw = np.unique(widths)
-        if uw.size == 1:  # one width: single fused unpack+add sweep
-            w = int(uw[0])
-            if w:
-                unpack_bits_add(payload, w, nb * MINIBLOCK, out.ravel())
-        else:
-            from .rle import _scatter_ragged
-
-            sizes = widths * (MINIBLOCK // 8)
-            offsets = np.concatenate([[0], np.cumsum(sizes)])
-            for w in uw:
-                if w == 0:
-                    continue
-                rows = np.flatnonzero(widths == w)
-                bs = int(w) * (MINIBLOCK // 8)
-                chunk = np.empty(rows.size * bs, dtype=np.uint8)
-                _scatter_ragged(
-                    chunk,
-                    np.arange(rows.size, dtype=np.int64) * bs,
-                    payload,
-                    offsets[rows],
-                    np.full(rows.size, bs, dtype=np.int64),
-                )
-                vals = unpack_bits(chunk, int(w), rows.size * MINIBLOCK)
-                out[rows] += vals.reshape(rows.size, MINIBLOCK)
+        exc_lens = hdr["ne"].astype(np.int64) * 6 if pfor else None
+        if exc_lens is None or not exc_lens.any():
+            _unpack_frames(payload, hdr["w"], out)
+            return out.ravel()[:n].astype(dt)
+        exc_starts = _unpack_frames(payload, hdr["w"], out, exc_lens)
+        # PFOR patches: one ragged gather of all patch records, then one
+        # flat add into the zeros the main stream holds there (a
+        # per-block Python loop here cost ~30% of token-heavy decode at
+        # ~10k miniblocks per shard)
+        ebuf = np.empty(int(exc_lens.sum()), dtype=np.uint8)
+        _scatter_ragged(
+            ebuf, np.cumsum(exc_lens) - exc_lens, payload, exc_starts, exc_lens
+        )
+        exc = ebuf.view(_PATCH)
+        rows = np.repeat(np.arange(nb, dtype=np.int64), exc_lens // 6)
+        out.reshape(-1)[rows * MINIBLOCK + exc["p"]] += exc["v"]
         return out.ravel()[:n].astype(dt)
-    if codec == _C_ZRANK:
-        import pyarrow as pa
-
+    if codec in (_C_ZRANK, _C_ZRANKS):
+        # [varint count][values LE] (ZRANK's table, ZRANKS's extras after
+        # the shared table's md5), then the code stream
+        shared = None
+        if codec == _C_ZRANKS:
+            thash = buf[pos : pos + 16].hex()
+            if tables is None or thash not in tables:
+                raise KeyError(f"shared rank table {thash} not provided")
+            shared = deserialize_rank_values(tables[thash]).astype(dt, copy=False)
+            pos += 16
         tsize, pos = decode_uvarint(buf, pos)
         table = np.frombuffer(buf, dtype=dt, count=tsize, offset=pos)
-        pos += table.nbytes
-        width = buf[pos]
-        pos += 1
-        zlen, pos = decode_uvarint(buf, pos)
-        raw = pa.Codec("zstd").decompress(
-            buf[pos : pos + zlen], decompressed_size=n * width, asbytes=True
-        )
-        codes = np.frombuffer(
-            raw, dtype=np.uint16 if width == 2 else np.uint32
-        )
-        return table[codes if take is None else codes[take]]
-    if codec == _C_ZRANKS:
-        import pyarrow as pa
-
-        thash = buf[pos : pos + 16].hex()
-        pos += 16
-        if tables is None or thash not in tables:
-            raise KeyError(f"shared rank table {thash} not provided")
-        shared = deserialize_rank_values(tables[thash]).astype(dt, copy=False)
-        nx, pos = decode_uvarint(buf, pos)
-        extras = np.frombuffer(buf, dtype=dt, count=nx, offset=pos)
-        pos += extras.nbytes
-        width = buf[pos]
-        pos += 1
-        zlen, pos = decode_uvarint(buf, pos)
-        raw = pa.Codec("zstd").decompress(
-            buf[pos : pos + zlen], decompressed_size=n * width, asbytes=True
-        )
-        codes = np.frombuffer(
-            raw, dtype=np.uint16 if width == 2 else np.uint32
-        )
-        table = np.concatenate([shared, extras]) if nx else shared
+        codes = _read_codes(buf, pos + table.nbytes, n)
+        if shared is not None:
+            table = np.concatenate([shared, table]) if tsize else shared
         return table[codes if take is None else codes[take]]
     if codec == _C_RLE:
         mn = int.from_bytes(buf[pos : pos + 8], "little", signed=True)
@@ -738,106 +705,7 @@ def decode_any_int(
         blen, pos = decode_uvarint(buf, pos)
         idx = decode_any_int(bytes(buf[pos : pos + blen]), take=take)
         return table[idx]
-    if codec == _C_PFOR:
-        nb = -(-n // MINIBLOCK)
-        hdr = np.frombuffer(
-            buf,
-            dtype=[("min", "<i8"), ("w", "u1"), ("ne", "<u2")],
-            count=nb,
-            offset=pos,
-        )
-        pos += hdr.nbytes
-        widths = hdr["w"].astype(np.int64)
-        nexc = hdr["ne"].astype(np.int64)
-        sizes = widths * (MINIBLOCK // 8) + nexc * 6
-        offsets = np.concatenate([[0], np.cumsum(sizes)]) + pos
-        payload = np.frombuffer(buf, dtype=np.uint8)
-        out = np.empty((nb, MINIBLOCK), dtype=np.int64)
-        out[:] = hdr["min"][:, None]
-        vals32 = np.zeros((nb, MINIBLOCK), dtype=np.uint32)
-        from .rle import _scatter_ragged
-
-        for w in np.unique(widths):
-            if w == 0:
-                continue
-            rows = np.flatnonzero(widths == w)
-            bs = int(w) * (MINIBLOCK // 8)
-            chunk = np.empty(rows.size * bs, dtype=np.uint8)
-            _scatter_ragged(
-                chunk,
-                np.arange(rows.size, dtype=np.int64) * bs,
-                payload,
-                offsets[rows],
-                np.full(rows.size, bs, dtype=np.int64),
-            )
-            vv = unpack_bits(chunk, int(w), rows.size * MINIBLOCK)
-            vals32[rows] = vv.reshape(rows.size, MINIBLOCK)
-        # patch exceptions — one ragged gather of all patch records,
-        # then one flat scatter (a per-block Python loop here cost ~30%
-        # of token-heavy decode at ~10k miniblocks per shard)
-        tot_exc = int(nexc.sum())
-        if tot_exc:
-            exc_starts = offsets[:-1] + widths * (MINIBLOCK // 8)
-            exc_lens = nexc * 6
-            ebuf = np.empty(tot_exc * 6, dtype=np.uint8)
-            _scatter_ragged(
-                ebuf,
-                np.concatenate([[0], np.cumsum(exc_lens)[:-1]]),
-                payload,
-                exc_starts,
-                exc_lens,
-            )
-            exc = ebuf.view([("p", "<u2"), ("v", "<u4")])
-            rows = np.repeat(np.arange(nb, dtype=np.int64), nexc)
-            vals32.reshape(-1)[rows * MINIBLOCK + exc["p"].astype(np.int64)] = exc["v"]
-        out += vals32
-        return out.ravel()[:n].astype(dt)
-    if codec == _C_FOR64:
-        from .rle import _scatter_ragged
-
-        nb = -(-n // MINIBLOCK)
-        hdr = np.frombuffer(
-            buf, dtype=[("min", "<i8"), ("w", "u1")], count=nb, offset=pos
-        )
-        pos += hdr.nbytes
-        w64 = hdr["w"].astype(np.int64)
-        piece_lens = np.where(
-            w64 <= 32, w64 * (MINIBLOCK // 8), ((w64 + 7) // 8) * MINIBLOCK
-        )
-        offsets = np.concatenate([[0], np.cumsum(piece_lens)])
-        payload = np.frombuffer(buf, dtype=np.uint8, offset=pos)
-        d = np.zeros((nb, MINIBLOCK), dtype=np.uint64)
-        for w in np.unique(w64):
-            if w == 0:
-                continue
-            rows = np.flatnonzero(w64 == w)
-            if w <= 32:
-                bs = int(w) * (MINIBLOCK // 8)
-            else:
-                bs = (int(w) + 7) // 8 * MINIBLOCK
-            chunk = np.empty(rows.size * bs, dtype=np.uint8)
-            _scatter_ragged(
-                chunk,
-                np.arange(rows.size, dtype=np.int64) * bs,
-                payload,
-                offsets[rows],
-                np.full(rows.size, bs, dtype=np.int64),
-            )
-            if w <= 32:
-                vals = unpack_bits(chunk, int(w), rows.size * MINIBLOCK).astype(
-                    np.uint64
-                )
-            else:
-                wb = (int(w) + 7) // 8
-                full = np.zeros((rows.size * MINIBLOCK, 8), dtype=np.uint8)
-                full[:, :wb] = chunk.reshape(-1, wb)
-                vals = full.reshape(-1).view("<u8")
-            d[rows] = vals.reshape(rows.size, MINIBLOCK)
-        out = (d + hdr["min"].astype(np.uint64)[:, None]).view(np.int64)
-        return out.ravel()[:n].astype(dt)
     if codec == _C_DELTA:
-        from .varint import zigzag_decode
-
         first = int.from_bytes(buf[pos : pos + 8], "little", signed=True)
         zz = decode_any_int(buf[pos + 8 :]).astype(np.uint64)
         deltas = zigzag_decode(zz)

@@ -744,11 +744,22 @@ def decode_nested(
     return arr, pos
 
 
-def read_header(blob: bytes) -> dict:
+def header_end(blob: bytes) -> int:
+    """Offset of the first column body: magic, u32 header length, then
+    the header JSON. Raises ValueError on a bad magic."""
     if blob[:5] != MAGIC:
         raise ValueError("bad shard magic")
-    hlen = int.from_bytes(blob[5:9], "little")
-    return json.loads(blob[9 : 9 + hlen])
+    return 9 + int.from_bytes(blob[5:9], "little")
+
+
+def shard_length(head: bytes, header: dict) -> int:
+    """Exact file length of the shard whose header blob is ``head`` and
+    parsed header ``header``: anything else is a torn or foreign file."""
+    return header_end(head) + header["enc_bytes"]
+
+
+def read_header(blob: bytes) -> dict:
+    return json.loads(blob[9 : header_end(blob)])
 
 
 _STAT_KEYS = (
@@ -795,8 +806,7 @@ def decode_table(
     ``decoded`` maps column names to arrays the caller already holds
     at ``rows``; they take their place in the table as given."""
     header = read_header(blob)
-    hlen = int.from_bytes(blob[5:9], "little")
-    base = 9 + hlen
+    base = header_end(blob)
     schema = pa.ipc.read_schema(
         pa.py_buffer(base64.b64decode(header["schema"]))
     )

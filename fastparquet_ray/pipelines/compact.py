@@ -17,9 +17,10 @@ Design (Ray-Data-first, resume-safe):
   row per partition): records ordered by (key_min, partition_id),
   greedily accumulated to ``target_rows``. Single-shard bins are left
   untouched byte-for-byte.
-- Each bin is decoded + re-encoded INSIDE a Ray actor-pool task
-  (plan tables deserialized once per actor); the driver only ever
-  sees manifest records.
+- Each bin is decoded + re-encoded INSIDE a Ray task of a task pool
+  (``task_state``: plan tables deserialized once per worker process,
+  no actor-pool spin-up); the calling process only ever sees manifest
+  records.
 - Each merged table is written by the encode step itself
   (``EncodeShard.encode_block``): content-derived shard ids
   (partition_id_for), so the op is idempotent, and the same atomic
@@ -38,12 +39,12 @@ import pyarrow as pa
 from ..container import decode_table
 from ..state import fs as fsmod
 from ..state.manifest import Manifest
-from ..stages.encode_stage import EncodeShard
+from ..stages.encode_stage import EncodeShard, task_state
 
 
 class _CompactBin:
-    """Actor: decode a bin's shards, concat, and write them as ONE
-    shard through the encode step (``EncodeShard.encode_block``)."""
+    """Per-worker state: decode a bin's shards, concat, and write them
+    as ONE shard through the encode step (``EncodeShard.encode_block``)."""
 
     def __init__(self, plan_json: str, out_dir: str, key_column: str,
                  filesystem=None):
@@ -76,7 +77,6 @@ def compact_shards(
     """Merge small shards into ~``target_rows``-row shards under the
     dataset's frozen plan. Returns a summary dict. Hive ``key=value``
     layouts are rejected (their shard grouping IS the layout)."""
-    import ray
     import ray.data
 
     manifest = Manifest(enc_dir, filesystem=filesystem)
@@ -126,23 +126,18 @@ def compact_shards(
             }
         )
     ).repartition(len(multi))
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    new_records = (
-        ds.map_batches(
-            _CompactBin,
-            fn_constructor_kwargs={
-                "plan_json": plan.to_json(),
-                "out_dir": enc_dir,
-                "key_column": key_column,
-                "filesystem": filesystem,
-            },
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=(1, max(2, ncpu - 2)),
-            num_cpus=1,
-        )
-        .take_all()
-    )
+    kwargs = {
+        "plan_json": plan.to_json(),
+        "out_dir": enc_dir,
+        "key_column": key_column,
+        "filesystem": filesystem,
+    }
+    new_records = ds.map_batches(
+        task_state(lambda: _CompactBin(**kwargs)),
+        batch_format="pyarrow",
+        batch_size=1,
+        num_cpus=1,
+    ).take_all()
     # merged shards mix fragments, so no record may vouch for its
     # fragment any more: the next resume takes the content path
     all_records = [

@@ -558,12 +558,12 @@ def take_row_range(
 
     import pyarrow as pa
 
-    from ..container import decode_table
-
     # decoded in the driver, concatenated in key order: 1-2 shards
     # typically — the concat is shard-sized, not corpus-sized
     t = pa.concat_tables([
-        decode_table(fsmod.read_bytes(snap.fs, p), snap.tables, columns=columns)
+        decode_shard(
+            fsmod.read_bytes(snap.fs, p), p, snap.tables, columns, hive=snap.hive
+        )
         for p in chosen
     ])
     return t.slice(start - first_off, stop - start).to_pandas()

@@ -75,14 +75,6 @@ from .cluster import (
 
 log = logging.getLogger("fastparquet_ray")
 
-# The encode batch is ONE Ray block (batch_size=None): block formation
-# from identical inputs is deterministic, so content-hashed partition
-# ids are stable across runs — the property resume relies on. Shard
-# size is governed by the read's block size (DataContext
-# target_max_block_size, default 128 MiB — a sane shard size at 100 TB).
-DEFAULT_BATCH_ROWS = None
-
-
 @contextlib.contextmanager
 def _timed(stage_s: dict[str, float], stage: str):
     t0 = time.perf_counter()
@@ -151,7 +143,6 @@ def encode_pipeline(
     out_dir: str,
     plan: CodecPlan | None = None,
     resume: bool = True,
-    batch_rows: int | None = DEFAULT_BATCH_ROWS,
     partition_by_source: bool | str = False,
     key_column: str = "doc_id",
     outer: str | None = None,
@@ -291,10 +282,11 @@ def encode_pipeline(
     layout = ""
     if content_reason is None:
         # records reused under another split/key layout would keep
-        # that layout's shards
+        # that layout's shards; the fourth slot (a since-removed row
+        # batch size) stays null so existing records keep their tag
         layout = hashlib.blake2b(
             json.dumps(
-                [key_column, partition_by_source, hive_cols, batch_rows]
+                [key_column, partition_by_source, hive_cols, None]
             ).encode(),
             digest_size=4,
         ).hexdigest()
@@ -319,7 +311,6 @@ def encode_pipeline(
         with _timed(stage_s, "job"):
             records = _encode_job(
                 to_read, out_dir, manifest, plan, resume=resume,
-                batch_rows=batch_rows,
                 partition_by_source=partition_by_source,
                 key_column=key_column, hive_cols=hive_cols,
                 cluster_by=cluster_by, provenance_col=provenance_col,
@@ -396,7 +387,6 @@ def _encode_job(
     plan: CodecPlan,
     *,
     resume: bool,
-    batch_rows: int | None,
     partition_by_source: bool | str,
     key_column: str,
     hive_cols: list[str] | None,
@@ -491,11 +481,9 @@ def _encode_job(
                 bnd,
                 sort_cols=[cluster_by, key_column],
             )
-        cluster_split = [BUCKET_COL]
         # one shard per bucket: blocks may bundle several buckets, so
-        # EncodeShard splits on BUCKET_COL; a row-count batcher would
-        # weld disjoint key ranges back together
-        batch_rows = None
+        # EncodeShard splits on BUCKET_COL
+        cluster_split = [BUCKET_COL]
     if partition_by_source:
         # source salt (add_salt_column); "local" splits each block on it
         # in EncodeShard with no exchange
@@ -530,10 +518,15 @@ def _encode_job(
     # ReadParquet->MapBatches operator, so each task reads, hashes,
     # encodes and writes one file's shard and no block crosses the
     # object store (a concurrency on either side splits them again).
+    # The encode batch is ONE Ray block (batch_size=None): block
+    # formation from identical inputs is deterministic, so
+    # content-hashed partition ids are stable across runs — the
+    # property resume relies on. Shard size is governed by the read's
+    # block size (DataContext target_max_block_size, default 128 MiB).
     mani_ds = ds.map_batches(
         task_state(lambda: EncodeShard(**kwargs)),
         batch_format="pyarrow",
-        batch_size=batch_rows,
+        batch_size=None,
         zero_copy_batch=True,
         num_cpus=1,
     )

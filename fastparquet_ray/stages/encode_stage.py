@@ -24,6 +24,7 @@ from ..container import (
     column_stats,
     partition_id_for,
     read_header,
+    shard_length,
 )
 from ..plan import CodecPlan
 
@@ -167,10 +168,9 @@ class EncodeShard:
         if pid in self.finished and self.fs.exists(path):
             head = fsmod.read_header_bytes(self.fs, path)
             hdr = read_header(head)
-            size = 9 + int.from_bytes(head[5:9], "little") + hdr["enc_bytes"]
             return _manifest_batch(
                 pid, shard, batch.num_rows, hdr, "skipped", key_range,
-                fragment=extra, shard_bytes=size,
+                fragment=extra, shard_bytes=shard_length(head, hdr),
             )
         blob = self.encoder.encode_table(batch, pid)
         fsmod.atomic_write(self.fs, path, blob, suffix=f".{os.getpid()}")

@@ -82,9 +82,12 @@ def read_bytes(fs: Any, path: str, length: int | None = None) -> bytes:
 def read_header_bytes(fs: Any, path: str, probe: int = 256 * 1024) -> bytes:
     """Complete shard-header blob: one probe read, re-read at the
     length the prefix declares when the header outgrows the probe
-    (bloom-filter columns can push headers past 256 KB)."""
+    (bloom-filter columns can push headers past 256 KB). Raises
+    ValueError on a file without the shard magic."""
+    from ..container import header_end
+
     head = read_bytes(fs, path, probe)
-    need = 9 + int.from_bytes(head[5:9], "little")
+    need = header_end(head)
     if len(head) < need:
         head = read_bytes(fs, path, need)
     return head

@@ -206,23 +206,16 @@ class Manifest:
         length-consistent shard is complete. Shards whose file-name id
         is in ``known`` (already proven by the manifest) are not
         opened; a shard that fails validation is logged, not adopted."""
-        from ..container import MAGIC, read_header
+        from ..container import read_header, shard_length
 
         out = set()
         for path in self.shard_glob():
             if _shard_pid(path) in known:
                 continue
             try:
-                with self.fs.open(path, "rb") as f:
-                    head = f.read(256 * 1024)
-                if head[:5] != MAGIC:
-                    raise ValueError("bad shard magic")
-                hlen = int.from_bytes(head[5:9], "little")
-                if hlen > len(head) - 9:
-                    with self.fs.open(path, "rb") as f:
-                        head = f.read(9 + hlen)
+                head = fsmod.read_header_bytes(self.fs, path)
                 hdr = read_header(head)
-                expect = 9 + hlen + hdr["enc_bytes"]
+                expect = shard_length(head, hdr)
                 size = self.fs.size(path)
                 if size != expect:
                     raise ValueError(f"{size} bytes, header declares {expect}")
@@ -244,13 +237,14 @@ class Manifest:
     def remove_orphan_shards(self, keep_ids: set[str]) -> int:
         """Delete shard files whose partition id is not in keep_ids
         (left behind by runs over a different input set). Returns the
-        number removed."""
+        number removed; a shard that cannot be deleted is logged and
+        left out of the count."""
         removed = 0
         for path in self.shard_glob():
             if _shard_pid(path) not in keep_ids:
                 try:
                     self.fs.rm(path)
                     removed += 1
-                except OSError:
-                    pass
+                except OSError as e:
+                    log.warning("orphan shard %s not removed: %r", path, e)
         return removed

@@ -128,3 +128,38 @@ def test_hive_typed_int_partition(ray_session, tmp_path):
     got = decode_dataset(out).to_pandas().sort_values("doc_id")
     assert got["year"].tolist() == [2023, 2023, 2024, 2024]
     assert str(got["year"].dtype).startswith("int")
+
+
+def test_hive_take_range_attaches_partition_columns(ray_session, tmp_path):
+    """take_range returns the hive partition columns, like every other
+    reader, and a projection may name them alone."""
+    import fastparquet_ray as fr
+
+    src = tmp_path / "src"
+    src.mkdir()
+    n = 600
+    rng = np.random.default_rng(5)
+    ids = rng.permutation(n)  # each source holds one doc_id range
+    t = pa.table(
+        {
+            "doc_id": [f"d{i:04d}" for i in ids],
+            "n_tok": pa.array(rng.integers(1, 50, n), pa.int32()),
+            "source": pa.array([["book", "code", "web"][i * 3 // n] for i in ids]),
+        }
+    )
+    p = str(src / "part-0.parquet")
+    pq.write_table(t, p)
+    out = str(tmp_path / "enc")
+    encode_pipeline([p], out, resume=False, hive_cols=["source"], cluster_by="doc_id")
+    eds = fr.EncodedDataset(out)
+    want = eds.to_pandas().sort_values("doc_id", ignore_index=True)
+    got = eds.take_range(0, 5)
+    assert list(got.columns) == list(want.columns)
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True), want.iloc[:5], check_dtype=False
+    )
+    two = eds.take_range(0, 5, columns=["doc_id", "source"])
+    assert list(two.columns) == ["doc_id", "source"]
+    assert two["source"].tolist() == want["source"][:5].tolist()
+    alone = eds.take_range(3, 8, columns=["source"])
+    assert alone["source"].tolist() == want["source"][3:8].tolist()

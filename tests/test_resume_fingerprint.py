@@ -223,6 +223,34 @@ def test_invalid_orphan_shard_is_logged(tmp_path, caplog):
     assert str(bad) in caplog.text and "bad shard magic" in caplog.text
 
 
+def test_failed_orphan_deletion_is_logged(tmp_path, caplog, monkeypatch):
+    """An orphan that cannot be deleted is named in a WARNING, with the
+    error, and is not counted as removed."""
+    out = tmp_path / "enc"
+    out.mkdir()
+    stuck = out / "shard-00000000000000aa.fprs"
+    gone = out / "shard-00000000000000bb.fprs"
+    for p in (stuck, gone):
+        p.write_bytes(b"x")
+    manifest = Manifest(str(out))
+    real_rm = manifest.fs.rm
+
+    def rm(path, *a, **kw):
+        if path.endswith(stuck.name):
+            raise PermissionError("read-only shard")
+        return real_rm(path, *a, **kw)
+
+    monkeypatch.setattr(manifest.fs, "rm", rm)
+    with caplog.at_level(logging.WARNING, logger="fastparquet_ray"):
+        assert manifest.remove_orphan_shards(set()) == 1
+    warned = [
+        r.getMessage() for r in caplog.records if r.levelno == logging.WARNING
+    ]
+    assert len(warned) == 1
+    assert str(stuck) in warned[0] and "read-only shard" in warned[0]
+    assert stuck.exists() and not gone.exists()
+
+
 def test_manifest_records_carry_shard_size(ray_session, tmp_path):
     paths = write_tokens_dataset(str(tmp_path / "src"), 1000, n_fragments=1)
     out = str(tmp_path / "enc")

@@ -584,8 +584,7 @@ def test_zorder_layout_prunes_both_dims(ray_session, tmp_path):
     src = tmp_path / "src"
     paths = write_tokens_dataset(str(src), 12000, n_fragments=8, seed=5)
     zdir = tmp_path / "enc_z"
-    encode_pipeline(paths, str(zdir), cluster_by=["source", "n_tok"],
-                    batch_rows=1500)
+    encode_pipeline(paths, str(zdir), cluster_by=["source", "n_tok"])
     filters = [("source", "==", "books"),
                ("n_tok", ">=", 100), ("n_tok", "<=", 300)]
     shards = shard_files(str(zdir))
@@ -694,8 +693,7 @@ def test_token_list_bloom_prunes_and_filters(ray_session, tmp_path):
     src = tmp_path / "src"
     paths = write_tokens_dataset(str(src), 8000, n_fragments=8, seed=9)
     enc = tmp_path / "enc_tb"
-    encode_pipeline(paths, str(enc), bloom_cols=["tokens"],
-                    batch_rows=1000)
+    encode_pipeline(paths, str(enc), bloom_cols=["tokens"])
     con = duckdb.connect()
     # pick a token appearing in exactly one doc (rarest)
     tok = con.execute(
@@ -806,8 +804,7 @@ def test_contains_any_prunes_and_filters(ray_session, tmp_path):
     src = tmp_path / "src"
     paths = write_tokens_dataset(str(src), 8000, n_fragments=8, seed=21)
     enc = tmp_path / "enc_ca"
-    encode_pipeline(paths, str(enc), bloom_cols=["tokens"],
-                    batch_rows=1000)
+    encode_pipeline(paths, str(enc), bloom_cols=["tokens"])
     con = duckdb.connect()
     toks = [r[0] for r in con.execute(
         "SELECT tok FROM (SELECT unnest(tokens) AS tok FROM "
@@ -920,7 +917,7 @@ def test_optimize_layout_zorder(ray_session, tmp_path):
     src = tmp_path / "src"
     paths = write_tokens_dataset(str(src), 10000, n_fragments=6, seed=3)
     enc = tmp_path / "enc"
-    encode_pipeline(paths, str(enc), batch_rows=1500)
+    encode_pipeline(paths, str(enc))
     out = tmp_path / "encz"
     s = optimize_layout(str(enc), str(out), ["source", "n_tok"])
     assert s["rows"] == 10000
