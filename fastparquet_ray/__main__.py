@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     enc.add_argument(
         "--partition-shuffle",
         action="store_true",
-        help="salted groupby shuffle: ONE shard per (source, salt) "
+        help="salted exchange: ONE shard per (source, salt) "
         "bucket (costs an all-to-all exchange)",
     )
     enc.add_argument("--no-resume", action="store_true")

@@ -67,8 +67,8 @@ def write(
 
     partition_on_source: True -> write-side "local" bucket split
     (source-pure shards, ZERO network exchange — the measured scale
-    default; the salted groupby costs ~5x, BENCH r01); pass "shuffle"
-    explicitly for the one-shard-per-bucket salted groupby layout.
+    default; the salted exchange cost ~5x in BENCH r01); pass "shuffle"
+    explicitly for the one-shard-per-bucket salted exchange layout.
 
     write_index: materialize a DataFrame's index as ordinary columns
     and record them in a ``_pandas.json`` sidecar so

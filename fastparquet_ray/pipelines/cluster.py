@@ -1,14 +1,10 @@
-"""Deterministic range re-layout for clustered / z-order encodes.
+"""Deterministic range re-layout for clustered / z-order encodes, and
+``exchange``, the one all-to-all of the core.
 
 ``Dataset.sort()`` draws its range boundaries from a per-run random
-sample, so two runs over identical input cut blocks differently —
-every content-hashed partition id changes, resume never hits, and a
-re-run (or a killed run restarted) re-encodes the ENTIRE layout
-(round-5 CLI smoke finding; the plain encode path has per-partition
-resume, the clustered path silently did not).
-
-This module replaces the sort with a deterministic range-bucket
-exchange:
+sample, so two runs over identical input cut blocks differently: every
+content-hashed partition id changes and resume never hits. This module
+replaces it with a deterministic range-bucket exchange:
 
 1. boundary pass (summary-scaled): a threshold hash-sample of the
    cluster key — keep values whose deterministic 64-bit hash falls
@@ -19,31 +15,32 @@ exchange:
 2. bucket pass: every row gets ``__bucket__ = searchsorted(
    boundaries, key, side='right')`` — buckets are half-open key
    ranges, so shard key ranges stay DISJOINT (the pruning contract).
-3. ``exchange(__bucket__, sort_cols)``: one groupby hash exchange
-   co-locates each bucket whole; the in-group sort is a vectorized
-   Arrow kernel over ~bucket_rows rows. The salted source layout
-   (``partition_by_source=True``) runs the same exchange on its salt
-   column, without the sort. EncodeShard then splits batches by
-   ``__bucket__`` (several groups may share an output block) and
-   drops the helper column before hashing, so the partition id is a
-   pure function of the bucket's payload — stable across reruns,
-   which is what makes clustered resume work.
+3. ``exchange(__bucket__, sort_cols)``: a map/reduce of plain Ray
+   tasks. Each map task assigns the buckets of one input block and
+   stable-splits it over R reducers; each reducer concatenates its
+   parts in input-block order and stable-sorts them by (bucket,
+   sort_cols), so every bucket lands whole in one output block, in an
+   order fixed by the data alone. The salted source layout
+   (``partition_by_source=True``) and exact verify run the same
+   exchange on the salt and on the row fingerprint. EncodeShard splits
+   each block by ``__bucket__`` and drops it before hashing, so the
+   partition id is a pure function of the bucket's payload, which is
+   what makes clustered resume work.
 
-Scale shape: ONE all-to-all (the groupby), same as the sort it
-replaces, plus a key-column-only sample read. Bucket sizing is a pure
-function of total_rows (target_buckets), capped at _MAX_BUCKETS so
-the driver-side boundary list and sample stay small (64 samples x
-65536 buckets ~ 4M keys at the cap). Past ~_MAX_BUCKETS x
-_TARGET_BUCKET_ROWS rows (~4e9 at defaults) a single clustering job
-should be split into independent key-span sub-jobs (each under the
-cap); buckets within a span stay disjoint and span boundaries keep
-the global layout disjoint.
+Scale shape: ONE all-to-all (M map tasks x R parts, R = max(CPUs,
+input bytes / target block size), capped at the bucket count), plus a
+key-column-only sample read. Bucket sizing is a pure function of
+total_rows (target_buckets), capped at _MAX_BUCKETS so the driver-side
+boundary list and sample stay small (64 samples x 65536 buckets ~ 4M
+keys at the cap). Past ~_MAX_BUCKETS x _TARGET_BUCKET_ROWS rows (~4e9)
+a clustering job should be split into independent key-span sub-jobs;
+span boundaries keep the global layout disjoint.
 
 Skew note: equal-frequency boundaries bound bucket sizes for keys
 with many distinct values (doc ids, Morton keys). A single key value
 repeated more often than a bucket target cannot be split further —
-such duplicates land in one bucket by construction (ties never
-straddle a boundary), which is also what keeps ranges disjoint.
+ties never straddle a boundary, which is also what keeps ranges
+disjoint.
 """
 
 from __future__ import annotations
@@ -54,11 +51,18 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.encode_stage import BUCKET_COL
+
 _SAMPLES_PER_BUCKET = 64
+# Assumes ~0.85 KB rows, as in the tokens table: 65,536 of them are
+# ~56 MB, under half the default 128 MiB target block. Buckets are cut
+# by rows, not bytes: a wider payload makes bigger buckets, and each
+# still stays one block and one shard, as the exchange never splits a
+# key.
 _TARGET_BUCKET_ROWS = 65536
 _MIN_SMALL_BUCKETS = 32
 _SMALL_BUCKET_ROWS = 500
 _MAX_BUCKETS = 65536
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def target_buckets(total_rows: int) -> int:
@@ -72,12 +76,6 @@ def target_buckets(total_rows: int) -> int:
     big = -(-total_rows // _TARGET_BUCKET_ROWS)
     small = min(_MIN_SMALL_BUCKETS, -(-total_rows // _SMALL_BUCKET_ROWS))
     return int(max(1, min(_MAX_BUCKETS, max(big, small))))
-
-
-def _key_hash_u64(values: np.ndarray) -> np.ndarray:
-    """Deterministic vectorized 64-bit hash (pandas hash_array with
-    its fixed default key) — the threshold-sampling coin."""
-    return pd.util.hash_array(np.asarray(values), categorize=False)
 
 
 def total_input_rows(paths: list[str], filesystem=None) -> int:
@@ -116,7 +114,8 @@ def sample_boundaries(
         col = t.column(key_col).combine_chunks()
         v = col.to_numpy(zero_copy_only=False)
         if thr is not None:
-            v = v[_key_hash_u64(v) < thr]
+            # the threshold-sampling coin: pandas' fixed-key hash
+            v = v[pd.util.hash_array(v, categorize=False) < thr]
         return pa.table({key_col: pa.array(v, type=col.type)})
 
     s = (
@@ -132,54 +131,86 @@ def sample_boundaries(
     return np.unique(s[idx])
 
 
-def exchange(ds, key_col: str, sort_cols=(), drop_cols=()):
-    """The one all-to-all of every encode layout (range buckets, z-order
-    buckets, salted sources): co-locate each ``key_col`` group with one
-    groupby exchange, sort rows inside each group by ``sort_cols`` when
-    given (ties beyond them only cost resume hits, never correctness),
-    and drop ``drop_cols``. ``key_col`` stays on the output —
-    EncodeShard splits merged blocks on it and strips it before
-    hashing."""
-    sort_cols = list(sort_cols)
-    drop_cols = list(drop_cols)
+def _split(block: pa.Table, prepare, key_col: str, n: int):
+    """Map task: ``prepare`` the block, then stable-split its rows into
+    ``n`` parts on the integer ``key_col`` by Fibonacci hashing, which
+    spreads consecutive bucket ids and salts evenly."""
+    t = block if prepare is None else prepare(block)
+    h = t.column(key_col).to_numpy().astype(np.uint64) * _GOLDEN
+    part = ((h >> np.uint64(32)) * np.uint64(n)) >> np.uint64(32)
+    order = np.argsort(part, kind="stable")
+    cuts = np.searchsorted(part, np.arange(1, n), sorter=order)
+    parts = [t.take(i) for i in np.split(order, cuts)]
+    return parts if n > 1 else parts[0]
 
-    def finish(g: pa.Table) -> pa.Table:
-        keys = [
-            (c, "ascending") for c in sort_cols if c in g.column_names
-        ]
-        if keys and g.num_rows > 1:
-            g = g.take(pc.sort_indices(g, sort_keys=keys))
-        dc = [c for c in drop_cols if c in g.column_names]
-        return g.drop_columns(dc) if dc else g
 
-    return ds.groupby(key_col).map_groups(finish, batch_format="pyarrow")
+def _merge(key_col: str, sort_cols, drop_cols, finish, *parts):
+    """Reduce task: concatenate the parts in map order, stable-sort by
+    (``key_col``, ``sort_cols``), drop ``drop_cols``, apply ``finish``."""
+    t = pa.concat_tables(parts, promote_options="default")
+    names = [c for c in (key_col, *sort_cols) if c in t.schema.names]
+    keys = [(c, "ascending") for c in names]
+    t = t.take(pc.sort_indices(t, sort_keys=keys)).drop_columns(drop_cols)
+    t = t if finish is None else finish(t)
+    return t, t.num_rows
+
+
+def exchange(
+    ds, key_col: str, sort_cols=(), drop_cols=(), prepare=None,
+    n_keys: int | None = None, finish=None,
+):
+    """The one all-to-all of the core (module docstring, step 3) over
+    the blocks of ``ds``, a Dataset or a list of them. Map tasks
+    ``prepare`` their block and split it on the integer ``key_col``;
+    reducers concatenate their parts in input-block order, stable-sort
+    by (``key_col``, ``sort_cols``), drop ``drop_cols`` and apply
+    ``finish``. Returns the non-empty outputs as a Dataset whose blocks
+    hold whole keys. The reducer count (max(CPUs, input bytes / target
+    block size), at most ``n_keys``) decides which keys share a block,
+    never the rows of a key or their order."""
+    import ray
+    import ray.data
+
+    sets = ds if isinstance(ds, list) else [ds]
+    for d in sets:  # input-block order, not completion order
+        d.context.execution_options.preserve_order = True
+    bundles = [b for d in sets for b in d.iter_internal_ref_bundles()]
+    size = sum(b.size_bytes() for b in bundles)
+    n = max(int(ray.cluster_resources().get("CPU", 1)),
+            -(-size // sets[0].context.target_max_block_size))
+    n = max(1, min(n, n_keys or n))
+    split = ray.remote(_split).options(num_returns=n)
+    prep = ray.put(prepare)
+    maps = [
+        split.remote(r, prep, key_col, n)
+        for b in bundles
+        for r, meta in b.blocks
+        if meta.num_rows != 0  # an empty read block may lack the schema
+    ]
+    if not maps:
+        return ray.data.from_arrow_refs([])
+    merge = ray.remote(_merge).options(num_returns=2)
+    outs = [
+        merge.remote(key_col, sort_cols, drop_cols, finish,
+                     *[m[i] if n > 1 else m for m in maps])
+        for i in range(n)
+    ]
+    rows = ray.get([r for _, r in outs])
+    return ray.data.from_arrow_refs(
+        [t for (t, _), k in zip(outs, rows) if k]
+    )
 
 
 def bucket_layout(ds, key_col: str, boundaries, sort_cols, drop_cols=()):
-    """Assign range buckets (BUCKET_COL) on ``key_col``, then
-    ``exchange`` on them, sorting by ``sort_cols`` inside each bucket."""
-    import ray
+    """``exchange`` on the range bucket (BUCKET_COL) of ``key_col``,
+    assigned in the map step, sorting by ``sort_cols`` inside each."""
+    bnd = np.asarray(boundaries)
 
-    bnd_ref = ray.put(np.asarray(boundaries))
-
-    def assign(t: pa.Table, _memo={}) -> pa.Table:
-        if "b" not in _memo:
-            _memo["b"] = ray.get(bnd_ref)
-        bnd = _memo["b"]
-        v = (
-            t.column(key_col)
-            .combine_chunks()
-            .to_numpy(zero_copy_only=False)
-        )
-        if bnd.size == 0:
-            b = np.zeros(len(v), dtype=np.int32)
-        else:
-            b = np.searchsorted(bnd, v, side="right").astype(np.int32)
-        return t.append_column(BUCKET_COL, pa.array(b, pa.int32()))
+    def assign(t: pa.Table) -> pa.Table:
+        b = np.searchsorted(bnd, t.column(key_col).to_numpy(), side="right")
+        return t.append_column(BUCKET_COL, pa.array(b.astype(np.int32)))
 
     return exchange(
-        ds.map_batches(assign, batch_format="pyarrow"),
-        BUCKET_COL,
-        sort_cols,
-        drop_cols,
+        ds, BUCKET_COL, sort_cols, drop_cols, prepare=assign,
+        n_keys=bnd.size + 1,
     )

@@ -505,13 +505,15 @@ def take_row_range(
     key-sorted corpus, without a query-time sort and without touching
     any shard outside the range.
 
-    Global order = every listed shard by key range ascending (a
-    cluster_by encode produces disjoint shard key ranges), stored row
-    order within a shard. The snapshot's row counts (from the
-    manifest records; header only for a shard no record covers) turn
-    positions into (shard, local offset) in O(shards) driver
-    arithmetic; only overlapping shards are decoded. Raises on a
-    non-clustered layout (overlapping key ranges make positional
+    Global order = hive partitions in path order (as ``to_pandas``
+    reads them; one partition without ``hive_cols``), inside each the
+    shards by key range ascending (a cluster_by encode produces
+    disjoint shard key ranges per partition), stored row order within
+    a shard. The snapshot's row counts (from the manifest records;
+    header only for a shard no record covers) turn positions into
+    (shard, local offset) in O(shards) driver arithmetic; only
+    overlapping shards are decoded. Raises on a non-clustered layout
+    (key ranges overlapping inside one partition make positional
     semantics undefined — use filters instead) and on a shard no
     record names (no key range places it).
 
@@ -526,13 +528,18 @@ def take_row_range(
                 f"take_row_range: no manifest record gives shard {p} "
                 "a key range (layouts from cluster_by=... do)"
             )
-    shards.sort(key=lambda sp: (sp[0]["key_min"], sp[0]["key_max"]))
+    # a shard's hive partition dir, "/"-terminated: sorts the
+    # partitions as their shards' paths sort
+    part = {p: snap.rel(p).rpartition("/")[0] + "/" for _, p in shards}
+    shards.sort(
+        key=lambda sp: (part[sp[1]], sp[0]["key_min"], sp[0]["key_max"])
+    )
     for (a, ap), (b, bp) in zip(shards, shards[1:]):
-        if b["key_min"] < a["key_max"]:
+        if part[ap] == part[bp] and b["key_min"] < a["key_max"]:
             raise ValueError(
-                "take_row_range needs disjoint shard key ranges "
-                f"(shards {snap.rel(ap)} and {snap.rel(bp)} overlap) — "
-                "re-encode with cluster_by"
+                "take_row_range needs disjoint shard key ranges inside "
+                f"each partition (shards {snap.rel(ap)} and "
+                f"{snap.rel(bp)} overlap) — re-encode with cluster_by"
             )
     total = sum(int(s["rows"]) for s, _ in shards)
     start = max(0, min(int(start), total))

@@ -2,8 +2,10 @@
 
     sample_fragments + train_plan               in the driver, bounded
     read_parquet(shards)                        one block per file
-      -> [layout] cluster.exchange              explicit, optional: salted
-                                                source, range or z-order
+      -> [layout] cluster.exchange              optional: salted source,
+                                                range or z-order buckets;
+                                                Ray-task map/reduce, each
+                                                block holds whole buckets
       -> map_batches(EncodeShard, task pool)    shared symbol tables
       -> shard files + manifest records         idempotent per partition
 
@@ -186,7 +188,7 @@ def encode_pipeline(
     (reference analog: sorted row-group writes detected by
     sorted_partitioned_columns, api.py:609-628). Shards then hold
     disjoint key ranges, so key filters prune to O(1) shards through
-    the header min/max stats. Costs one all-to-all sort; mutually
+    the header min/max stats. Costs one exchange; mutually
     exclusive with the salted exchange. A LIST of 2-3 columns selects
     Z-ORDER clustering instead (pipelines/zorder.py): the sort key is
     the Morton interleave of the normalized columns, so shards cover
@@ -418,22 +420,16 @@ def _encode_job(
     )
     cluster_split: list[str] = []
     if cluster_by:
-        # DETERMINISTIC range re-layout (pipelines/cluster.py) instead
-        # of Dataset.sort: sort's randomly-sampled boundaries change
-        # every run, which changed every content-hashed partition id
-        # and silently disabled resume for clustered layouts. The
-        # bucket exchange costs the same single all-to-all, keeps
-        # shard key ranges disjoint (same pruning contract), and makes
-        # partition ids a pure function of the data — a re-run (or a
-        # killed run restarted) skips finished buckets.
+        # deterministic range buckets (pipelines/cluster.py), not
+        # Dataset.sort, whose random boundaries change every partition
+        # id per run: shard key ranges stay disjoint (header min/max
+        # stats prune a key filter to O(1) shards) and a re-run skips
+        # every finished bucket
         total_rows = total_input_rows(paths)
         n_buckets = target_buckets(total_rows)
         if isinstance(cluster_by, (list, tuple)):
-            # z-order layout: one profile pass (summary-scaled) for
-            # the normalization bounds, derive the Morton key, bucket
-            # on it — shards land on small hyper-rectangles of the
-            # clustered columns and the same header min/max stats
-            # prune filters on EVERY key column
+            # z-order: bucket on the Morton key of 2-3 columns, so the
+            # same stats prune filters on every key column
             from .zorder import ZKEY_COL, add_zkey, zorder_profile
 
             zcols = [str(c).strip() for c in cluster_by]
@@ -442,33 +438,26 @@ def _encode_job(
                     "z-order cluster_by needs 2 or 3 columns, got "
                     f"{zcols!r}"
                 )
-            # profile + boundary sample over KEY-COLUMN-ONLY reads:
-            # neither pass may pull the heavy payload columns
-            prof_ds = ray.data.read_parquet(paths, columns=zcols)
-            prof = zorder_profile(prof_ds, zcols)
+            # profile + boundary sample over KEY-COLUMN-ONLY reads
+            prof = zorder_profile(
+                ray.data.read_parquet(paths, columns=zcols), zcols
+            )
+            zkey = lambda t: add_zkey(t, zcols, prof)
             bnd = sample_boundaries(
                 ray.data.read_parquet(paths, columns=zcols),
                 ZKEY_COL,
                 total_rows,
                 n_buckets,
-                map_key=lambda t, _z=zcols, _p=prof: add_zkey(t, _z, _p),
+                map_key=zkey,
             )
             ds = bucket_layout(
-                ds.map_batches(
-                    lambda t, _z=zcols, _p=prof: add_zkey(t, _z, _p),
-                    batch_format="pyarrow",
-                ),
+                ds.map_batches(zkey, batch_format="pyarrow"),
                 ZKEY_COL,
                 bnd,
                 sort_cols=[ZKEY_COL, key_column],
                 drop_cols=[ZKEY_COL],
             )
         else:
-            # clustered layout: disjoint cluster-key bucket ranges, so
-            # key-equality and range filters prune to O(1) shards via
-            # the existing header min/max stats — then
-            # export.sorted_partitioned_columns reports the column as
-            # globally range-partitioned.
             bnd = sample_boundaries(
                 ray.data.read_parquet(paths, columns=[cluster_by]),
                 cluster_by,
@@ -481,7 +470,7 @@ def _encode_job(
                 bnd,
                 sort_cols=[cluster_by, key_column],
             )
-        # one shard per bucket: blocks may bundle several buckets, so
+        # one shard per bucket: a block may hold several buckets, so
         # EncodeShard splits on BUCKET_COL
         cluster_split = [BUCKET_COL]
     if partition_by_source:
@@ -492,7 +481,7 @@ def _encode_job(
             lambda b: add_salt_column(b, buckets), batch_format="pyarrow"
         )
         if partition_by_source is True:
-            ds = exchange(ds, SALT_COL)
+            ds = exchange(ds, SALT_COL, n_keys=sum(buckets.values()))
 
     split_by = [SALT_COL] if partition_by_source else None
     if cluster_split:

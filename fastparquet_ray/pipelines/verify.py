@@ -10,8 +10,10 @@ Two modes, both fully distributed with no driver-side data rows:
   order-insensitive multiset moments (count, sum, xor, sum-of-squares
   mod 2**64). Equal moments <=> equal fingerprint multisets (up to a
   ~2**-128 collision bound). NO shuffle at all.
-- "exact": tag fingerprints +1/-1, union, groupby(fp), check balances —
-  one all-to-all exchange; used in tests as the stronger check.
+- "exact": tag each side's fingerprints +1/-1 and split them on the
+  fingerprint through ``cluster.exchange`` (the core's one all-to-all);
+  each reducer counts its distinct fingerprints and those whose tags do
+  not sum to zero. Used in tests as the stronger check.
 """
 
 from __future__ import annotations
@@ -20,34 +22,28 @@ import numpy as np
 import pyarrow as pa
 
 from ..stages.encode_stage import row_fingerprints
+from .cluster import exchange
 from .decode import decode_dataset
+from .encode import resolve_inputs
 
 
 def _moments(ds, key: str, list_col: str) -> dict:
     def part(batch: pa.Table) -> pa.Table:
-        fp = row_fingerprints(batch, key=key, list_col=list_col)
-        h = fp.column("fp").to_numpy().view(np.uint64)
-        return pa.table(
-            {
-                "cnt": pa.array([len(h)], pa.int64()),
-                "sum": pa.array([int(h.sum(dtype=np.uint64))], pa.uint64()),
-                "xor": pa.array(
-                    [int(np.bitwise_xor.reduce(h)) if len(h) else 0],
-                    pa.uint64(),
-                ),
-                "sq": pa.array([int((h * h).sum(dtype=np.uint64))], pa.uint64()),
-            }
-        )
+        h = row_fingerprints(batch, key=key, list_col=list_col)
+        return pa.table({
+            "cnt": pa.array([len(h)], pa.int64()),
+            "sum": [h.sum(dtype=np.uint64)],
+            "xor": [np.bitwise_xor.reduce(h)],
+            "sq": [(h * h).sum(dtype=np.uint64)],
+        })
 
     df = ds.map_batches(part, batch_format="pyarrow").to_pandas()
-    u64 = lambda s: int(np.sum(s.to_numpy().astype(np.uint64), dtype=np.uint64))
+    u64 = {c: df[c].to_numpy().astype(np.uint64) for c in ("sum", "xor", "sq")}
     return {
         "cnt": int(df["cnt"].sum()),
-        "sum": u64(df["sum"]),
-        "xor": int(np.bitwise_xor.reduce(df["xor"].to_numpy().astype(np.uint64)))
-        if len(df)
-        else 0,
-        "sq": u64(df["sq"]),
+        "sum": int(u64["sum"].sum(dtype=np.uint64)),
+        "xor": int(np.bitwise_xor.reduce(u64["xor"])),
+        "sq": int(u64["sq"].sum(dtype=np.uint64)),
     }
 
 
@@ -61,21 +57,11 @@ def verify_roundtrip(
     """Compare source parquet vs decoded shards; returns counts."""
     import ray.data
 
-    if isinstance(src_paths, str):
-        import glob
-        import os
-
-        if os.path.isdir(src_paths):
-            src_paths = sorted(glob.glob(os.path.join(src_paths, "*.parquet")))
-        else:
-            src_paths = [src_paths]
-    import pyarrow.parquet as pq
-
-    schema_names = pq.read_schema(src_paths[0]).names
-    if key in schema_names and list_col in schema_names:
+    src_paths, schema = resolve_inputs(src_paths)
+    if key in schema.names and list_col in schema.names:
         cols = [key, list_col]  # tokens contract: key + token arrays
     else:
-        cols = list(schema_names)  # generic table: fingerprint ALL columns
+        cols = list(schema.names)  # generic table: fingerprint ALL columns
     src = ray.data.read_parquet(src_paths, columns=cols)
     dec = decode_dataset(out_dir, columns=cols)
 
@@ -91,33 +77,22 @@ def verify_roundtrip(
             "ok": ok,
         }
 
-    # exact mode: one all-to-all exchange over the fingerprints
-    from ray.data.aggregate import Count, Sum
-
     def fp_side(ds, side):
         def fp(batch: pa.Table) -> pa.Table:
-            out = row_fingerprints(batch, key=key, list_col=list_col)
-            return out.set_column(
-                1, "n", pa.array(np.full(out.num_rows, side, dtype=np.int64))
-            )
+            h = row_fingerprints(batch, key=key, list_col=list_col)
+            return pa.table({"fp": h, "side": np.full(len(h), side, np.int8)})
 
         return ds.map_batches(fp, batch_format="pyarrow")
 
-    tagged = fp_side(src, +1).union(fp_side(dec, -1))
-    grouped = tagged.groupby("fp").aggregate(
-        Sum("n", alias_name="balance"), Count(alias_name="cnt")
-    )
+    def balance(t: pa.Table) -> pa.Table:
+        _, group = np.unique(t["fp"].to_numpy(), return_inverse=True)
+        tags = np.bincount(group, weights=t["side"].to_numpy())
+        bad = int(np.count_nonzero(tags))
+        return pa.table({"groups": [len(tags)], "bad": [bad]})
 
-    def summarize(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        bad = (
-            pc.sum(pc.cast(pc.not_equal(t["balance"], 0), pa.int64())).as_py()
-            or 0
-        )
-        return pa.table({"groups": [t.num_rows], "bad": [bad]})
-
-    parts = grouped.map_batches(summarize, batch_format="pyarrow").to_pandas()
+    parts = exchange(
+        [fp_side(src, +1), fp_side(dec, -1)], "fp", finish=balance
+    ).to_pandas()
     total = int(parts["groups"].sum())
     n_bad = int(parts["bad"].sum())
     return {

@@ -96,8 +96,6 @@ def zorder_profile(ds, cols: list[str]) -> dict:
             rows, columns=["col", "kind", "mn", "mx", "vals"]
         )
 
-    import pandas as pd
-
     parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
     prof: dict = {}
     for c in cols:

@@ -186,7 +186,7 @@ class EncodeShard:
             c in batch.column_names for c in self.split_by
         ):
             return self.encode_block(batch)
-        # a block may hold several shuffle groups — split so each shard
+        # a block may hold several exchange keys — split so each shard
         # is pure in the split keys (e.g. one (source, salt) bucket)
         import pyarrow.compute as pc
 
@@ -335,27 +335,20 @@ def row_fingerprints(
     key: str = "doc_id",
     list_col: str = "tokens",
     columns: list[str] | None = None,
-) -> pa.Table:
-    """Vectorized 64-bit per-row fingerprint for distributed roundtrip
+) -> np.ndarray:
+    """Vectorized uint64 per-row fingerprint for distributed roundtrip
     verification (per-row token equality joined on doc_id — BASELINE.md
     correctness gate). Defaults to (key, list_col) when present; falls
     back to EVERY column so generic tables verify too."""
-    n = batch.num_rows
     if columns is None:
         if key in batch.column_names and list_col in batch.column_names:
             columns = [key, list_col]
         else:
             columns = list(batch.column_names)
-    h = np.zeros(n, dtype=np.uint64)
+    h = np.zeros(batch.num_rows, dtype=np.uint64)
     for c in columns:
         h = h * np.uint64(0x100000001B3) ^ _column_row_hashes(batch.column(c))
-    # int64 view, not uint64: values past 2^63 round-trip Ray's
-    # aggregate block builders as python ints and fall back to
-    # PICKLED object columns (observed in the verify exchange) —
-    # the fingerprint is opaque bits, equality is all that matters
-    return pa.table(
-        {"fp": h.view(np.int64), "n": np.ones(n, dtype=np.int64)}
-    )
+    return h
 
 
 def add_salt_column(
@@ -364,7 +357,7 @@ def add_salt_column(
     """Add ``__salt__`` = source_index * 4096 + (hash(doc_id) %
     K(source)), where K grows with the source's sampled frequency —
     bounds the hottest source's partition size (SURVEY.md §4.2 skew
-    row). One int key keeps the downstream groupby shuffle cheap and
+    row). One int key is what ``cluster.exchange`` splits on, and it
     still encodes the source (shards stay source-pure)."""
     import pandas as pd
 

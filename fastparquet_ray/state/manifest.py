@@ -228,9 +228,12 @@ class Manifest:
         """Atomically rewrite the manifest to EXACTLY this partition
         set (overwrite semantics, reference append='overwrite'
         writer.py:1014-1032) — stale entries from older runs with a
-        different input set/configuration disappear."""
+        different input set/configuration disappear. Records are
+        written in shard path order, so the same partition set gives
+        the same bytes whatever order the encode tasks finished in."""
         payload = "".join(
-            json.dumps(rec, separators=(",", ":")) + "\n" for rec in records
+            json.dumps(rec, separators=(",", ":")) + "\n"
+            for rec in sorted(records, key=lambda r: r["shard"])
         )
         fsmod.atomic_write(self.fs, self.path, payload.encode())
 

@@ -163,3 +163,37 @@ def test_hive_take_range_attaches_partition_columns(ray_session, tmp_path):
     assert two["source"].tolist() == want["source"][:5].tolist()
     alone = eds.take_range(3, 8, columns=["source"])
     assert alone["source"].tolist() == want["source"][3:8].tolist()
+
+
+def test_take_range_clustered_hive_is_hive_major(ray_session, tmp_path):
+    """cluster_by with hive_cols splits each key bucket into one shard
+    per partition, so key ranges overlap ACROSS partitions. take_range
+    orders partitions as to_pandas does (by path) and shards by key
+    range inside each, so the rows come back sorted by (source,
+    doc_id)."""
+    import fastparquet_ray as fr
+
+    src = tmp_path / "src"
+    src.mkdir()
+    n = 600
+    rng = np.random.default_rng(5)
+    ids = rng.permutation(n)  # the sources interleave in doc_id
+    t = pa.table(
+        {
+            "doc_id": [f"d{i:04d}" for i in ids],
+            "n_tok": pa.array(rng.integers(1, 50, n), pa.int32()),
+            "source": pa.array([["book", "code", "web"][i % 3] for i in ids]),
+        }
+    )
+    p = str(src / "part-0.parquet")
+    pq.write_table(t, p)
+    out = str(tmp_path / "enc")
+    encode_pipeline([p], out, resume=False, hive_cols=["source"], cluster_by="doc_id")
+    eds = fr.EncodedDataset(out)
+    want = eds.to_pandas().sort_values(["source", "doc_id"], ignore_index=True)
+    pd.testing.assert_frame_equal(
+        eds.take_range(0, n).reset_index(drop=True), want, check_dtype=False
+    )
+    mid = eds.take_range(150, 450, columns=["doc_id", "source"])
+    assert mid["doc_id"].tolist() == want["doc_id"][150:450].tolist()
+    assert mid["source"].tolist() == want["source"][150:450].tolist()
