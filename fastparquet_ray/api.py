@@ -373,10 +373,32 @@ def read_jsonl(path: str, columns: list[str] | None = None):
     """Lazy ray.data.Dataset over JSON-Lines files (a file, a dir, or
     a glob) — the ingest side of ``pipelines.export.export_jsonl``.
     List columns come back as Arrow lists; integer payloads roundtrip
-    losslessly."""
+    losslessly. 0-byte files hold no rows and are left out: a filtered
+    export writes one as the resume marker of a shard with no kept
+    row, and reading it would give a block without a schema."""
     import ray.data
 
-    ds = ray.data.read_json(path)
+    from .state import fs as fsmod
+
+    fs, root = fsmod.get_fs(path)
+    if fs.isdir(root):
+        # as Ray lists a dir: recursive, without hidden or "_" files
+        listing = {
+            p: info
+            for p, info in fs.find(root, detail=True).items()
+            if not os.path.basename(p).startswith((".", "_"))
+        }
+    else:
+        listing = fs.glob(root, detail=True) or {root: fs.info(root)}
+    proto = "" if fsmod.is_local(fs) else path.split("://", 1)[0] + "://"
+    files = [
+        proto + p
+        for p, info in sorted(listing.items())
+        if info["type"] == "file" and info["size"]
+    ]
+    if not files:
+        return ray.data.from_items([])
+    ds = ray.data.read_json(files)
     if columns:
         ds = ds.select_columns(columns)
     return ds

@@ -14,7 +14,7 @@ import numpy as np
 import pyarrow as pa
 import pandas as pd
 
-from ..stages.encode_stage import task_state as _task_state
+from .pool import task_state as _task_state
 
 _SEED = np.uint64(0x9E3779B97F4A7C15)
 _PRIME = np.uint64(1099511628211)

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pandas as pd
 
-from ..stages.encode_stage import task_state as _task_state
+from .pool import task_state as _task_state
 
 
 def _emb(sf_dir: str):

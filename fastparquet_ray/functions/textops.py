@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pandas as pd
 
-from ..stages.encode_stage import task_state as _task_state
+from .pool import task_state as _task_state
 import pyarrow as pa
 
 

@@ -15,17 +15,20 @@ replaces it with a deterministic range-bucket exchange:
 2. bucket pass: every row gets ``__bucket__ = searchsorted(
    boundaries, key, side='right')`` — buckets are half-open key
    ranges, so shard key ranges stay DISJOINT (the pruning contract).
-3. ``exchange(__bucket__, sort_cols)``: a map/reduce of plain Ray
-   tasks. Each map task assigns the buckets of one input block and
-   stable-splits it over R reducers; each reducer concatenates its
-   parts in input-block order and stable-sorts them by (bucket,
-   sort_cols), so every bucket lands whole in one output block, in an
-   order fixed by the data alone. The salted source layout
-   (``partition_by_source=True``) and exact verify run the same
-   exchange on the salt and on the row fingerprint. EncodeShard splits
-   each block by ``__bucket__`` and drops it before hashing, so the
+3. ``map_reduce(__bucket__, sort_cols)``: plain Ray tasks. Each map
+   task assigns the buckets of one input block (in an encode, it first
+   reads the block from its file) and stable-splits it over R
+   reducers; each reducer concatenates its parts in input-block order
+   and stable-sorts them by (bucket, sort_cols), so every bucket lands
+   whole in one reducer, in an order fixed by the data alone. In an
+   encode the reducer then encodes its rows (``finish``): EncodeShard
+   splits them by ``__bucket__`` and drops it before hashing, so the
    partition id is a pure function of the bucket's payload, which is
-   what makes clustered resume work.
+   what makes clustered resume work, and the reducer returns manifest
+   records, not rows. The salted source layout
+   (``partition_by_source=True``) runs the same map/reduce on the
+   salt. ``exchange`` wraps it for Datasets (``bucket_layout``, exact
+   verify on the row fingerprint) and returns the sorted blocks.
 
 Scale shape: ONE all-to-all (M map tasks x R parts, R = max(CPUs,
 input bytes / target block size), capped at the bucket count), plus a
@@ -131,8 +134,9 @@ def sample_boundaries(
     return np.unique(s[idx])
 
 
-def _split(block: pa.Table, prepare, key_col: str, n: int):
-    """Map task: ``prepare`` the block, then stable-split its rows into
+def _split(block, prepare, key_col: str, n: int):
+    """Map task: ``prepare`` the block (or build it: the encode job's
+    map input is a block to read), then stable-split its rows into
     ``n`` parts on the integer ``key_col`` by Fibonacci hashing, which
     spreads consecutive bucket ids and salts evenly."""
     t = block if prepare is None else prepare(block)
@@ -146,13 +150,64 @@ def _split(block: pa.Table, prepare, key_col: str, n: int):
 
 def _merge(key_col: str, sort_cols, drop_cols, finish, *parts):
     """Reduce task: concatenate the parts in map order, stable-sort by
-    (``key_col``, ``sort_cols``), drop ``drop_cols``, apply ``finish``."""
+    (``key_col``, ``sort_cols``), drop ``drop_cols``, apply ``finish``
+    (not to a reducer that received no rows)."""
     t = pa.concat_tables(parts, promote_options="default")
     names = [c for c in (key_col, *sort_cols) if c in t.schema.names]
     keys = [(c, "ascending") for c in names]
     t = t.take(pc.sort_indices(t, sort_keys=keys)).drop_columns(drop_cols)
-    t = t if finish is None else finish(t)
+    t = t if finish is None or not t.num_rows else finish(t)
     return t, t.num_rows
+
+
+def submit_in_order(submit, items, done=lambda out: out) -> list:
+    """``submit(item)`` for each item in order, with at most 2 x Ray
+    CPUs of them unfinished at a time (``done(out)`` is the ref that
+    completes with a task); returns every task's output, in order."""
+    import ray
+
+    limit = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    outs, pending = [], []
+    for item in items:
+        if len(pending) >= limit:
+            _, pending = ray.wait(pending, fetch_local=False)
+        outs.append(submit(item))
+        pending.append(done(outs[-1]))
+    return outs
+
+
+def reducer_count(size: int, target: int, n_keys: int | None) -> int:
+    """R = max(Ray CPUs, input bytes / target block size), at most
+    ``n_keys``: it decides which keys share a reducer, never the rows
+    of a key or their order."""
+    import ray
+
+    n = max(int(ray.cluster_resources().get("CPU", 1)), -(-size // target))
+    return max(1, min(n, n_keys or n))
+
+
+def map_reduce(
+    blocks, key_col: str, n: int, sort_cols=(), drop_cols=(),
+    prepare=None, finish=None,
+) -> list:
+    """The map/reduce under ``exchange`` (module docstring, step 3):
+    one ``_split`` task per item of ``blocks``, submitted in order, and
+    ``n`` ``_merge`` tasks. Returns one (table ref, row count ref) per
+    reducer."""
+    import ray
+
+    split = ray.remote(_split).options(num_returns=n)
+    prep = ray.put(prepare)
+    maps = submit_in_order(
+        lambda b: split.remote(b, prep, key_col, n), blocks,
+        done=lambda out: out[0] if n > 1 else out,
+    )
+    merge = ray.remote(_merge).options(num_returns=2)
+    return [
+        merge.remote(key_col, sort_cols, drop_cols, finish,
+                     *[m[i] if n > 1 else m for m in maps])
+        for i in range(n)
+    ]
 
 
 def exchange(
@@ -165,9 +220,7 @@ def exchange(
     reducers concatenate their parts in input-block order, stable-sort
     by (``key_col``, ``sort_cols``), drop ``drop_cols`` and apply
     ``finish``. Returns the non-empty outputs as a Dataset whose blocks
-    hold whole keys. The reducer count (max(CPUs, input bytes / target
-    block size), at most ``n_keys``) decides which keys share a block,
-    never the rows of a key or their order."""
+    hold whole keys."""
     import ray
     import ray.data
 
@@ -175,42 +228,45 @@ def exchange(
     for d in sets:  # input-block order, not completion order
         d.context.execution_options.preserve_order = True
     bundles = [b for d in sets for b in d.iter_internal_ref_bundles()]
-    size = sum(b.size_bytes() for b in bundles)
-    n = max(int(ray.cluster_resources().get("CPU", 1)),
-            -(-size // sets[0].context.target_max_block_size))
-    n = max(1, min(n, n_keys or n))
-    split = ray.remote(_split).options(num_returns=n)
-    prep = ray.put(prepare)
-    maps = [
-        split.remote(r, prep, key_col, n)
+    blocks = [
+        r
         for b in bundles
         for r, meta in b.blocks
         if meta.num_rows != 0  # an empty read block may lack the schema
     ]
-    if not maps:
+    if not blocks:
         return ray.data.from_arrow_refs([])
-    merge = ray.remote(_merge).options(num_returns=2)
-    outs = [
-        merge.remote(key_col, sort_cols, drop_cols, finish,
-                     *[m[i] if n > 1 else m for m in maps])
-        for i in range(n)
-    ]
+    n = reducer_count(
+        sum(b.size_bytes() for b in bundles),
+        sets[0].context.target_max_block_size, n_keys,
+    )
+    outs = map_reduce(
+        blocks, key_col, n, sort_cols, drop_cols, prepare, finish
+    )
     rows = ray.get([r for _, r in outs])
     return ray.data.from_arrow_refs(
         [t for (t, _), k in zip(outs, rows) if k]
     )
 
 
-def bucket_layout(ds, key_col: str, boundaries, sort_cols, drop_cols=()):
-    """``exchange`` on the range bucket (BUCKET_COL) of ``key_col``,
-    assigned in the map step, sorting by ``sort_cols`` inside each."""
+def range_bucket(key_col: str, boundaries):
+    """The map step of a range-bucket exchange: appends BUCKET_COL,
+    the half-open range of ``boundaries`` each row's ``key_col`` falls
+    in."""
     bnd = np.asarray(boundaries)
 
     def assign(t: pa.Table) -> pa.Table:
         b = np.searchsorted(bnd, t.column(key_col).to_numpy(), side="right")
         return t.append_column(BUCKET_COL, pa.array(b.astype(np.int32)))
 
+    return assign
+
+
+def bucket_layout(ds, key_col: str, boundaries, sort_cols, drop_cols=()):
+    """``exchange`` on the range bucket (BUCKET_COL) of ``key_col``,
+    assigned in the map step, sorting by ``sort_cols`` inside each."""
     return exchange(
-        ds, BUCKET_COL, sort_cols, drop_cols, prepare=assign,
-        n_keys=bnd.size + 1,
+        ds, BUCKET_COL, sort_cols, drop_cols,
+        prepare=range_bucket(key_col, boundaries),
+        n_keys=len(boundaries) + 1,
     )

@@ -8,7 +8,7 @@ level. Small shards accumulate from salted/hive splits and incremental
 appends; at 100 TB a shard-per-tiny-bucket layout pays per-shard
 header + symbol-table + open overhead on every read.
 
-Design (Ray-Data-first, resume-safe):
+Design (plain Ray tasks, resume-safe):
 
 - The frozen CodecPlan is REUSED — codec choice and shared symbol
   tables stay stable, so compaction never changes how values encode,
@@ -17,10 +17,10 @@ Design (Ray-Data-first, resume-safe):
   row per partition): records ordered by (key_min, partition_id),
   greedily accumulated to ``target_rows``. Single-shard bins are left
   untouched byte-for-byte.
-- Each bin is decoded + re-encoded INSIDE a Ray task of a task pool
-  (``task_state``: plan tables deserialized once per worker process,
-  no actor-pool spin-up); the calling process only ever sees manifest
-  records.
+- Each bin is decoded + re-encoded INSIDE one plain Ray task, through
+  the encode job's per-worker cache (``job_encoder``: plan tables
+  deserialized once per worker process and job); the calling process
+  only ever sees manifest records.
 - Each merged table is written by the encode step itself
   (``EncodeShard.encode_block``): content-derived shard ids
   (partition_id_for), so the op is idempotent, and the same atomic
@@ -32,40 +32,28 @@ Design (Ray-Data-first, resume-safe):
 
 from __future__ import annotations
 
-import json
-
 import pyarrow as pa
 
 from ..container import decode_table
 from ..state import fs as fsmod
 from ..state.manifest import Manifest
-from ..stages.encode_stage import EncodeShard, task_state
+from ..stages.encode_stage import job_encoder
+from .cluster import submit_in_order
 
 
-class _CompactBin:
-    """Per-worker state: decode a bin's shards, concat, and write them
-    as ONE shard through the encode step (``EncodeShard.encode_block``)."""
-
-    def __init__(self, plan_json: str, out_dir: str, key_column: str,
-                 filesystem=None):
-        self.encode = EncodeShard(
-            plan_json, out_dir, key_column=key_column, filesystem=filesystem
+def _compact_bin(job: list, shards: list[str]) -> pa.Table:
+    """Task: decode one bin's shards, concat, and write them as ONE
+    shard through the encode step (``EncodeShard.encode_block``);
+    returns its manifest record."""
+    enc = job_encoder(job)
+    parts = [
+        decode_table(
+            fsmod.read_bytes(enc.fs, fsmod.join(enc.fs, enc.root, s)),
+            enc.encoder.tables,
         )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        fs, root = self.encode.fs, self.encode.root
-        tables = self.encode.encoder.tables
-        outs = []
-        for shards_json in batch.column("shards").to_pylist():
-            parts = [
-                decode_table(
-                    fsmod.read_bytes(fs, fsmod.join(fs, root, s)), tables
-                )
-                for s in json.loads(shards_json)
-            ]
-            merged = pa.concat_tables(parts).combine_chunks()
-            outs.append(self.encode.encode_block(merged))
-        return pa.concat_tables(outs)
+        for s in shards
+    ]
+    return enc.encode_block(pa.concat_tables(parts).combine_chunks())
 
 
 def compact_shards(
@@ -77,7 +65,7 @@ def compact_shards(
     """Merge small shards into ~``target_rows``-row shards under the
     dataset's frozen plan. Returns a summary dict. Hive ``key=value``
     layouts are rejected (their shard grouping IS the layout)."""
-    import ray.data
+    import ray
 
     manifest = Manifest(enc_dir, filesystem=filesystem)
     records = manifest.load_records()
@@ -117,27 +105,17 @@ def compact_shards(
             "out_dir": enc_dir,
         }
 
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "shards": pa.array(
-                    [json.dumps([r["shard"] for r in b]) for b in multi]
-                )
-            }
-        )
-    ).repartition(len(multi))
-    kwargs = {
+    job = [ray.put({
         "plan_json": plan.to_json(),
-        "out_dir": enc_dir,
+        "out_dir": fsmod.for_workers(enc_dir, filesystem),
         "key_column": key_column,
         "filesystem": filesystem,
-    }
-    new_records = ds.map_batches(
-        task_state(lambda: _CompactBin(**kwargs)),
-        batch_format="pyarrow",
-        batch_size=1,
-        num_cpus=1,
-    ).take_all()
+    })]
+    task = ray.remote(_compact_bin)
+    outs = submit_in_order(
+        lambda b: task.remote(job, [r["shard"] for r in b]), multi
+    )
+    new_records = [r for t in ray.get(outs) for r in t.to_pylist()]
     # merged shards mix fragments, so no record may vouch for its
     # fragment any more: the next resume takes the content path
     all_records = [

@@ -1,22 +1,32 @@
 """The flagship encode pipeline (SURVEY.md §3.4 lifecycle):
 
-    sample_fragments + train_plan               in the driver, bounded
-    read_parquet(shards)                        one block per file
-      -> [layout] cluster.exchange              optional: salted source,
-                                                range or z-order buckets;
-                                                Ray-task map/reduce, each
-                                                block holds whole buckets
-      -> map_batches(EncodeShard, task pool)    shared symbol tables
-      -> shard files + manifest records         idempotent per partition
+    sample_fragments + train_plan           in the driver, bounded
+    input_blocks(paths)                     whole row groups per block,
+                                            from the parquet footers
+    one Ray task per block:
+      read (state.fs) + provenance column
+      [layout] salt / range bucket / zkey   the map step
+      -> EncodeShard                        no exchange: plain,
+                                            "local", hive
+      -> or split into R parts              salted, clustered, z-order
+    [exchange] R reducers (cluster.map_reduce):
+      concat in block order, stable sort
+      -> EncodeShard                        the reducer encodes
+    -> shard files + manifest records       idempotent per partition
 
-Without an exchange, the read and the encode fuse into one Ray Data
-operator: each task reads one file, hashes, encodes and writes its
-shard. The only driver-side materialization is the tiny manifest
-dataset (one row per partition). Resume prunes finished partition
-ids before encoding (reference analog: append='overwrite',
-writer.py:1014-1032). The summary's ``stage_s`` gives the wall
-seconds of each stage (sample, train, fingerprint, the Ray Data job,
-manifest bookkeeping); it is also logged at DEBUG.
+The job runs on plain Ray tasks, with no Ray Data job around it (only
+the key-column sample and profile reads of a clustered or z-order
+encode use Ray Data). Without an exchange, each task reads one block,
+hashes, encodes and writes its shards, and returns manifest records.
+With one, the reducer that receives a bucket's rows encodes them, so
+the sorted rows never cross the object store again. Each worker
+process builds the job's ``EncodeShard`` (plan, shared symbol tables)
+once (``stages.encode_stage.job_encoder``). The only driver-side
+materialization is the manifest records (one per partition). Resume
+prunes finished partition ids before encoding (reference analog:
+append='overwrite', writer.py:1014-1032). The summary's ``stage_s``
+gives the wall seconds of each stage (sample, train, fingerprint, the
+Ray job, manifest bookkeeping); it is also logged at DEBUG.
 
 Resume works at two levels:
 
@@ -29,7 +39,7 @@ Resume works at two levels:
   file is reused without being read when every record naming it names
   it alone, carries the same fingerprint and layout tag, and points at
   a shard that exists at the recorded size. When every file is reused,
-  no Ray Data job runs and no shard is opened. A file whose (size,
+  no Ray task runs and no shard is opened. A file whose (size,
   mtime) changed while the run read it gets no fingerprint.
 - The content hash, for everything else. Partition ids hash each
   block's full content, so a block whose id has a finished shard
@@ -51,10 +61,13 @@ own the session.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import logging
 import time
+
+import pyarrow as pa
 
 from ..container import check_codec_specs
 from ..data import SOURCES
@@ -62,17 +75,18 @@ from ..plan import CodecPlan, sample_fragments, train_plan
 from ..stages.encode_stage import (
     BUCKET_COL,
     SALT_COL,
-    EncodeShard,
     add_salt_column,
-    task_state,
+    encode_with,
+    read_block,
 )
 from ..state.manifest import Manifest
 from .cluster import (
-    bucket_layout,
-    exchange,
+    map_reduce,
+    range_bucket,
+    reducer_count,
     sample_boundaries,
+    submit_in_order,
     target_buckets,
-    total_input_rows,
 )
 
 log = logging.getLogger("fastparquet_ray")
@@ -318,10 +332,10 @@ def encode_pipeline(
                 cluster_by=cluster_by, provenance_col=provenance_col,
                 filesystem=filesystem,
             )
-    # Ray reports a relative input path as given and a URI without its
-    # protocol: map either back to the normalized path. A file
-    # rewritten while this run read it gets no fingerprint.
-    alias = dict(zip(paths, norm)) | dict(zip(norm, norm))
+    # records name their files by provenance string (``provenance``):
+    # map it back to the normalized path. A file rewritten while this
+    # run read it gets no fingerprint.
+    alias = {provenance(p): n for p, n in zip(paths, norm)}
     stable = {
         n
         for p, n in zip(paths, norm)
@@ -382,6 +396,65 @@ def encode_pipeline(
     }
 
 
+def provenance(path: str) -> str:
+    """The provenance string of an input file, which salts the
+    partition ids of its blocks: a local path exactly as given, a URI
+    without its protocol (what Ray Data's ``include_paths`` reports)."""
+    return path.split("://", 1)[-1]
+
+
+def input_blocks(paths: list[str], target: int) -> list[tuple]:
+    """The blocks the encode job reads, from the parquet footers: each
+    file cut into whole row groups in file order, a new block started
+    before the next row group would take the block's uncompressed size
+    (the footer's ``total_byte_size``) past ``target`` bytes; a row
+    group larger than ``target`` is a block of its own. Block formation
+    depends only on each file, so partition ids stay stable under
+    appends of new files and when only some files are read. Returns
+    ``(path, provenance, row groups, rows, bytes)`` per block that
+    holds rows, in input order; the path is made fit for a worker
+    (``state.fs.for_workers``)."""
+    import pyarrow.parquet as pq
+
+    from ..state import fs as fsmod
+
+    out = []
+    for p in paths:
+        fs, rp = fsmod.get_fs(p)
+        md = pq.read_metadata(rp, filesystem=fsmod.to_pyarrow_fs(fs))
+        block = None
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            if block is None or block[4] + rg.total_byte_size > target:
+                block = [fsmod.for_workers(p), provenance(p), [], 0, 0]
+                out.append(block)
+            block[2].append(i)
+            block[3] += rg.num_rows
+            block[4] += rg.total_byte_size
+    return [tuple(b) for b in out if b[3]]
+
+
+def _read(block: tuple, provenance_col: str | None, steps=()) -> pa.Table:
+    """Map task input: read ``block``, add the provenance column (when
+    the layout salts ids with it), then apply the layout's ``steps``
+    (the salt, the range bucket or the Morton key) in order."""
+    path, prov, row_groups, *_ = block
+    t = read_block(path, row_groups)
+    if provenance_col is not None:
+        t = t.append_column(
+            provenance_col, pa.array([prov] * t.num_rows, pa.string())
+        )
+    for step in steps:
+        t = step(t)
+    return t
+
+
+def _read_encode(block: tuple, read, job: list) -> pa.Table:
+    """Exchange-free map task: read one block and encode it in the
+    same task; returns its manifest records."""
+    return encode_with(job, read(block))
+
+
 def _encode_job(
     paths: list[str],
     out_dir: str,
@@ -396,36 +469,36 @@ def _encode_job(
     provenance_col: str | None,
     filesystem,
 ) -> list[dict]:
-    """The Ray Data job over the fragments that must be read: read,
-    optional exchange, EncodeShard. Returns one manifest record per
-    partition (encoded, or skipped by the content hash)."""
+    """The Ray job over the fragments that must be read (module
+    docstring): one map task per input block, plus the exchange's
+    reducers, which encode, on the salted, clustered and z-order
+    layouts. Returns one manifest record per partition (encoded, or
+    skipped by the content hash)."""
     import ray
-    import ray.data
+    from ray.data import DataContext
 
-    # valid_shard_ids opens the shards no manifest record vouches for:
-    # only this content path needs it, to adopt a killed run's orphans
-    finished = manifest.finished_ids() if resume else set()
-    finished_ref = ray.put(finished) if finished else None
-    # override_num_blocks = one block per input file: block formation
-    # then depends ONLY on each file (not the whole input set), so
-    # content-addressed partition ids stay stable under APPENDS of new
-    # files (reference append mode, writer.py:973-1032) and when only
-    # some files are read. Trade-off: upstream files should be written
-    # at roughly block size (norm for training-data lakes; our
-    # generator and any 128-512 MB layout).
-    ds = ray.data.read_parquet(
-        paths,
-        override_num_blocks=len(paths),
-        include_paths=provenance_col is not None,
-    )
-    cluster_split: list[str] = []
+    from ..state import fs as fsmod
+
+    target = DataContext.get_current().target_max_block_size
+    blocks = input_blocks(paths, target)
+    if not blocks:
+        return []
+    steps = []
+    split_by = []
+    # (key column, sort columns, dropped columns, key count) of the
+    # exchange, if the layout has one
+    exch = None
     if cluster_by:
         # deterministic range buckets (pipelines/cluster.py), not
         # Dataset.sort, whose random boundaries change every partition
         # id per run: shard key ranges stay disjoint (header min/max
         # stats prune a key filter to O(1) shards) and a re-run skips
         # every finished bucket
-        total_rows = total_input_rows(paths)
+        import ray.data
+
+        # the key-column sample reads run in Ray Data's workers
+        keys_from = [fsmod.for_workers(p) for p in paths]
+        total_rows = sum(b[3] for b in blocks)
         n_buckets = target_buckets(total_rows)
         if isinstance(cluster_by, (list, tuple)):
             # z-order: bucket on the Morton key of 2-3 columns, so the
@@ -440,83 +513,79 @@ def _encode_job(
                 )
             # profile + boundary sample over KEY-COLUMN-ONLY reads
             prof = zorder_profile(
-                ray.data.read_parquet(paths, columns=zcols), zcols
+                ray.data.read_parquet(keys_from, columns=zcols), zcols
             )
-            zkey = lambda t: add_zkey(t, zcols, prof)
+            zkey = functools.partial(add_zkey, cols=zcols, prof=prof)
             bnd = sample_boundaries(
-                ray.data.read_parquet(paths, columns=zcols),
+                ray.data.read_parquet(keys_from, columns=zcols),
                 ZKEY_COL,
                 total_rows,
                 n_buckets,
                 map_key=zkey,
             )
-            ds = bucket_layout(
-                ds.map_batches(zkey, batch_format="pyarrow"),
-                ZKEY_COL,
-                bnd,
-                sort_cols=[ZKEY_COL, key_column],
-                drop_cols=[ZKEY_COL],
-            )
+            steps += [zkey, range_bucket(ZKEY_COL, bnd)]
+            sort_cols, drop_cols = [ZKEY_COL, key_column], [ZKEY_COL]
         else:
             bnd = sample_boundaries(
-                ray.data.read_parquet(paths, columns=[cluster_by]),
+                ray.data.read_parquet(keys_from, columns=[cluster_by]),
                 cluster_by,
                 total_rows,
                 n_buckets,
             )
-            ds = bucket_layout(
-                ds,
-                cluster_by,
-                bnd,
-                sort_cols=[cluster_by, key_column],
-            )
-        # one shard per bucket: a block may hold several buckets, so
+            steps.append(range_bucket(cluster_by, bnd))
+            sort_cols, drop_cols = [cluster_by, key_column], []
+        # one shard per bucket: a reducer may hold several buckets, so
         # EncodeShard splits on BUCKET_COL
-        cluster_split = [BUCKET_COL]
+        exch = (BUCKET_COL, sort_cols, drop_cols, len(bnd) + 1)
+        split_by.append(BUCKET_COL)
     if partition_by_source:
         # source salt (add_salt_column); "local" splits each block on it
         # in EncodeShard with no exchange
         buckets = salt_buckets(plan, partition_by_source is True)
-        ds = ds.map_batches(
-            lambda b: add_salt_column(b, buckets), batch_format="pyarrow"
+        steps.append(
+            functools.partial(add_salt_column, buckets_by_source=buckets)
         )
+        split_by.insert(0, SALT_COL)
         if partition_by_source is True:
-            ds = exchange(ds, SALT_COL, n_keys=sum(buckets.values()))
-
-    split_by = [SALT_COL] if partition_by_source else None
-    if cluster_split:
-        split_by = (split_by or []) + cluster_split
+            exch = (SALT_COL, [], [], sum(buckets.values()))
     if hive_cols:
         # local split by the hive columns (no exchange); composes with
         # the salt column when a salted layout was also requested
-        split_by = (split_by or []) + list(hive_cols)
-    kwargs = {
+        split_by += list(hive_cols)
+    # one put per job: each worker builds the encoder (plan parse,
+    # shared symbol tables) on its first task of the job (job_encoder)
+    job = [ray.put({
         "plan_json": plan.to_json(),
-        "out_dir": out_dir,
-        "finished": finished_ref,
+        "out_dir": fsmod.for_workers(out_dir, filesystem),
+        # valid_shard_ids opens the shards no manifest record vouches
+        # for: only this content path needs it, to adopt a killed
+        # run's orphans
+        "finished": manifest.finished_ids() if resume else set(),
         "key_column": key_column,
-        "split_by": split_by,
+        "split_by": split_by or None,
         "provenance_col": provenance_col,
         "hive_cols": hive_cols,
         "filesystem": filesystem,
-    }
-    # TASK pool with once-per-worker state (task_state): the encoder's
-    # plan parse + shared symbol tables build once per worker process,
-    # without an actor pool's spin-up. Neither this stage nor the read
-    # sets ``concurrency``: with both unset Ray Data fuses them into one
-    # ReadParquet->MapBatches operator, so each task reads, hashes,
-    # encodes and writes one file's shard and no block crosses the
-    # object store (a concurrency on either side splits them again).
-    # The encode batch is ONE Ray block (batch_size=None): block
-    # formation from identical inputs is deterministic, so
-    # content-hashed partition ids are stable across runs — the
-    # property resume relies on. Shard size is governed by the read's
-    # block size (DataContext target_max_block_size, default 128 MiB).
-    mani_ds = ds.map_batches(
-        task_state(lambda: EncodeShard(**kwargs)),
-        batch_format="pyarrow",
-        batch_size=None,
-        zero_copy_batch=True,
-        num_cpus=1,
+    })]
+    read = functools.partial(
+        _read, provenance_col=provenance_col, steps=tuple(steps)
     )
-    return mani_ds.take_all()  # tiny: one row per partition
+    if exch is None:
+        # no exchange: each task reads, hashes, encodes and writes one
+        # block's shards, and only manifest records leave it
+        task = ray.remote(_read_encode)
+        outs = submit_in_order(lambda b: task.remote(b, read, job), blocks)
+    else:
+        # the exchange's reducers encode their sorted rows, which never
+        # cross the object store a second time
+        key, sort_cols, drop_cols, n_keys = exch
+        n = reducer_count(sum(b[4] for b in blocks), target, n_keys)
+        outs = [
+            t for t, _ in map_reduce(
+                blocks, key, n, sort_cols, drop_cols, prepare=read,
+                finish=functools.partial(encode_with, job),
+            )
+        ]
+    # tiny: one record per partition; a reducer that received no rows
+    # returns an empty table
+    return [r for t in ray.get(outs) if t.num_rows for r in t.to_pylist()]

@@ -1,20 +1,20 @@
-"""map_batches callables for the encode/verify pipelines.
+"""The encode step: ``EncodeShard`` turns one block into shard files
+and manifest records, and ``job_encoder`` keeps one of them per job in
+each Ray worker process.
 
-EncodeShard is a callable CLASS run as a task pool with
-once-per-worker state (`task_state`, round 4 — an autoscaling
-actor pool added ~2 s spin-up per call): symbol-table
-deserialization and plan parsing happen once per worker process in
-``__init__`` (SURVEY.md ST1: the reference reads its dict page once
-per column chunk and reuses it across pages, core.py:459-479; here
-the trained tables are broadcast once and reused across ALL batches
-a worker sees).
+The encode job and compaction run plain Ray tasks. Each worker
+process builds a job's ``EncodeShard`` (plan parse, shared symbol
+tables) on the first task of that job it runs and reuses it for the
+job's later tasks (SURVEY.md ST1: the reference reads its dict page
+once per column chunk and reuses it across pages, core.py:459-479;
+here the trained tables are broadcast once per job and reused across
+ALL blocks a worker encodes).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any
 
 import numpy as np
 import pyarrow as pa
@@ -44,23 +44,6 @@ _POWERS = np.concatenate(
 )
 
 
-def task_state(factory):
-    """Wrap a stateful batch callable as a TASK-pool map function:
-    the state is built lazily ONCE PER WORKER PROCESS (Ray caches the
-    deserialized function per worker, so the default-arg memo
-    persists across that worker's tasks) instead of once per actor.
-    Same setup-once-per-process semantics as an actor pool — model
-    load, regex compile, broadcast ray.get — without the per-query
-    autoscaling-pool spin-up, measured ~2-2.5 s per stage per query
-    on a warm 32-cpu session. Use an actor pool only when per-worker
-    duplication of the state is too expensive."""
-    def fn(batch, _memo={}):
-        if "s" not in _memo:
-            _memo["s"] = factory()
-        return _memo["s"](batch)
-    return fn
-
-
 class EncodeShard:
     """Encode one Arrow batch -> one shard file + one manifest row.
 
@@ -75,25 +58,23 @@ class EncodeShard:
         self,
         plan_json: str,
         out_dir: str,
-        finished: Any = None,  # set[str] or ObjectRef[set[str]]
+        finished: set[str] | None = None,
         key_column: str = "doc_id",
         split_by: list[str] | None = None,
         provenance_col: str | None = None,
         hive_cols: list[str] | None = None,
         filesystem=None,
     ):
-        import ray
-
         from ..state import fs as fsmod
 
         plan = CodecPlan.from_json(plan_json)
         self.encoder = ShardEncoder(plan.specs, plan.tables, outer=plan.outer)
         self.out_dir = out_dir
-        # out_dir may be a URI (s3://...); resolve once per actor —
+        # out_dir may be a URI (s3://...); resolve once per worker —
         # reference S10 analog: open_with threaded through every write
         # (writer.py:864-869). An explicit ``filesystem`` instance
         # (e.g. state.s3compat for endpoints without an fsspec
-        # protocol) is pickled into the actor and wins.
+        # protocol) is pickled into the job and wins.
         self.fs, self.root = fsmod.get_fs(out_dir, filesystem)
         self.key_column = key_column
         self.split_by = split_by
@@ -107,8 +88,6 @@ class EncodeShard:
         # shard's `key=value` directory path; each incoming batch must
         # be PURE in them (encode_pipeline splits by them upstream)
         self.hive_cols = hive_cols
-        if finished is not None and isinstance(finished, ray.ObjectRef):
-            finished = ray.get(finished)
         self.finished: set[str] = finished or set()
 
     def encode_block(self, batch: pa.Table) -> pa.Table:
@@ -201,6 +180,44 @@ class EncodeShard:
             sub = batch.filter(pa.array(keys == k))
             outs.append(self.encode_block(sub))
         return pa.concat_tables(outs)
+
+
+# the EncodeShard of the last job this worker process ran a task of
+_JOB: dict = {}
+
+
+def job_encoder(job: list) -> EncodeShard:
+    """The ``EncodeShard`` of ``job`` in this worker process. ``job``
+    is ``[ref]``, the ``ObjectRef`` of the job's ``EncodeShard``
+    keyword arguments (nested, so Ray does not resolve it per task):
+    the first task of the job a worker runs builds the encoder, the
+    later ones reuse it. A worker keeps one job's encoder."""
+    import ray
+
+    (ref,) = job
+    if _JOB.get("key") != ref.hex():
+        _JOB.clear()
+        _JOB.update(key=ref.hex(), enc=EncodeShard(**ray.get(ref)))
+    return _JOB["enc"]
+
+
+def encode_with(job: list, batch: pa.Table) -> pa.Table:
+    """Encode ``batch`` with the job's encoder; its manifest records."""
+    return job_encoder(job)(batch)
+
+
+def read_block(path: str, row_groups: list[int]) -> pa.Table:
+    """Row groups ``row_groups`` of the parquet file at ``path`` (a
+    local path or a URI), read in the calling process through
+    ``state.fs``, with the types and schema metadata the file's footer
+    gives."""
+    import pyarrow.parquet as pq
+
+    from ..state import fs as fsmod
+
+    fs, rp = fsmod.get_fs(path)
+    f = pq.ParquetFile(rp, filesystem=fsmod.to_pyarrow_fs(fs))
+    return f.read_row_groups(row_groups, use_threads=False)
 
 
 def _as_transported(batch: pa.Table) -> pa.Table:

@@ -41,6 +41,18 @@ def get_fs(path: str, filesystem: Any = None) -> tuple[Any, str]:
     return fs, p
 
 
+def for_workers(path: str, filesystem: Any = None) -> str:
+    """``path`` as a Ray worker must be given it: a relative local path
+    made absolute, since a worker's working directory need not be the
+    caller's. URIs and paths on an explicit ``filesystem`` pass as
+    they are."""
+    if "://" in path or filesystem is not None:
+        return path
+    import os
+
+    return os.path.abspath(path)
+
+
 def is_local(fs: Any) -> bool:
     proto = fs.protocol
     if isinstance(proto, (tuple, list)):

@@ -57,9 +57,9 @@ def test_encode_is_byte_reproducible(ray_session, paths, tmp_path, layout):
 
 
 def test_tiny_blocks_keep_one_shard_per_bucket(ray_session, paths, tmp_path):
-    """A target block size far below one bucket's bytes splits the
-    input into many blocks, yet every bucket still reaches the encoder
-    as one block: the clustered encode writes the same shards, one per
+    """A target block size far below one bucket's bytes gives the
+    exchange one reducer per bucket, yet every bucket still reaches the
+    encoder whole: the clustered encode writes the same shards, one per
     bucket, as at the default block size."""
     from ray.data import DataContext
 
@@ -111,7 +111,12 @@ def test_exchange_keeps_keys_whole_in_input_order(ray_session):
 
 
 @pytest.mark.parametrize(
-    "layout", [{"cluster_by": "doc_id"}, {"partition_by_source": True}]
+    "layout",
+    [
+        {"cluster_by": "doc_id"},
+        {"partition_by_source": True},
+        {"cluster_by": ["doc_id", "n_tok"]},
+    ],
 )
 def test_exchange_layouts_of_an_empty_input(ray_session, tmp_path, layout):
     """An input with no rows runs no map task and writes no shard."""
@@ -120,6 +125,7 @@ def test_exchange_layouts_of_an_empty_input(ray_session, tmp_path, layout):
     p = str(tmp_path / "empty.parquet")
     pq.write_table(
         pa.table({"doc_id": pa.array([], pa.string()),
+                  "n_tok": pa.array([], pa.int32()),
                   "source": pa.array([], pa.string())}),
         p,
     )

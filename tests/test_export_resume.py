@@ -134,6 +134,44 @@ def test_export_jsonl_roundtrip(ray_session, tmp_path):
     assert int(d[2]) == int(flat.sum())
 
 
+def test_read_jsonl_of_a_filtered_export(ray_session, tmp_path):
+    """A filtered export writes a 0-byte file for a kept shard with no
+    matching row (its resume marker). ``read_jsonl`` leaves such files
+    out: the matching rows come back and Ray Data logs no WARNING
+    about a block without a schema."""
+    import logging
+
+    import fastparquet_ray as fr
+    from fastparquet_ray.pipelines import encode_pipeline
+    from fastparquet_ray.pipelines.export import export_jsonl
+
+    paths = write_tokens_dataset(str(tmp_path / "src"), 1000, n_fragments=2)
+    enc_dir = str(tmp_path / "enc")
+    encode_pipeline(paths, enc_dir)
+    ids = [pq.read_table(p, columns=["doc_id"])["doc_id"][0].as_py() for p in paths]
+    out_dir = str(tmp_path / "jl")
+    export_jsonl(enc_dir, out_dir, filters=[("doc_id", "in", [ids[0], ids[1] + "x"])])
+    sizes = sorted(os.path.getsize(p) for p in glob.glob(out_dir + "/*.json"))
+    assert len(sizes) == 2 and sizes[0] == 0 < sizes[1]
+
+    warnings = []
+
+    class Record(logging.Handler):
+        def emit(self, rec):
+            if rec.levelno >= logging.WARNING:
+                warnings.append(rec.getMessage())
+
+    handler = Record()
+    ray_log = logging.getLogger("ray.data")
+    ray_log.addHandler(handler)
+    try:
+        df = fr.read_jsonl(out_dir).to_pandas()
+    finally:
+        ray_log.removeHandler(handler)
+    assert df["doc_id"].tolist() == [ids[0]]
+    assert not warnings, warnings
+
+
 def test_export_parquet_resumable(ray_session, tmp_path):
     """Per-shard deterministic parquet export: a re-run skips every
     finished file; deleting one output re-exports exactly that shard;

@@ -1,8 +1,9 @@
-"""The fresh-encode job as one fused Ray Data operator: a block read in
-the encode task gives the same shard header as one that crossed the
-object store, the summary times each driver stage, and the core
-(everything but ``functions/`` and ``pipelines/flagship.py``) imports
-nothing from the operator surface."""
+"""The fresh-encode job on plain Ray tasks: one task per input file
+reads, encodes and writes its shard, a block read in the encode task
+gives the same shard header as one that crossed the object store, the
+summary times each driver stage, and the core (everything but
+``functions/`` and ``pipelines/flagship.py``) imports nothing from the
+operator surface."""
 
 import ast
 import glob
@@ -21,6 +22,7 @@ from fastparquet_ray.data import write_tokens_dataset
 from fastparquet_ray.pipelines import encode_pipeline
 from fastparquet_ray.plan import CodecPlan
 from fastparquet_ray.stages.encode_stage import EncodeShard
+from fastparquet_ray.state.manifest import Manifest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -81,35 +83,43 @@ def test_raw_bytes_ignore_all_valid_bitmaps(tmp_path):
     assert only_nulls == 8 * n + (n + 7) // 8
 
 
-def test_fresh_encode_is_one_fused_operator(ray_session, paths, tmp_path, monkeypatch):
-    """A plain fresh encode executes as ONE ReadParquet->MapBatches
-    operator: each task reads, encodes and writes one file's shard, and
-    no block crosses the object store between a read and an encode
-    stage. Setting ``concurrency`` on either stage splits them."""
-    import ray.data
+def test_fresh_encode_runs_one_task_per_file(
+    ray_session, paths, tmp_path, monkeypatch
+):
+    """A plain fresh encode starts no Ray Data job. It submits one Ray
+    task per input file, and that task reads, encodes and writes the
+    file's one shard: the calling process reads no input rows and gets
+    back only manifest records."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
 
-    jobs = []
-    take_all = ray.data.Dataset.take_all
+    from fastparquet_ray.pipelines import encode as encode_mod
 
-    def recording_take_all(self, *a, **k):
-        rows = take_all(self, *a, **k)
-        jobs.append((self.stats(), self._logical_plan.dag))
-        return rows
+    def no_job(*a, **k):
+        raise AssertionError("the encode started a Ray Data job")
 
-    monkeypatch.setattr(ray.data.Dataset, "take_all", recording_take_all)
-    s = encode_pipeline(paths, str(tmp_path / "enc"), resume=False)
+    def no_caller_read(*a, **k):
+        raise AssertionError("the calling process read an input block")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", no_job)
+    monkeypatch.setattr(encode_mod, "read_block", no_caller_read)
+    submitted = []
+    real_submit = encode_mod.submit_in_order
+
+    def recording_submit(submit, items, *a, **k):
+        submitted.append(list(items))
+        return real_submit(submit, items, *a, **k)
+
+    monkeypatch.setattr(encode_mod, "submit_in_order", recording_submit)
+    out = str(tmp_path / "enc")
+    s = encode_pipeline(paths, out, resume=False)
+    (blocks,) = submitted  # one batch of tasks, one task per file
+    assert [b[0] for b in blocks] == paths
     assert s["encoded"] == s["partitions"] == len(paths)
-    (job,) = jobs  # sampling and the manifest start no other job
-    stats, op = job
-    ops = [ln for ln in stats.splitlines() if ln.startswith("Operator ")]
-    assert len(ops) == 1, ops
-    assert "ReadParquet->MapBatches(" in ops[0], ops
-    # a concurrency cap on the read alone still fuses, but then runs
-    # the fused operator one task at a time
-    while op is not None:
-        assert getattr(op, "_concurrency", None) is None, op
-        assert getattr(op._compute, "size", None) is None, op
-        op = op.input_dependencies[0] if op.input_dependencies else None
+    recs = Manifest(out).load_records().values()
+    assert sorted(r["fragment"] for r in recs) == sorted(paths)
+    assert len(glob.glob(os.path.join(out, "shard-*.fprs"))) == len(paths)
 
 
 def test_encode_summary_stage_timers(ray_session, paths, tmp_path, caplog):

@@ -19,17 +19,19 @@ from fastparquet_ray.state.manifest import Manifest
 
 @pytest.fixture()
 def read_calls(monkeypatch):
-    """Count the ray.data.read_parquet calls encode_pipeline makes."""
-    import ray.data
+    """Count the encode jobs that read input files: every read goes
+    through ``encode.input_blocks``, which cuts the files into blocks
+    from their footers before any task is submitted."""
+    from fastparquet_ray.pipelines import encode as encode_mod
 
     calls = []
-    real = ray.data.read_parquet
+    real = encode_mod.input_blocks
 
     def counting(paths, *a, **kw):
         calls.append(list(paths))
         return real(paths, *a, **kw)
 
-    monkeypatch.setattr(ray.data, "read_parquet", counting)
+    monkeypatch.setattr(encode_mod, "input_blocks", counting)
     return calls
 
 
@@ -100,7 +102,7 @@ def test_noop_resume_reads_and_opens_nothing(
 
     monkeypatch.setattr(fsspec_local.LocalFileSystem, "_open", spy)
     s2 = encode_pipeline(paths, out)
-    assert len(read_calls) == 1  # no Ray Data read at all
+    assert len(read_calls) == 1  # no input file read at all
     assert not [p for p in opened if p.endswith(".fprs")]
     assert s2["fragments_read"] == 0 and s2["fragments_reused"] == 2
     assert s2["skipped"] == s2["partitions"] == s1["partitions"]
