@@ -6,21 +6,25 @@ sample, so two runs over identical input cut blocks differently: every
 content-hashed partition id changes and resume never hits. This module
 replaces it with a deterministic range-bucket exchange:
 
-1. boundary pass (summary-scaled): a threshold hash-sample of the
-   cluster key — keep values whose deterministic 64-bit hash falls
-   under ``samples_per_bucket * n_buckets / total_rows`` of the hash
-   space — is sorted on the driver and cut into equal-frequency
-   boundaries. Same data => same sample => same boundaries, across
-   runs AND across cluster sizes (nothing depends on parallelism).
+1. boundary pass (summary-scaled), a key pass of plain Ray tasks (one
+   per run of blocks, ``pack``; in an encode each reads only the key
+   columns): a threshold hash-sample of the cluster key — keep values
+   whose deterministic 64-bit hash falls under ``samples_per_bucket *
+   n_buckets / total_rows`` of the hash space — is sorted on the
+   driver and cut into equal-frequency boundaries. Same data => same
+   sample => same boundaries, across runs AND across cluster sizes
+   (nothing depends on parallelism). ``start_sample`` submits the
+   tasks and cuts later, so an encode overlaps them with planning.
 2. bucket pass: every row gets ``__bucket__ = searchsorted(
    boundaries, key, side='right')`` — buckets are half-open key
    ranges, so shard key ranges stay DISJOINT (the pruning contract).
 3. ``map_reduce(__bucket__, sort_cols)``: plain Ray tasks. Each map
-   task assigns the buckets of one input block (in an encode, it first
-   reads the block from its file) and stable-splits it over R
-   reducers; each reducer concatenates its parts in input-block order
-   and stable-sorts them by (bucket, sort_cols), so every bucket lands
-   whole in one reducer, in an order fixed by the data alone. In an
+   task assigns the buckets of a run of input blocks (in an encode, it
+   first reads them from their files), concatenates them in order and
+   stable-splits the rows over R reducers; each reducer concatenates
+   its parts in input-block order and stable-sorts them by (bucket,
+   sort_cols), so every bucket lands whole in one reducer, in an order
+   fixed by the data alone. In an
    encode the reducer then encodes its rows (``finish``): EncodeShard
    splits them by ``__bucket__`` and drops it before hashing, so the
    partition id is a pure function of the bucket's payload, which is
@@ -30,12 +34,14 @@ replaces it with a deterministic range-bucket exchange:
    salt. ``exchange`` wraps it for Datasets (``bucket_layout``, exact
    verify on the row fingerprint) and returns the sorted blocks.
 
-Scale shape: ONE all-to-all (M map tasks x R parts, R = max(CPUs,
-input bytes / target block size), capped at the bucket count), plus a
-key-column-only sample read. Bucket sizing is a pure function of
-total_rows (target_buckets), capped at _MAX_BUCKETS so the driver-side
-boundary list and sample stay small (64 samples x 65536 buckets ~ 4M
-keys at the cap). Past ~_MAX_BUCKETS x _TARGET_BUCKET_ROWS rows (~4e9)
+Scale shape: ONE all-to-all (M map tasks x R parts), plus a
+key-column-only sample read (two for z-order: profile, then sample).
+M, R and the key-pass task count all come from ``reducer_count``:
+max(CPUs, input bytes / target block size), at most one task per
+block (M, key passes) or bucket (R). Bucket sizing is a pure function
+of total_rows (target_buckets), capped at _MAX_BUCKETS so the
+driver-side boundary list and sample stay small (64 samples x 65536
+buckets ~ 4M keys at the cap). Past ~_MAX_BUCKETS x _TARGET_BUCKET_ROWS rows (~4e9)
 a clustering job should be split into independent key-span sub-jobs;
 span boundaries keep the global layout disjoint.
 
@@ -96,22 +102,30 @@ def total_input_rows(paths: list[str], filesystem=None) -> int:
 
 
 def sample_boundaries(
-    keys_ds,
+    keys,
     key_col: str,
     total_rows: int,
     n_buckets: int,
     map_key=None,
+    prepare=None,
 ) -> np.ndarray:
     """Equal-frequency range boundaries from a deterministic threshold
     hash-sample of ``key_col`` (``map_key`` optionally derives the key
-    column first, e.g. the Morton zkey). Returns <= n_buckets - 1
-    strictly increasing boundary values; empty => single bucket."""
-    if n_buckets <= 1 or total_rows <= 0:
-        return np.empty(0, dtype=object)
-    p = min(1.0, (_SAMPLES_PER_BUCKET * n_buckets) / total_rows)
-    thr = None if p >= 1.0 else np.uint64(int(p * float(2**64)))
+    column first, e.g. the Morton zkey). ``keys`` is a Dataset or runs
+    of items that ``prepare`` turns into tables (``key_runs``). Returns
+    <= n_buckets - 1 strictly increasing boundary values; empty =>
+    single bucket."""
+    return start_sample(
+        keys, key_col, total_rows, n_buckets, map_key, prepare
+    )()
 
-    def samp(t: pa.Table) -> pa.Table:
+
+def _sample(prepare, map_key, key_col: str, thr, *items) -> pa.Table:
+    """Key-pass task: the threshold hash-sample of ``key_col`` over a
+    run of items, in order."""
+    out = []
+    for t in items:
+        t = t if prepare is None else prepare(t)
         if map_key is not None:
             t = map_key(t)
         col = t.column(key_col).combine_chunks()
@@ -119,27 +133,53 @@ def sample_boundaries(
         if thr is not None:
             # the threshold-sampling coin: pandas' fixed-key hash
             v = v[pd.util.hash_array(v, categorize=False) < thr]
-        return pa.table({key_col: pa.array(v, type=col.type)})
+        out.append(pa.table({key_col: pa.array(v, type=col.type)}))
+    return pa.concat_tables(out)
 
-    s = (
-        keys_ds.map_batches(samp, batch_format="pyarrow")
-        .to_pandas()[key_col]
-        .to_numpy()
+
+def start_sample(
+    keys, key_col: str, total_rows: int, n_buckets: int, map_key=None,
+    prepare=None,
+):
+    """``sample_boundaries`` in two steps: submit its tasks now and
+    return ``wait()``, which cuts the boundaries from their samples."""
+    if n_buckets <= 1 or total_rows <= 0:
+        return lambda: np.empty(0, dtype=object)
+    import ray
+
+    p = min(1.0, (_SAMPLES_PER_BUCKET * n_buckets) / total_rows)
+    thr = None if p >= 1.0 else np.uint64(int(p * float(2**64)))
+    task = ray.remote(_sample)
+    outs = submit_in_order(
+        lambda run: task.remote(prepare, map_key, key_col, thr, *run),
+        key_runs(keys),
     )
-    if s.size == 0:
-        return s
-    s = np.sort(s)
-    b = int(min(n_buckets, s.size + 1))
-    idx = (np.arange(1, b) * s.size) // b
-    return np.unique(s[idx])
+
+    def wait() -> np.ndarray:
+        parts = ray.get(outs)
+        if not parts:
+            return np.empty(0, dtype=object)
+        s = pa.concat_tables(parts).to_pandas()[key_col].to_numpy()
+        if s.size == 0:
+            return s
+        s = np.sort(s)
+        b = int(min(n_buckets, s.size + 1))
+        idx = (np.arange(1, b) * s.size) // b
+        return np.unique(s[idx])
+
+    return wait
 
 
-def _split(block, prepare, key_col: str, n: int):
-    """Map task: ``prepare`` the block (or build it: the encode job's
-    map input is a block to read), then stable-split its rows into
-    ``n`` parts on the integer ``key_col`` by Fibonacci hashing, which
-    spreads consecutive bucket ids and salts evenly."""
-    t = block if prepare is None else prepare(block)
+def _split(prepare, key_col: str, n: int, *blocks):
+    """Map task: ``prepare`` each of a run of blocks (or build it: the
+    encode job's map input is a block to read), concatenate them in
+    order, then stable-split the rows into ``n`` parts on the integer
+    ``key_col`` by Fibonacci hashing, which spreads consecutive bucket
+    ids and salts evenly."""
+    t = pa.concat_tables(
+        [b if prepare is None else prepare(b) for b in blocks],
+        promote_options="default",
+    )
     h = t.column(key_col).to_numpy().astype(np.uint64) * _GOLDEN
     part = ((h >> np.uint64(32)) * np.uint64(n)) >> np.uint64(32)
     order = np.argsort(part, kind="stable")
@@ -176,30 +216,75 @@ def submit_in_order(submit, items, done=lambda out: out) -> list:
     return outs
 
 
-def reducer_count(size: int, target: int, n_keys: int | None) -> int:
-    """R = max(Ray CPUs, input bytes / target block size), at most
-    ``n_keys``: it decides which keys share a reducer, never the rows
-    of a key or their order."""
+def reducer_count(size: int, target: int, n_items: int | None) -> int:
+    """The task count of every Ray job of the core: max(Ray CPUs,
+    ``size`` bytes / target block size), at most ``n_items`` (one task
+    per item: an input block, a key, a shard). As the exchange's R it
+    decides which keys share a reducer, never the rows of a key or
+    their order."""
     import ray
 
     n = max(int(ray.cluster_resources().get("CPU", 1)), -(-size // target))
-    return max(1, min(n, n_keys or n))
+    return max(1, min(n, n_items or n))
+
+
+def pack(items: list, sizes: list[int], target: int) -> list[list]:
+    """``items`` cut into ``reducer_count`` contiguous runs of about
+    equal bytes (``sizes``), in order: one task per run. An item goes
+    to the run its byte midpoint falls in."""
+    if not items:
+        return []
+    n = reducer_count(sum(sizes), target, len(items))
+    total = max(1, sum(sizes))
+    runs = [[] for _ in range(n)]
+    pre = 0
+    for item, size in zip(items, sizes):
+        runs[min(n - 1, (2 * pre + size) * n // (2 * total))].append(item)
+        pre += size
+    return [r for r in runs if r]
+
+
+def key_runs(keys) -> list[list]:
+    """The runs of a key pass: ``keys`` itself when it is a list of
+    runs, else the packed blocks of a Dataset (``dataset_blocks``)."""
+    if isinstance(keys, list):
+        return keys
+    blocks, sizes, target = dataset_blocks(keys)
+    return pack(blocks, sizes, target)
+
+
+def dataset_blocks(ds) -> tuple[list, list[int], int]:
+    """The non-empty blocks of ``ds`` (a Dataset or a list of them) in
+    input-block order, not completion order, with their bytes and the
+    target block size."""
+    sets = ds if isinstance(ds, list) else [ds]
+    for d in sets:
+        d.context.execution_options.preserve_order = True
+    blocks, sizes = [], []
+    for d in sets:
+        for bundle in d.iter_internal_ref_bundles():
+            for ref, meta in bundle.blocks:
+                # an empty read block may lack the schema
+                if meta.num_rows != 0:
+                    blocks.append(ref)
+                    sizes.append(meta.size_bytes or 0)
+    return blocks, sizes, sets[0].context.target_max_block_size
 
 
 def map_reduce(
-    blocks, key_col: str, n: int, sort_cols=(), drop_cols=(),
+    runs, key_col: str, n: int, sort_cols=(), drop_cols=(),
     prepare=None, finish=None,
 ) -> list:
     """The map/reduce under ``exchange`` (module docstring, step 3):
-    one ``_split`` task per item of ``blocks``, submitted in order, and
-    ``n`` ``_merge`` tasks. Returns one (table ref, row count ref) per
-    reducer."""
+    one ``_split`` task per run of blocks (``pack``), submitted in
+    order, and ``n`` ``_merge`` tasks. Returns one (table ref, row
+    count ref) per reducer."""
     import ray
 
     split = ray.remote(_split).options(num_returns=n)
     prep = ray.put(prepare)
     maps = submit_in_order(
-        lambda b: split.remote(b, prep, key_col, n), blocks,
+        lambda run: split.remote(prep, key_col, n, *run), runs,
         done=lambda out: out[0] if n > 1 else out,
     )
     merge = ray.remote(_merge).options(num_returns=2)
@@ -216,32 +301,21 @@ def exchange(
 ):
     """The one all-to-all of the core (module docstring, step 3) over
     the blocks of ``ds``, a Dataset or a list of them. Map tasks
-    ``prepare`` their block and split it on the integer ``key_col``;
-    reducers concatenate their parts in input-block order, stable-sort
-    by (``key_col``, ``sort_cols``), drop ``drop_cols`` and apply
-    ``finish``. Returns the non-empty outputs as a Dataset whose blocks
-    hold whole keys."""
+    ``prepare`` their run of blocks and split it on the integer
+    ``key_col``; reducers concatenate their parts in input-block order,
+    stable-sort by (``key_col``, ``sort_cols``), drop ``drop_cols`` and
+    apply ``finish``. Returns the non-empty outputs as a Dataset whose
+    blocks hold whole keys."""
     import ray
     import ray.data
 
-    sets = ds if isinstance(ds, list) else [ds]
-    for d in sets:  # input-block order, not completion order
-        d.context.execution_options.preserve_order = True
-    bundles = [b for d in sets for b in d.iter_internal_ref_bundles()]
-    blocks = [
-        r
-        for b in bundles
-        for r, meta in b.blocks
-        if meta.num_rows != 0  # an empty read block may lack the schema
-    ]
+    blocks, sizes, target = dataset_blocks(ds)
     if not blocks:
         return ray.data.from_arrow_refs([])
-    n = reducer_count(
-        sum(b.size_bytes() for b in bundles),
-        sets[0].context.target_max_block_size, n_keys,
-    )
+    n = reducer_count(sum(sizes), target, n_keys)
     outs = map_reduce(
-        blocks, key_col, n, sort_cols, drop_cols, prepare, finish
+        pack(blocks, sizes, target), key_col, n, sort_cols, drop_cols,
+        prepare, finish,
     )
     rows = ray.get([r for _, r in outs])
     return ray.data.from_arrow_refs(

@@ -16,8 +16,9 @@ predicate vectorized (M3/M4) to row positions, and decodes the other
 projected columns at those rows only — nothing more when no row
 matches.
 
-- ``decode_dataset``: a lazy, streaming ray.data.Dataset (one read
-  task per kept shard) for scans.
+- ``decode_dataset``: a lazy, streaming ray.data.Dataset for scans:
+  its read tasks each decode a contiguous run of kept shards, as many
+  tasks as ``cluster.reducer_count`` gives the shards' raw bytes.
 - ``read_table``: the kept shards read and decoded serially in the
   calling process, for materializing reads (``to_pandas``, ``head``)
   whose result lands in the driver anyway — no Ray Data job, so a
@@ -172,12 +173,25 @@ class Snapshot:
     def read(self, paths: list[str], **kw):
         """Lazy ray.data.Dataset over ``paths``: decode runs in
         stateless read tasks (symbol tables are KBs, shipped once with
-        the datasource)."""
-        from ..sources.fprs import read_fprs
+        the datasource), each over a contiguous run of shards, as many
+        as ``cluster.reducer_count`` gives their ``raw_bytes``."""
+        from ray._private.auto_init_hook import auto_init_ray
+        from ray.data import DataContext
 
+        from ..sources.fprs import read_fprs
+        from .cluster import reducer_count
+
+        # Ray Data starts a session on first use; the task count needs
+        # the session's CPUs now
+        auto_init_ray()
+        n = reducer_count(
+            sum(self.shard(p)["raw_bytes"] for p in paths),
+            DataContext.get_current().target_max_block_size, len(paths),
+        )
         return read_fprs(
             paths, tables=self.tables, hive=self.hive,
-            filesystem=self.fs if self.remote else None, **kw,
+            filesystem=self.fs if self.remote else None,
+            override_num_blocks=n, **kw,
         )
 
 

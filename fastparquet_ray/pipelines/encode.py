@@ -1,23 +1,30 @@
 """The flagship encode pipeline (SURVEY.md §3.4 lifecycle):
 
-    sample_fragments + train_plan           in the driver, bounded
     input_blocks(paths)                     whole row groups per block,
                                             from the parquet footers
-    one Ray task per block:
-      read (state.fs) + provenance column
+    [key pass] cluster_by only:             Ray tasks over the key
+      boundary sample | z-order profile     columns, submitted before
+                                            planning
+    sample_fragments + train_plan           in the driver, bounded
+    [key pass] z-order boundary sample      on the Morton key
+    one Ray task per run of blocks          cluster.pack: contiguous,
+                                            byte-balanced
+      per block: read (state.fs) + provenance column
       [layout] salt / range bucket / zkey   the map step
       -> EncodeShard                        no exchange: plain,
                                             "local", hive
-      -> or split into R parts              salted, clustered, z-order
+      -> or concat, split into R parts      salted, clustered, z-order
     [exchange] R reducers (cluster.map_reduce):
       concat in block order, stable sort
       -> EncodeShard                        the reducer encodes
     -> shard files + manifest records       idempotent per partition
 
-The job runs on plain Ray tasks, with no Ray Data job around it (only
-the key-column sample and profile reads of a clustered or z-order
-encode use Ray Data). Without an exchange, each task reads one block,
-hashes, encodes and writes its shards, and returns manifest records.
+The job, key passes included, runs on plain Ray tasks and starts no
+Ray Data job. Every task count (key passes, map tasks, reducers)
+comes from ``cluster.reducer_count``: max(Ray CPUs, input bytes /
+target block size), at most one task per block (or key). Without an
+exchange, each task reads its blocks one at a time, hashes, encodes
+and writes each block's shards, and returns manifest records.
 With one, the reducer that receives a bucket's rows encodes them, so
 the sorted rows never cross the object store again. Each worker
 process builds the job's ``EncodeShard`` (plan, shared symbol tables)
@@ -25,8 +32,10 @@ once (``stages.encode_stage.job_encoder``). The only driver-side
 materialization is the manifest records (one per partition). Resume
 prunes finished partition ids before encoding (reference analog:
 append='overwrite', writer.py:1014-1032). The summary's ``stage_s``
-gives the wall seconds of each stage (sample, train, fingerprint, the
-Ray job, manifest bookkeeping); it is also logged at DEBUG.
+gives the wall seconds of each stage (sample, train, fingerprint,
+``keys`` — the driver's wait for the key passes after planning, 0.0
+without ``cluster_by`` —, the Ray job, manifest bookkeeping); it is
+also logged at DEBUG.
 
 Resume works at two levels:
 
@@ -82,9 +91,10 @@ from ..stages.encode_stage import (
 from ..state.manifest import Manifest
 from .cluster import (
     map_reduce,
+    pack,
     range_bucket,
     reducer_count,
-    sample_boundaries,
+    start_sample,
     submit_in_order,
     target_buckets,
 )
@@ -226,8 +236,15 @@ def encode_pipeline(
     out_fs.makedirs(out_root, exist_ok=True)
     manifest = Manifest(out_dir, filesystem=filesystem)
     stage_s = dict.fromkeys(
-        ("sample", "train", "fingerprint", "job", "manifest"), 0.0
+        ("sample", "train", "fingerprint", "keys", "job", "manifest"), 0.0
     )
+    # a clustered or z-order encode reads every file (no fingerprints):
+    # its first key pass starts before planning, so worker start-up
+    # overlaps the driver's sampling and training
+    blocks = keys = None
+    if cluster_by:
+        blocks = input_blocks(paths, _target())
+        keys = _start_keys(blocks, cluster_by, key_column)
 
     outer_spec = None
     if outer is not None:
@@ -324,12 +341,18 @@ def encode_pipeline(
     to_read = [p for p, n in zip(paths, norm) if n not in reused_frags]
     records = []
     if to_read:
+        ranges = None
+        if keys is not None:
+            with _timed(stage_s, "keys"):
+                ranges = keys()
         with _timed(stage_s, "job"):
+            if blocks is None:
+                blocks = input_blocks(to_read, _target())
             records = _encode_job(
-                to_read, out_dir, manifest, plan, resume=resume,
+                blocks, out_dir, manifest, plan, resume=resume,
                 partition_by_source=partition_by_source,
                 key_column=key_column, hive_cols=hive_cols,
-                cluster_by=cluster_by, provenance_col=provenance_col,
+                ranges=ranges, provenance_col=provenance_col,
                 filesystem=filesystem,
             )
     # records name their files by provenance string (``provenance``):
@@ -449,14 +472,83 @@ def _read(block: tuple, provenance_col: str | None, steps=()) -> pa.Table:
     return t
 
 
-def _read_encode(block: tuple, read, job: list) -> pa.Table:
-    """Exchange-free map task: read one block and encode it in the
-    same task; returns its manifest records."""
-    return encode_with(job, read(block))
+def _read_keys(block: tuple, cols: list[str]) -> pa.Table:
+    """Key-pass input: only the key columns of ``block``."""
+    path, _, row_groups, *_ = block
+    return read_block(path, row_groups, cols)
+
+
+def _read_encode(read, job: list, *blocks: tuple) -> pa.Table:
+    """Exchange-free task: read and encode a run of blocks, one block
+    at a time; returns their manifest records, in order."""
+    return pa.concat_tables(
+        [encode_with(job, read(b)) for b in blocks],
+        promote_options="default",
+    )
+
+
+def _target() -> int:
+    """The target block size: of input blocks and of every task."""
+    from ray.data import DataContext
+
+    return DataContext.get_current().target_max_block_size
+
+
+def _start_keys(blocks: list[tuple], cluster_by, key_column: str):
+    """Submit the first key pass of a clustered or z-order encode over
+    ``blocks`` (the boundary sample, or the z-order profile, whose
+    result the boundary sample of the Morton key needs) on plain Ray
+    tasks, reading only the key columns. Returns ``wait()``, which
+    gives the range layout: its map steps and its exchange (key
+    column, sort columns, dropped columns, key count)."""
+    # deterministic range buckets (pipelines/cluster.py), not
+    # Dataset.sort, whose random boundaries change every partition id
+    # per run: shard key ranges stay disjoint (header min/max stats
+    # prune a key filter to O(1) shards) and a re-run skips every
+    # finished bucket
+    runs = pack(blocks, [b[4] for b in blocks], _target())
+    total_rows = sum(b[3] for b in blocks)
+    n_buckets = target_buckets(total_rows)
+    if not isinstance(cluster_by, (list, tuple)):
+        bnd = start_sample(
+            runs, cluster_by, total_rows, n_buckets,
+            prepare=functools.partial(_read_keys, cols=[cluster_by]),
+        )
+
+        def wait():
+            b = bnd()
+            return [range_bucket(cluster_by, b)], (
+                BUCKET_COL, [cluster_by, key_column], [], len(b) + 1
+            )
+
+        return wait
+    # z-order: bucket on the Morton key of 2-3 columns, so the same
+    # stats prune filters on every key column
+    from .zorder import ZKEY_COL, add_zkey, start_profile
+
+    zcols = [str(c).strip() for c in cluster_by]
+    if not 2 <= len(zcols) <= 3:
+        raise ValueError(
+            f"z-order cluster_by needs 2 or 3 columns, got {zcols!r}"
+        )
+    read_keys = functools.partial(_read_keys, cols=zcols)
+    prof = start_profile(runs, zcols, prepare=read_keys)
+
+    def wait_z():
+        zkey = functools.partial(add_zkey, cols=zcols, prof=prof())
+        b = start_sample(
+            runs, ZKEY_COL, total_rows, n_buckets, map_key=zkey,
+            prepare=read_keys,
+        )()
+        return [zkey, range_bucket(ZKEY_COL, b)], (
+            BUCKET_COL, [ZKEY_COL, key_column], [ZKEY_COL], len(b) + 1
+        )
+
+    return wait_z
 
 
 def _encode_job(
-    paths: list[str],
+    blocks: list[tuple],
     out_dir: str,
     manifest: Manifest,
     plan: CodecPlan,
@@ -465,79 +557,30 @@ def _encode_job(
     partition_by_source: bool | str,
     key_column: str,
     hive_cols: list[str] | None,
-    cluster_by,
+    ranges,
     provenance_col: str | None,
     filesystem,
 ) -> list[dict]:
-    """The Ray job over the fragments that must be read (module
-    docstring): one map task per input block, plus the exchange's
-    reducers, which encode, on the salted, clustered and z-order
-    layouts. Returns one manifest record per partition (encoded, or
-    skipped by the content hash)."""
+    """The Ray job over the blocks that must be read (module
+    docstring): one map task per run of blocks (``cluster.pack``),
+    plus the exchange's reducers, which encode, on the salted,
+    clustered and z-order layouts. ``ranges`` is the map steps and
+    exchange of a clustered or z-order encode (``_start_keys``).
+    Returns one manifest record per partition (encoded, or skipped by
+    the content hash)."""
     import ray
-    from ray.data import DataContext
 
     from ..state import fs as fsmod
 
-    target = DataContext.get_current().target_max_block_size
-    blocks = input_blocks(paths, target)
     if not blocks:
         return []
-    steps = []
-    split_by = []
-    # (key column, sort columns, dropped columns, key count) of the
-    # exchange, if the layout has one
-    exch = None
-    if cluster_by:
-        # deterministic range buckets (pipelines/cluster.py), not
-        # Dataset.sort, whose random boundaries change every partition
-        # id per run: shard key ranges stay disjoint (header min/max
-        # stats prune a key filter to O(1) shards) and a re-run skips
-        # every finished bucket
-        import ray.data
-
-        # the key-column sample reads run in Ray Data's workers
-        keys_from = [fsmod.for_workers(p) for p in paths]
-        total_rows = sum(b[3] for b in blocks)
-        n_buckets = target_buckets(total_rows)
-        if isinstance(cluster_by, (list, tuple)):
-            # z-order: bucket on the Morton key of 2-3 columns, so the
-            # same stats prune filters on every key column
-            from .zorder import ZKEY_COL, add_zkey, zorder_profile
-
-            zcols = [str(c).strip() for c in cluster_by]
-            if not 2 <= len(zcols) <= 3:
-                raise ValueError(
-                    "z-order cluster_by needs 2 or 3 columns, got "
-                    f"{zcols!r}"
-                )
-            # profile + boundary sample over KEY-COLUMN-ONLY reads
-            prof = zorder_profile(
-                ray.data.read_parquet(keys_from, columns=zcols), zcols
-            )
-            zkey = functools.partial(add_zkey, cols=zcols, prof=prof)
-            bnd = sample_boundaries(
-                ray.data.read_parquet(keys_from, columns=zcols),
-                ZKEY_COL,
-                total_rows,
-                n_buckets,
-                map_key=zkey,
-            )
-            steps += [zkey, range_bucket(ZKEY_COL, bnd)]
-            sort_cols, drop_cols = [ZKEY_COL, key_column], [ZKEY_COL]
-        else:
-            bnd = sample_boundaries(
-                ray.data.read_parquet(keys_from, columns=[cluster_by]),
-                cluster_by,
-                total_rows,
-                n_buckets,
-            )
-            steps.append(range_bucket(cluster_by, bnd))
-            sort_cols, drop_cols = [cluster_by, key_column], []
-        # one shard per bucket: a reducer may hold several buckets, so
-        # EncodeShard splits on BUCKET_COL
-        exch = (BUCKET_COL, sort_cols, drop_cols, len(bnd) + 1)
-        split_by.append(BUCKET_COL)
+    target = _target()
+    # the map steps, the split columns and the exchange (key column,
+    # sort columns, dropped columns, key count), if the layout has one
+    steps, exch = ranges or ([], None)
+    # one shard per bucket: a reducer may hold several buckets, so
+    # EncodeShard splits on BUCKET_COL
+    split_by = [BUCKET_COL] if exch else []
     if partition_by_source:
         # source salt (add_salt_column); "local" splits each block on it
         # in EncodeShard with no exchange
@@ -570,19 +613,21 @@ def _encode_job(
     read = functools.partial(
         _read, provenance_col=provenance_col, steps=tuple(steps)
     )
+    sizes = [b[4] for b in blocks]
+    runs = pack(blocks, sizes, target)
     if exch is None:
-        # no exchange: each task reads, hashes, encodes and writes one
-        # block's shards, and only manifest records leave it
+        # no exchange: each task reads, hashes, encodes and writes its
+        # blocks' shards, and only manifest records leave it
         task = ray.remote(_read_encode)
-        outs = submit_in_order(lambda b: task.remote(b, read, job), blocks)
+        outs = submit_in_order(lambda run: task.remote(read, job, *run), runs)
     else:
         # the exchange's reducers encode their sorted rows, which never
         # cross the object store a second time
         key, sort_cols, drop_cols, n_keys = exch
-        n = reducer_count(sum(b[4] for b in blocks), target, n_keys)
         outs = [
             t for t, _ in map_reduce(
-                blocks, key, n, sort_cols, drop_cols, prepare=read,
+                runs, key, reducer_count(sum(sizes), target, n_keys),
+                sort_cols, drop_cols, prepare=read,
                 finish=functools.partial(encode_with, job),
             )
         ]

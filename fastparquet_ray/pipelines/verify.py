@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..stages.encode_stage import row_fingerprints
+from ..state import fs as fsmod
 from .cluster import exchange
 from .decode import decode_dataset
 from .encode import resolve_inputs
@@ -62,7 +63,10 @@ def verify_roundtrip(
         cols = [key, list_col]  # tokens contract: key + token arrays
     else:
         cols = list(schema.names)  # generic table: fingerprint ALL columns
-    src = ray.data.read_parquet(src_paths, columns=cols)
+    # Ray Data's workers resolve relative paths against their own dir
+    src = ray.data.read_parquet(
+        [fsmod.for_workers(p) for p in src_paths], columns=cols
+    )
     dec = decode_dataset(out_dir, columns=cols)
 
     if mode == "moments":

@@ -5,12 +5,13 @@ on an interleaved-bit key of the normalized column values instead of a
 single column. Each output shard then covers a small hyper-rectangle
 of the key space, so the EXISTING per-column header min/max stats
 prune multi-dimensional filters to a few shards — the Delta/Iceberg
-"OPTIMIZE ZORDER BY" layout, rebuilt on Ray Data (one range sort, the
-same single exchange a 1-column cluster pays).
+"OPTIMIZE ZORDER BY" layout, rebuilt on plain Ray tasks (one range
+sort, the same single exchange a 1-column cluster pays).
 
 Normalization needs one cheap global profile per key column (numeric
 min/max, or the sorted distinct table for low-cardinality strings) —
-a streaming partial-merge pass, summary-scaled. The 64-bit key packs
+a key pass of plain Ray tasks over the key columns, one tiny partial
+per block, merged in the driver. The 64-bit key packs
 floor(64 / n_cols) bits per column; keys are DERIVED ONLY (the column
 is dropped before encoding, so shards hold exactly the user schema).
 
@@ -64,16 +65,14 @@ def morton_key(cols: list[np.ndarray]) -> np.ndarray:
     raise ValueError("z-order supports 2 or 3 cluster columns")
 
 
-def zorder_profile(ds, cols: list[str]) -> dict:
-    """ONE streaming pass collecting the normalization profile per key
-    column: numeric -> global (min, max); string -> the sorted global
-    distinct table (capped at _MAX_CAT values — z-ordering a
-    high-cardinality string should hash first). Partials are one tiny
-    row per block; the driver merge is O(blocks + distinct)."""
+def _partial(cols: list[str], prepare, *items):
+    """Key-pass task: one tiny profile row per key column of each of a
+    run of items, in order."""
     import pandas as pd
 
-    def partial(t: pa.Table) -> "pd.DataFrame":
-        rows = []
+    rows = []
+    for t in items:
+        t = t if prepare is None else prepare(t)
         for c in cols:
             v = t.column(c).to_numpy(zero_copy_only=False)
             if v.dtype.kind in "OUS":
@@ -92,29 +91,61 @@ def zorder_profile(ds, cols: list[str]) -> dict:
                     rows.append(
                         (c, "num", float(vv.min()), float(vv.max()), None)
                     )
-        return pd.DataFrame(
-            rows, columns=["col", "kind", "mn", "mx", "vals"]
-        )
+    return pd.DataFrame(rows, columns=["col", "kind", "mn", "mx", "vals"])
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    prof: dict = {}
-    for c in cols:
-        sub = parts[parts["col"] == c]
-        if sub.empty:
-            prof[c] = ("num", 0.0, 1.0)
-        elif (sub["kind"] == "cat").any():
-            vals = sorted(
-                {x for lst in sub["vals"] if lst is not None for x in lst}
-            )
-            if len(vals) > _MAX_CAT:
-                raise ValueError(
-                    f"z-order column {c!r}: {len(vals)} distinct strings "
-                    f"exceeds the {_MAX_CAT} cap"
+
+def zorder_profile(keys, cols: list[str], prepare=None) -> dict:
+    """ONE pass collecting the normalization profile per key column:
+    numeric -> global (min, max); string -> the sorted global distinct
+    table (capped at _MAX_CAT values — z-ordering a high-cardinality
+    string should hash first). ``keys`` is a Dataset or runs of items
+    that ``prepare`` turns into tables (``cluster.key_runs``). Partials
+    are one tiny row per block; the driver merge is O(blocks +
+    distinct)."""
+    return start_profile(keys, cols, prepare)()
+
+
+def start_profile(keys, cols: list[str], prepare=None):
+    """``zorder_profile`` in two steps: submit its plain Ray tasks now
+    and return ``wait()``, which merges their partials."""
+    import pandas as pd
+    import ray
+
+    from .cluster import key_runs, submit_in_order
+
+    task = ray.remote(_partial)
+    outs = submit_in_order(
+        lambda run: task.remote(cols, prepare, *run), key_runs(keys)
+    )
+
+    def wait() -> dict:
+        parts = ray.get(outs)
+        parts = (
+            pd.concat(parts, ignore_index=True) if parts
+            else _partial(cols, None)
+        )
+        prof: dict = {}
+        for c in cols:
+            sub = parts[parts["col"] == c]
+            if sub.empty:
+                prof[c] = ("num", 0.0, 1.0)
+            elif (sub["kind"] == "cat").any():
+                vals = sorted(
+                    {x for lst in sub["vals"] if lst is not None for x in lst}
                 )
-            prof[c] = ("cat", np.array(vals, dtype=object))
-        else:
-            prof[c] = ("num", float(sub["mn"].min()), float(sub["mx"].max()))
-    return prof
+                if len(vals) > _MAX_CAT:
+                    raise ValueError(
+                        f"z-order column {c!r}: {len(vals)} distinct "
+                        f"strings exceeds the {_MAX_CAT} cap"
+                    )
+                prof[c] = ("cat", np.array(vals, dtype=object))
+            else:
+                prof[c] = (
+                    "num", float(sub["mn"].min()), float(sub["mx"].max())
+                )
+        return prof
+
+    return wait
 
 
 def add_zkey(t: pa.Table, cols: list[str], prof: dict) -> pa.Table:

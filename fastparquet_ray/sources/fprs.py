@@ -2,8 +2,8 @@
 read path (reference analog: ParquetFile + to_pandas,
 /root/reference/fastparquet/api.py:95-162/387-475, re-expressed as a
 FileBasedDatasource so shards stream through the normal read operator
-with per-file parallelism, column projection at decode, and lineage-
-based retry for free).
+with column projection at decode and lineage-based retry for free;
+``pipelines.decode.Snapshot.read`` sizes its read tasks by bytes).
 """
 
 from __future__ import annotations
@@ -58,8 +58,11 @@ def read_fprs(
     hive: str | None = None,
     categories: list[str] | None = None,
     filters=None,
+    override_num_blocks: int | None = None,
 ):
-    """ray.data Dataset over shard files (one read task per shard).
+    """ray.data Dataset over shard files: each shard is decoded whole,
+    by one of ``override_num_blocks`` read tasks that each take a
+    contiguous run of the shards (default: Ray Data's count).
     ``filesystem`` may be an fsspec filesystem (wrapped for pyarrow) or
     a pyarrow FileSystem — reference S10 remote-FS analog. ``hive``
     (the dataset root path) parses `key=value` components below it
@@ -78,4 +81,5 @@ def read_fprs(
             categories=categories, filters=filters, filesystem=filesystem,
         ),
         concurrency=concurrency,
+        override_num_blocks=override_num_blocks,
     )

@@ -206,18 +206,20 @@ def encode_with(job: list, batch: pa.Table) -> pa.Table:
     return job_encoder(job)(batch)
 
 
-def read_block(path: str, row_groups: list[int]) -> pa.Table:
+def read_block(
+    path: str, row_groups: list[int], columns: list[str] | None = None
+) -> pa.Table:
     """Row groups ``row_groups`` of the parquet file at ``path`` (a
     local path or a URI), read in the calling process through
     ``state.fs``, with the types and schema metadata the file's footer
-    gives."""
+    gives; only ``columns`` when given."""
     import pyarrow.parquet as pq
 
     from ..state import fs as fsmod
 
     fs, rp = fsmod.get_fs(path)
     f = pq.ParquetFile(rp, filesystem=fsmod.to_pyarrow_fs(fs))
-    return f.read_row_groups(row_groups, use_threads=False)
+    return f.read_row_groups(row_groups, columns, use_threads=False)
 
 
 def _as_transported(batch: pa.Table) -> pa.Table:

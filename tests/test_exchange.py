@@ -12,7 +12,7 @@ import pytest
 
 from fastparquet_ray.data import write_tokens_dataset
 from fastparquet_ray.pipelines import encode_pipeline
-from fastparquet_ray.pipelines.cluster import exchange, target_buckets
+from fastparquet_ray.pipelines.cluster import exchange, pack, target_buckets
 from fastparquet_ray.state.manifest import Manifest
 
 
@@ -77,6 +77,20 @@ def test_tiny_blocks_keep_one_shard_per_bucket(ray_session, paths, tmp_path):
     assert s["partitions"] == len(records) == target_buckets(3000)
     assert min(r["raw_bytes"] for r in records) > 4 * 16 * 1024
     assert _digests(small) == _digests(ref)
+
+
+def test_pack_cuts_contiguous_byte_balanced_runs(ray_session):
+    """The task-count rule on 4 CPUs: max(CPUs, bytes / target) runs,
+    never more than the items, each a contiguous slice in order, cut
+    where the bytes balance rather than where the counts do."""
+    items = list(range(8))
+    assert pack(items, [5, 1, 1, 1, 1, 1, 1, 5], 10**9) == [
+        [0], [1, 2, 3], [4, 5, 6], [7]
+    ]
+    assert pack(items[:3], [1, 1, 1], 10**9) == [[0], [1], [2]]
+    # bytes over the target raise the count past the CPUs
+    assert pack(items, [10] * 8, 10) == [[i] for i in items]
+    assert pack([], [], 10**9) == []
 
 
 def test_exchange_keeps_keys_whole_in_input_order(ray_session):

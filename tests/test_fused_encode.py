@@ -1,9 +1,11 @@
-"""The fresh-encode job on plain Ray tasks: one task per input file
-reads, encodes and writes its shard, a block read in the encode task
-gives the same shard header as one that crossed the object store, the
-summary times each driver stage, and the core (everything but
-``functions/`` and ``pipelines/flagship.py``) imports nothing from the
-operator surface."""
+"""The encode job on plain Ray tasks: no layout starts a Ray Data job,
+tasks take contiguous runs of input blocks sized by bytes
+(``cluster.reducer_count``) and each block still writes its own
+shard, decode read tasks follow the same rule, a block read in the
+encode task gives the same shard header as one that crossed the object
+store, the summary times each driver stage, and the core (everything
+but ``functions/`` and ``pipelines/flagship.py``) imports nothing from
+the operator surface."""
 
 import ast
 import glob
@@ -83,26 +85,38 @@ def test_raw_bytes_ignore_all_valid_bitmaps(tmp_path):
     assert only_nulls == 8 * n + (n + 7) // 8
 
 
-def test_fresh_encode_runs_one_task_per_file(
-    ray_session, paths, tmp_path, monkeypatch
-):
-    """A plain fresh encode starts no Ray Data job. It submits one Ray
-    task per input file, and that task reads, encodes and writes the
-    file's one shard: the calling process reads no input rows and gets
-    back only manifest records."""
+@pytest.fixture(scope="module")
+def sixteen(tmp_path_factory):
+    return write_tokens_dataset(
+        str(tmp_path_factory.mktemp("sixteen_src")), 1600, n_fragments=16
+    )
+
+
+def _no_ray_data_job(monkeypatch):
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
 
-    from fastparquet_ray.pipelines import encode as encode_mod
-
     def no_job(*a, **k):
         raise AssertionError("the encode started a Ray Data job")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", no_job)
+
+
+def test_fresh_encode_packs_files_into_byte_balanced_tasks(
+    ray_session, sixteen, tmp_path, monkeypatch
+):
+    """A plain fresh encode starts no Ray Data job. Its task count is
+    ``cluster.reducer_count`` of the input bytes: 16 small files on 4
+    CPUs go to 4 tasks of 4 contiguous blocks, and each block (here a
+    file) still writes its own shard. The calling process reads no
+    input rows and gets back only manifest records."""
+    from fastparquet_ray.pipelines import encode as encode_mod
 
     def no_caller_read(*a, **k):
         raise AssertionError("the calling process read an input block")
 
-    monkeypatch.setattr(StreamingExecutor, "execute", no_job)
+    _no_ray_data_job(monkeypatch)
     monkeypatch.setattr(encode_mod, "read_block", no_caller_read)
     submitted = []
     real_submit = encode_mod.submit_in_order
@@ -113,13 +127,68 @@ def test_fresh_encode_runs_one_task_per_file(
 
     monkeypatch.setattr(encode_mod, "submit_in_order", recording_submit)
     out = str(tmp_path / "enc")
-    s = encode_pipeline(paths, out, resume=False)
-    (blocks,) = submitted  # one batch of tasks, one task per file
-    assert [b[0] for b in blocks] == paths
-    assert s["encoded"] == s["partitions"] == len(paths)
+    s = encode_pipeline(sixteen, out, resume=False)
+    (runs,) = submitted  # one batch of tasks, one task per run
+    assert [[b[0] for b in run] for run in runs] == [
+        sixteen[i:i + 4] for i in range(0, 16, 4)
+    ]
+    assert s["encoded"] == s["partitions"] == len(sixteen)
     recs = Manifest(out).load_records().values()
-    assert sorted(r["fragment"] for r in recs) == sorted(paths)
-    assert len(glob.glob(os.path.join(out, "shard-*.fprs"))) == len(paths)
+    assert sorted(r["fragment"] for r in recs) == sorted(sixteen)
+    assert len(glob.glob(os.path.join(out, "shard-*.fprs"))) == len(sixteen)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        {"cluster_by": "doc_id"},
+        {"cluster_by": ["doc_id", "n_tok"]},
+        {"partition_by_source": True},
+    ],
+    ids=["clustered", "zorder", "salted"],
+)
+def test_exchange_layouts_start_no_ray_data_job(
+    ray_session, paths, tmp_path, monkeypatch, layout
+):
+    """The key passes of a clustered or z-order encode (boundary
+    sample, profile) and the exchange run on plain Ray tasks too."""
+    _no_ray_data_job(monkeypatch)
+    s = encode_pipeline(paths, str(tmp_path / "enc"), resume=False, **layout)
+    assert s["rows"] == 2000 and s["encoded"] == s["partitions"] > 1
+
+
+def test_decode_read_tasks_sized_by_bytes(
+    ray_session, sixteen, tmp_path, monkeypatch
+):
+    """``decode_dataset`` plans its read tasks by the same rule: 16
+    small shards on 4 CPUs are 4 read tasks, which give back every
+    row."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+
+    from fastparquet_ray.pipelines import decode_dataset
+    from fastparquet_ray.sources.fprs import FprsDatasource
+
+    out = str(tmp_path / "enc")
+    encode_pipeline(sixteen, out, resume=False)
+    planned = []
+    real = FprsDatasource.get_read_tasks
+
+    def recording(self, parallelism, *a, **k):
+        tasks = real(self, parallelism, *a, **k)
+        planned.append(len(tasks))
+        return tasks
+
+    monkeypatch.setattr(FprsDatasource, "get_read_tasks", recording)
+    ds = decode_dataset(out, columns=["doc_id", "n_tok"])
+    got = ds.to_arrow_refs()
+    assert max(planned) == 4  # a schema probe may plan one task
+    t = pa.concat_tables(ray.get(got))
+    src = pa.concat_tables([pq.read_table(p) for p in sixteen])
+    assert t.num_rows == src.num_rows == 1600
+    assert sorted(t["doc_id"].to_pylist()) == sorted(src["doc_id"].to_pylist())
+    assert pc.sum(t["n_tok"]).as_py() == pc.sum(src["n_tok"]).as_py()
 
 
 def test_encode_summary_stage_timers(ray_session, paths, tmp_path, caplog):
@@ -128,11 +197,19 @@ def test_encode_summary_stage_timers(ray_session, paths, tmp_path, caplog):
         s = encode_pipeline(paths, str(tmp_path / "enc"), resume=False)
     wall = time.perf_counter() - t0
     st = s["stage_s"]
-    assert set(st) == {"sample", "train", "fingerprint", "job", "manifest"}
+    assert set(st) == {
+        "sample", "train", "fingerprint", "keys", "job", "manifest"
+    }
     assert all(v >= 0 for v in st.values())
     assert st["job"] > 0 and st["sample"] > 0 and st["train"] > 0
+    assert st["keys"] == 0.0  # no key pass without cluster_by
     assert sum(st.values()) <= wall
     assert any("stage seconds" in r.getMessage() for r in caplog.records)
+    # a clustered encode waits for its key pass after planning
+    c = encode_pipeline(
+        paths, str(tmp_path / "clu"), resume=False, cluster_by="doc_id"
+    )
+    assert c["stage_s"]["keys"] > 0
 
 
 def _core_files() -> list[str]:

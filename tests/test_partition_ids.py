@@ -50,12 +50,14 @@ PINNED = {
         "source=web/shard-82e4b001203a6867.fprs",
         "source=web/shard-83c9fd4b821748bb.fprs",
     ],
+    "zorder": ["shard-ace7ffdbb2b7d6a2.fprs"],
 }
 LAYOUTS = {
     "clustered": {"cluster_by": "doc_id"},
     "plain": {},
     "salted": {"partition_by_source": True},
     "hive": {"hive_cols": ["source"]},
+    "zorder": {"cluster_by": ["doc_id", "n_tok"]},
 }
 
 

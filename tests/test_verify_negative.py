@@ -101,3 +101,31 @@ def test_verify_single_file_src(ray_session, tmp_path):
     encode_pipeline([src], out)
     res = verify_roundtrip(src, out)  # single FILE path, not a dir
     assert res["ok"] and res["fingerprint_groups"] == 2
+
+
+def test_verify_relative_paths_from_another_dir(
+    ray_session, tmp_path, monkeypatch
+):
+    """Relative source paths given from a directory the Ray workers did
+    not start in are read where the caller's paths point. The check
+    runs in a thread with a deadline, so a verify that cannot find its
+    input fails the test instead of hanging it."""
+    import threading
+
+    work = tmp_path / "work"
+    write_tokens_dataset(str(work / "src"), 400, n_fragments=2)
+    monkeypatch.chdir(work)
+    paths = ["src/tokens-00000.parquet", "src/tokens-00001.parquet"]
+    assert encode_pipeline(paths, "enc", resume=False)["partitions"] == 2
+    res = {}
+
+    def run():
+        res["moments"] = verify_roundtrip(paths, "enc")
+        res["exact"] = verify_roundtrip(paths, "enc", mode="exact")
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive(), "verify_roundtrip did not finish in 120 s"
+    assert res["moments"]["ok"] and res["exact"]["ok"]
+    assert res["exact"]["fingerprint_groups"] == 400
