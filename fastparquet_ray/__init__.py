@@ -1,4 +1,4 @@
-"""fastparquet_ray — a Ray-Data-native per-column lightweight-compression
+"""fastparquet_ray — a Ray-native per-column lightweight-compression
 engine (dict, RLE/bit-pack, FSST, frame-of-reference) with codec
 auto-selection, rebuilt from scratch against the capabilities of the
 fastparquet reference (/root/reference, studied in SURVEY.md).
@@ -8,8 +8,8 @@ Layout:
     plan.py     per-column stats sampling + codec auto-selection
     container.py shard container format (encoded columns + header)
     data.py     deterministic synthetic tokens-table generator
-    pipelines/  Ray Data encode / decode / verify pipelines
-    stages/     map_batches callables (stats, encoder/decoder actors)
+    pipelines/  encode / verify / export on plain Ray tasks, decode
+    stages/     the per-block encode step, block reader, fingerprints
     state/      checkpoint manifest (per-partition lineage records)
     functions/  text analysis, dedup, similarity-search operators
 """

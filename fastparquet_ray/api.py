@@ -22,12 +22,11 @@ when a sidecar changes. Materializing reads — ``to_pandas``, ``head``
 and ``take_range`` — run in the calling process: shards are pruned on
 the snapshot's stats, then the kept ones are read and decoded
 serially, with no Ray Data job (the reference answers these
-in-process too). Everything else is
-backed by the Ray Data pipelines (streaming, distributed):
-``write``, and the lazy Datasets from ``dataset()``,
-``iter_batches()`` and ``eds[i:j]`` for scans. Ray must already be
-initialised by the caller for those (or Ray Data will auto-init a
-local session on first use).
+in-process too). ``write`` and ``verify_against`` run plain Ray
+tasks; the lazy Datasets from ``dataset()``, ``iter_batches()`` and
+``eds[i:j]`` are Ray Data scans (streaming, distributed). Ray must
+already be initialised by the caller for those (or Ray will auto-init
+a local session on first use).
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ replaces it with a deterministic range-bucket exchange:
    what makes clustered resume work, and the reducer returns manifest
    records, not rows. The salted source layout
    (``partition_by_source=True``) runs the same map/reduce on the
-   salt. ``exchange`` wraps it for Datasets (``bucket_layout``, exact
-   verify on the row fingerprint) and returns the sorted blocks.
+   salt, and exact verify on the row fingerprint. ``exchange`` wraps
+   it for a Dataset (``bucket_layout``) and returns the sorted blocks.
 
 Scale shape: ONE all-to-all (M map tasks x R parts), plus a
 key-column-only sample read (two for z-order: profile, then sample).
@@ -216,25 +216,35 @@ def submit_in_order(submit, items, done=lambda out: out) -> list:
     return outs
 
 
-def reducer_count(size: int, target: int, n_items: int | None) -> int:
+def block_target() -> int:
+    """Ray Data's ``target_max_block_size``: the core's block size."""
+    from ray.data import DataContext
+
+    return DataContext.get_current().target_max_block_size
+
+
+def reducer_count(size: int, n_items: int | None) -> int:
     """The task count of every Ray job of the core: max(Ray CPUs,
-    ``size`` bytes / target block size), at most ``n_items`` (one task
+    ``size`` bytes / ``block_target()``), at most ``n_items`` (one task
     per item: an input block, a key, a shard). As the exchange's R it
     decides which keys share a reducer, never the rows of a key or
     their order."""
     import ray
 
-    n = max(int(ray.cluster_resources().get("CPU", 1)), -(-size // target))
+    n = max(
+        int(ray.cluster_resources().get("CPU", 1)),
+        -(-size // block_target()),
+    )
     return max(1, min(n, n_items or n))
 
 
-def pack(items: list, sizes: list[int], target: int) -> list[list]:
+def pack(items: list, sizes: list[int]) -> list[list]:
     """``items`` cut into ``reducer_count`` contiguous runs of about
     equal bytes (``sizes``), in order: one task per run. An item goes
     to the run its byte midpoint falls in."""
     if not items:
         return []
-    n = reducer_count(sum(sizes), target, len(items))
+    n = reducer_count(sum(sizes), len(items))
     total = max(1, sum(sizes))
     runs = [[] for _ in range(n)]
     pre = 0
@@ -247,40 +257,38 @@ def pack(items: list, sizes: list[int], target: int) -> list[list]:
 def key_runs(keys) -> list[list]:
     """The runs of a key pass: ``keys`` itself when it is a list of
     runs, else the packed blocks of a Dataset (``dataset_blocks``)."""
-    if isinstance(keys, list):
-        return keys
-    blocks, sizes, target = dataset_blocks(keys)
-    return pack(blocks, sizes, target)
+    return keys if isinstance(keys, list) else pack(*dataset_blocks(keys))
 
 
-def dataset_blocks(ds) -> tuple[list, list[int], int]:
-    """The non-empty blocks of ``ds`` (a Dataset or a list of them) in
-    input-block order, not completion order, with their bytes and the
-    target block size."""
-    sets = ds if isinstance(ds, list) else [ds]
-    for d in sets:
-        d.context.execution_options.preserve_order = True
+def dataset_blocks(ds) -> tuple[list, list[int]]:
+    """The non-empty blocks of the Dataset ``ds`` in input-block
+    order, not completion order, with their bytes."""
+    ds.context.execution_options.preserve_order = True
     blocks, sizes = [], []
-    for d in sets:
-        for bundle in d.iter_internal_ref_bundles():
-            for ref, meta in bundle.blocks:
-                # an empty read block may lack the schema
-                if meta.num_rows != 0:
-                    blocks.append(ref)
-                    sizes.append(meta.size_bytes or 0)
-    return blocks, sizes, sets[0].context.target_max_block_size
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            # an empty read block may lack the schema
+            if meta.num_rows != 0:
+                blocks.append(ref)
+                sizes.append(meta.size_bytes or 0)
+    return blocks, sizes
 
 
 def map_reduce(
     runs, key_col: str, n: int, sort_cols=(), drop_cols=(),
     prepare=None, finish=None,
 ) -> list:
-    """The map/reduce under ``exchange`` (module docstring, step 3):
-    one ``_split`` task per run of blocks (``pack``), submitted in
-    order, and ``n`` ``_merge`` tasks. Returns one (table ref, row
-    count ref) per reducer."""
+    """The one all-to-all of the core (module docstring, step 3): one
+    ``_split`` task per run of items (``pack``), submitted in order,
+    and ``n`` ``_merge`` tasks. Map tasks ``prepare`` their items and
+    split the rows on the integer ``key_col``; reducers concatenate
+    their parts in input order, stable-sort by (``key_col``,
+    ``sort_cols``), drop ``drop_cols`` and apply ``finish``. Returns
+    one (table ref, row count ref) per reducer, none without runs."""
     import ray
 
+    if not runs:
+        return []
     split = ray.remote(_split).options(num_returns=n)
     prep = ray.put(prepare)
     maps = submit_in_order(
@@ -297,25 +305,18 @@ def map_reduce(
 
 def exchange(
     ds, key_col: str, sort_cols=(), drop_cols=(), prepare=None,
-    n_keys: int | None = None, finish=None,
+    n_keys: int | None = None,
 ):
-    """The one all-to-all of the core (module docstring, step 3) over
-    the blocks of ``ds``, a Dataset or a list of them. Map tasks
-    ``prepare`` their run of blocks and split it on the integer
-    ``key_col``; reducers concatenate their parts in input-block order,
-    stable-sort by (``key_col``, ``sort_cols``), drop ``drop_cols`` and
-    apply ``finish``. Returns the non-empty outputs as a Dataset whose
-    blocks hold whole keys."""
+    """``map_reduce`` over the blocks of the Dataset ``ds``, for
+    ``bucket_layout``. Returns the non-empty reducer outputs as a
+    Dataset whose blocks hold whole keys."""
     import ray
     import ray.data
 
-    blocks, sizes, target = dataset_blocks(ds)
-    if not blocks:
-        return ray.data.from_arrow_refs([])
-    n = reducer_count(sum(sizes), target, n_keys)
+    blocks, sizes = dataset_blocks(ds)
     outs = map_reduce(
-        pack(blocks, sizes, target), key_col, n, sort_cols, drop_cols,
-        prepare, finish,
+        pack(blocks, sizes), key_col, reducer_count(sum(sizes), n_keys),
+        sort_cols, drop_cols, prepare,
     )
     rows = ray.get([r for _, r in outs])
     return ray.data.from_arrow_refs(

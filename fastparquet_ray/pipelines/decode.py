@@ -176,7 +176,6 @@ class Snapshot:
         the datasource), each over a contiguous run of shards, as many
         as ``cluster.reducer_count`` gives their ``raw_bytes``."""
         from ray._private.auto_init_hook import auto_init_ray
-        from ray.data import DataContext
 
         from ..sources.fprs import read_fprs
         from .cluster import reducer_count
@@ -185,8 +184,7 @@ class Snapshot:
         # the session's CPUs now
         auto_init_ray()
         n = reducer_count(
-            sum(self.shard(p)["raw_bytes"] for p in paths),
-            DataContext.get_current().target_max_block_size, len(paths),
+            sum(self.shard(p)["raw_bytes"] for p in paths), len(paths)
         )
         return read_fprs(
             paths, tables=self.tables, hive=self.hive,
@@ -422,17 +420,19 @@ def decode_shard(
         )
         return attach_hive_columns(t, parts, cols) if parts else t
 
-    if not filters:
-        return dec(columns)
-    fcols = list(dict.fromkeys(f[0] for f in filters))
-    ft = dec(fcols)
-    rows = _residual_rows(filters, ft)
-    decoded = {
-        c: ft[c].take(rows)
-        for c in fcols
-        if c not in parts and (columns is None or c in columns)
-    }
-    t = dec(columns, rows, decoded)
+    if filters:
+        fcols = list(dict.fromkeys(f[0] for f in filters))
+        ft = dec(fcols)
+        rows = _residual_rows(filters, ft)
+        decoded = {
+            c: ft[c].take(rows)
+            for c in fcols
+            if c not in parts and (columns is None or c in columns)
+        }
+        t = dec(columns, rows, decoded)
+    else:
+        t = dec(columns)
+    # stored columns come in stored order, the hive ones after them
     return t if columns is None else t.select(columns)
 
 

@@ -90,6 +90,7 @@ from ..stages.encode_stage import (
 )
 from ..state.manifest import Manifest
 from .cluster import (
+    block_target,
     map_reduce,
     pack,
     range_bucket,
@@ -243,7 +244,7 @@ def encode_pipeline(
     # overlaps the driver's sampling and training
     blocks = keys = None
     if cluster_by:
-        blocks = input_blocks(paths, _target())
+        blocks = input_blocks(paths)
         keys = _start_keys(blocks, cluster_by, key_column)
 
     outer_spec = None
@@ -347,7 +348,7 @@ def encode_pipeline(
                 ranges = keys()
         with _timed(stage_s, "job"):
             if blocks is None:
-                blocks = input_blocks(to_read, _target())
+                blocks = input_blocks(to_read)
             records = _encode_job(
                 blocks, out_dir, manifest, plan, resume=resume,
                 partition_by_source=partition_by_source,
@@ -426,14 +427,14 @@ def provenance(path: str) -> str:
     return path.split("://", 1)[-1]
 
 
-def input_blocks(paths: list[str], target: int) -> list[tuple]:
+def input_blocks(paths: list[str]) -> list[tuple]:
     """The blocks the encode job reads, from the parquet footers: each
     file cut into whole row groups in file order, a new block started
     before the next row group would take the block's uncompressed size
-    (the footer's ``total_byte_size``) past ``target`` bytes; a row
-    group larger than ``target`` is a block of its own. Block formation
-    depends only on each file, so partition ids stay stable under
-    appends of new files and when only some files are read. Returns
+    (the footer's ``total_byte_size``) past ``cluster.block_target()``
+    bytes; a row group larger than that is a block of its own. Block
+    formation depends only on each file, so partition ids stay stable
+    under appends of new files and when only some files are read. Returns
     ``(path, provenance, row groups, rows, bytes)`` per block that
     holds rows, in input order; the path is made fit for a worker
     (``state.fs.for_workers``)."""
@@ -441,7 +442,7 @@ def input_blocks(paths: list[str], target: int) -> list[tuple]:
 
     from ..state import fs as fsmod
 
-    out = []
+    target, out = block_target(), []
     for p in paths:
         fs, rp = fsmod.get_fs(p)
         md = pq.read_metadata(rp, filesystem=fsmod.to_pyarrow_fs(fs))
@@ -487,13 +488,6 @@ def _read_encode(read, job: list, *blocks: tuple) -> pa.Table:
     )
 
 
-def _target() -> int:
-    """The target block size: of input blocks and of every task."""
-    from ray.data import DataContext
-
-    return DataContext.get_current().target_max_block_size
-
-
 def _start_keys(blocks: list[tuple], cluster_by, key_column: str):
     """Submit the first key pass of a clustered or z-order encode over
     ``blocks`` (the boundary sample, or the z-order profile, whose
@@ -506,7 +500,7 @@ def _start_keys(blocks: list[tuple], cluster_by, key_column: str):
     # per run: shard key ranges stay disjoint (header min/max stats
     # prune a key filter to O(1) shards) and a re-run skips every
     # finished bucket
-    runs = pack(blocks, [b[4] for b in blocks], _target())
+    runs = pack(blocks, [b[4] for b in blocks])
     total_rows = sum(b[3] for b in blocks)
     n_buckets = target_buckets(total_rows)
     if not isinstance(cluster_by, (list, tuple)):
@@ -574,7 +568,6 @@ def _encode_job(
 
     if not blocks:
         return []
-    target = _target()
     # the map steps, the split columns and the exchange (key column,
     # sort columns, dropped columns, key count), if the layout has one
     steps, exch = ranges or ([], None)
@@ -614,7 +607,7 @@ def _encode_job(
         _read, provenance_col=provenance_col, steps=tuple(steps)
     )
     sizes = [b[4] for b in blocks]
-    runs = pack(blocks, sizes, target)
+    runs = pack(blocks, sizes)
     if exch is None:
         # no exchange: each task reads, hashes, encodes and writes its
         # blocks' shards, and only manifest records leave it
@@ -626,7 +619,7 @@ def _encode_job(
         key, sort_cols, drop_cols, n_keys = exch
         outs = [
             t for t, _ in map_reduce(
-                runs, key, reducer_count(sum(sizes), target, n_keys),
+                runs, key, reducer_count(sum(sizes), n_keys),
                 sort_cols, drop_cols, prepare=read,
                 finish=functools.partial(encode_with, job),
             )

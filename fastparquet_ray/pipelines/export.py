@@ -2,7 +2,9 @@
 
 - export_parquet / export_jsonl: decoded shards -> one Parquet or
   JSON-Lines file PER KEPT SHARD, named after the shard's relative
-  path and published atomically (tmp + rename). A rerun skips every
+  path and published atomically (tmp + rename) by plain Ray tasks,
+  one per contiguous byte-balanced run of shards (``cluster.pack``,
+  no Ray Data job). A rerun skips every
   file that already exists, so a killed export resumes where it died
   (the encode manifest's resume contract extended to the sink).
   ``filters`` prune shards on their stats and select rows exactly as
@@ -25,13 +27,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 
 import pandas as pd
+import pyarrow.parquet as pq
 
 from ..state import fs as fsmod
 from ..state.manifest import Manifest
+from .cluster import pack, submit_in_order
 from .decode import Snapshot, decode_shard, snapshot
 from .hive import parse_hive_parts
 
@@ -83,16 +88,44 @@ def export_jsonl(
     return _export(enc_dir, out_dir, "jsonl", columns, filters, None, None)
 
 
+def _export_run(fmt, columns, filters, int96, in_fs, hive, out_fs, tables,
+                *jobs) -> list[int]:
+    """Export task: decode each (shard, relative path, output file) of
+    a run with ``decode_shard``, publish it; returns its rows."""
+    rows = []
+    for path, rel, dst in jobs:
+        t = decode_shard(
+            fsmod.read_bytes(in_fs, path), path, tables, columns,
+            hive=hive, filters=filters,
+        )
+        if fmt == "jsonl":
+            # an empty table would print one blank line
+            data = (
+                t.to_pandas().to_json(orient="records", lines=True)
+                .encode() if t.num_rows else b""
+            )
+        else:
+            # the mirrored key=value dirs carry the partition columns;
+            # repeating them in the file makes pyarrow refuse the dataset
+            t = t.drop_columns(
+                [c for c in parse_hive_parts(rel) if c in t.column_names]
+            )
+            buf = io.BytesIO()
+            pq.write_table(t, buf, use_deprecated_int96_timestamps=int96)
+            data = buf.getvalue()
+        out_fs.makedirs(dst.rsplit("/", 1)[0], exist_ok=True)
+        fsmod.atomic_write(out_fs, dst, data)
+        rows.append(t.num_rows)
+    return rows
+
+
 def _export(enc_dir, out_dir, fmt, columns, filters, times, filesystem):
     """The one export path: every kept shard becomes one file named
-    after its relative path, decoded by ``decode_shard`` in a Ray task
-    and published with ``atomic_write``; files already present are
-    skipped. An encoded dir with no kept shard writes nothing."""
-    import io
-
-    import pyarrow.parquet as pq
+    after its relative path, written by ``_export_run`` in a Ray task
+    per contiguous run of shards of about equal ``raw_bytes``
+    (``cluster.pack``); files already present are skipped. An encoded
+    dir with no kept shard writes nothing."""
     import ray
-    import ray.data
 
     snap = Snapshot(enc_dir, filesystem)
     kept = snap.prune(filters, snap.paths)
@@ -105,7 +138,7 @@ def _export(enc_dir, out_dir, fmt, columns, filters, times, filesystem):
         "format": fmt, "columns": columns, "filters": filters, "times": times,
     })
     ext = {"parquet": ".parquet", "jsonl": ".json"}[fmt]
-    jobs: list[dict] = []
+    jobs = []
     for p in kept:
         rel = snap.rel(p)
         # JSON-Lines output is flat: the hive values ride in the rows
@@ -114,49 +147,19 @@ def _export(enc_dir, out_dir, fmt, columns, filters, times, filesystem):
         if out_fs.exists(dst):
             summary["skipped"] += 1
         else:
-            jobs.append({"path": p, "rel": rel, "dst": dst})
+            jobs.append((p, rel, dst))
 
     if jobs:
-        tables_ref = ray.put(snap.tables)
-        in_fs, hive = snap.fs, snap.hive
-        int96 = times == "int96"
-
-        def export_shards(batch: pd.DataFrame) -> pd.DataFrame:
-            tables = ray.get(tables_ref)
-            rows = []
-            for path, rel, dst in zip(batch["path"], batch["rel"], batch["dst"]):
-                t = decode_shard(
-                    fsmod.read_bytes(in_fs, path), path, tables, columns,
-                    hive=hive, filters=filters,
-                )
-                if fmt == "jsonl":
-                    # an empty table would print one blank line
-                    data = (
-                        t.to_pandas().to_json(orient="records", lines=True)
-                        .encode() if t.num_rows else b""
-                    )
-                else:
-                    # the mirrored key=value dirs carry the partition
-                    # columns; repeating them in the file makes
-                    # pyarrow refuse the dataset
-                    t = t.drop_columns(
-                        [c for c in parse_hive_parts(rel) if c in t.column_names]
-                    )
-                    buf = io.BytesIO()
-                    pq.write_table(t, buf, use_deprecated_int96_timestamps=int96)
-                    data = buf.getvalue()
-                out_fs.makedirs(dst.rsplit("/", 1)[0], exist_ok=True)
-                fsmod.atomic_write(out_fs, dst, data)
-                rows.append({"rows": t.num_rows})
-            return pd.DataFrame(rows)
-
-        done = (
-            ray.data.from_items(jobs)
-            .map_batches(export_shards, batch_format="pandas", batch_size=64)
-            .take_all()  # tiny: one row per shard
+        task = ray.remote(_export_run)
+        args = (fmt, columns, filters, times == "int96", snap.fs, snap.hive,
+                out_fs, ray.put(snap.tables))
+        outs = submit_in_order(
+            lambda run: task.remote(*args, *run),
+            pack(jobs, [snap.shard(j[0])["raw_bytes"] for j in jobs]),
         )
-        summary["exported"] = len(done)
-        summary["rows"] = int(sum(r["rows"] for r in done))
+        rows = [n for r in ray.get(outs) for n in r]
+        summary["exported"] = len(rows)
+        summary["rows"] = int(sum(rows))
     # sidecars last, over ALL files present (skipped ones included):
     # a rerun after a kill between the last file and either sidecar
     # publishes both
@@ -191,6 +194,18 @@ def _claim(fs, root: str, args: dict) -> None:
             )
 
 
+def _footers(fs, *files) -> list:
+    """Footer task: the parquet footer of each (path, relative path)
+    of a run of files, stamped with its relative path."""
+    out = []
+    for path, rel in files:
+        with fs.open(path, "rb") as fh:
+            md = pq.read_metadata(fh)
+        md.set_file_path(rel)
+        out.append(md)
+    return out
+
+
 def write_common_metadata(out_dir: str, filesystem=None) -> dict:
     """Consolidate the footers of every ``*.parquet`` file under
     ``out_dir`` into a ``_metadata`` sidecar (all row groups, each
@@ -202,50 +217,32 @@ def write_common_metadata(out_dir: str, filesystem=None) -> dict:
     instead of listing and opening N files: pyarrow consumes it via
     ``pyarrow.dataset.parquet_dataset(out_dir + '/_metadata')``.
 
-    Footer collection is distributed (FileMetaData pickles, so each
-    task returns its shard's footer with the file path stamped); only
-    the O(files) footer merge runs on the driver — the same merge the
+    Footer collection is distributed: one ``_footers`` task per
+    contiguous run of files of about equal bytes (``cluster.pack``;
+    FileMetaData pickles). Only the O(files) footer merge, in sorted
+    relative-path order, runs on the driver — the same merge the
     reference performs, on KB-sized thrift objects, never data."""
-    import pyarrow.parquet as pq
     import ray
-    import ray.data
 
     fs, root = fsmod.get_fs(out_dir, filesystem)
     rootp = root.rstrip("/")
-    files = sorted(
-        p
-        for p in fs.find(rootp)
+    sizes = {
+        p: info["size"]
+        for p, info in fs.find(rootp, detail=True).items()
         if p.endswith(".parquet") and not os.path.basename(p).startswith("_")
-    )
-    if not files:
+    }
+    if not sizes:
         raise FileNotFoundError(f"no parquet files under {out_dir}")
-
-    def collect(batch: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for path, rel in zip(batch["path"], batch["rel"]):
-            with fs.open(path, "rb") as fh:
-                md = pq.read_metadata(fh)
-            md.set_file_path(rel)
-            out.append({"rel": rel, "md": md})
-        return pd.DataFrame(out)
-
-    jobs = [
-        {"path": p, "rel": p[len(rootp):].lstrip("/")} for p in files
-    ]
-    parts = (
-        ray.data.from_items(jobs)
-        .map_batches(collect, batch_format="pandas", batch_size=256)
-        .to_pandas()  # O(files) footers — metadata-scaled, never data
-        .sort_values("rel")
+    # every path starts with rootp + "/": sorted paths are sorted rels
+    files = [(p, p[len(rootp):].lstrip("/")) for p in sorted(sizes)]
+    task = ray.remote(_footers)
+    outs = submit_in_order(
+        lambda run: task.remote(fs, *run),
+        pack(files, [sizes[p] for p, _ in files]),
     )
-    merged = None
-    for md in parts["md"]:
-        if merged is None:
-            merged = md
-        else:
-            merged.append_row_groups(md)
-    import io
-
+    merged, *rest = [md for run in ray.get(outs) for md in run]
+    for md in rest:
+        merged.append_row_groups(md)
     full, common = io.BytesIO(), io.BytesIO()
     merged.write_metadata_file(full)
     pq.write_metadata(merged.schema.to_arrow_schema(), common)

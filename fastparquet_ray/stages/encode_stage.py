@@ -107,7 +107,7 @@ class EncodeShard:
         extra = ""
         pcol = self.provenance_col
         if pcol is not None and pcol in batch.column_names:
-            # provenance column from read_parquet(include_paths=True):
+            # provenance column (the encode job's reader adds it):
             # salts the partition id so duplicate input files don't
             # collapse into one shard; dropped before encoding
             extra = "\x00".join(

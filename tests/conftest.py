@@ -41,3 +41,17 @@ def header_reads(monkeypatch):
 
     monkeypatch.setattr(fsmod, "read_header_bytes", counting)
     return reads
+
+
+@pytest.fixture()
+def no_ray_data_job(monkeypatch):
+    """Make any Ray Data job fail the test: the core's jobs that hand
+    no Dataset in or out run on plain Ray tasks."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    def no_job(*a, **k):
+        raise AssertionError("a Ray Data job started")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", no_job)

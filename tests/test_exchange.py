@@ -83,14 +83,22 @@ def test_pack_cuts_contiguous_byte_balanced_runs(ray_session):
     """The task-count rule on 4 CPUs: max(CPUs, bytes / target) runs,
     never more than the items, each a contiguous slice in order, cut
     where the bytes balance rather than where the counts do."""
+    from ray.data import DataContext
+
     items = list(range(8))
-    assert pack(items, [5, 1, 1, 1, 1, 1, 1, 5], 10**9) == [
+    assert pack(items, [5, 1, 1, 1, 1, 1, 1, 5]) == [
         [0], [1, 2, 3], [4, 5, 6], [7]
     ]
-    assert pack(items[:3], [1, 1, 1], 10**9) == [[0], [1], [2]]
+    assert pack(items[:3], [1, 1, 1]) == [[0], [1], [2]]
+    assert pack([], []) == []
     # bytes over the target raise the count past the CPUs
-    assert pack(items, [10] * 8, 10) == [[i] for i in items]
-    assert pack([], [], 10**9) == []
+    ctx = DataContext.get_current()
+    default = ctx.target_max_block_size
+    ctx.target_max_block_size = 10
+    try:
+        assert pack(items, [10] * 8) == [[i] for i in items]
+    finally:
+        ctx.target_max_block_size = default
 
 
 def test_exchange_keeps_keys_whole_in_input_order(ray_session):

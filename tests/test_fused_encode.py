@@ -1,7 +1,7 @@
 """The encode job on plain Ray tasks: no layout starts a Ray Data job,
-tasks take contiguous runs of input blocks sized by bytes
-(``cluster.reducer_count``) and each block still writes its own
-shard, decode read tasks follow the same rule, a block read in the
+nor do verify and export; tasks take contiguous runs of input blocks
+sized by bytes (``cluster.reducer_count``) and each block still writes
+its own shard, decode read tasks follow the same rule, a block read in the
 encode task gives the same shard header as one that crossed the object
 store, the summary times each driver stage, and the core (everything
 but ``functions/`` and ``pipelines/flagship.py``) imports nothing from
@@ -92,19 +92,8 @@ def sixteen(tmp_path_factory):
     )
 
 
-def _no_ray_data_job(monkeypatch):
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor,
-    )
-
-    def no_job(*a, **k):
-        raise AssertionError("the encode started a Ray Data job")
-
-    monkeypatch.setattr(StreamingExecutor, "execute", no_job)
-
-
 def test_fresh_encode_packs_files_into_byte_balanced_tasks(
-    ray_session, sixteen, tmp_path, monkeypatch
+    ray_session, sixteen, tmp_path, monkeypatch, no_ray_data_job
 ):
     """A plain fresh encode starts no Ray Data job. Its task count is
     ``cluster.reducer_count`` of the input bytes: 16 small files on 4
@@ -116,7 +105,6 @@ def test_fresh_encode_packs_files_into_byte_balanced_tasks(
     def no_caller_read(*a, **k):
         raise AssertionError("the calling process read an input block")
 
-    _no_ray_data_job(monkeypatch)
     monkeypatch.setattr(encode_mod, "read_block", no_caller_read)
     submitted = []
     real_submit = encode_mod.submit_in_order
@@ -148,13 +136,35 @@ def test_fresh_encode_packs_files_into_byte_balanced_tasks(
     ids=["clustered", "zorder", "salted"],
 )
 def test_exchange_layouts_start_no_ray_data_job(
-    ray_session, paths, tmp_path, monkeypatch, layout
+    ray_session, paths, tmp_path, no_ray_data_job, layout
 ):
     """The key passes of a clustered or z-order encode (boundary
     sample, profile) and the exchange run on plain Ray tasks too."""
-    _no_ray_data_job(monkeypatch)
     s = encode_pipeline(paths, str(tmp_path / "enc"), resume=False, **layout)
     assert s["rows"] == 2000 and s["encoded"] == s["partitions"] > 1
+
+
+@pytest.mark.parametrize("layout", [{}, {"hive_cols": ["source"]}],
+                         ids=["plain", "hive"])
+def test_verify_and_export_start_no_ray_data_job(
+    ray_session, paths, tmp_path, no_ray_data_job, layout
+):
+    """Verify (both modes) and export (Parquet with its ``_metadata``
+    sidecars, and JSON-Lines) run on plain Ray tasks."""
+    import pyarrow.parquet as pq
+
+    from fastparquet_ray.pipelines import verify_roundtrip
+    from fastparquet_ray.pipelines.export import export_jsonl, export_parquet
+
+    out = str(tmp_path / "enc")
+    encode_pipeline(paths, out, resume=False, **layout)
+    for mode in ("moments", "exact"):
+        res = verify_roundtrip(paths, out, mode=mode)
+        assert res["ok"] and res["fingerprint_groups"] == 2000, res
+    pq_dir = str(tmp_path / "pq")
+    assert export_parquet(out, pq_dir)["rows"] == 2000
+    assert pq.read_metadata(pq_dir + "/_metadata").num_rows == 2000
+    assert export_jsonl(out, str(tmp_path / "js"))["rows"] == 2000
 
 
 def test_decode_read_tasks_sized_by_bytes(

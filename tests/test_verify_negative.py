@@ -87,6 +87,52 @@ def test_generic_table_verify(ray_session, tmp_path):
     assert not res["ok"]
 
 
+def test_generic_hive_table_verify(ray_session, tmp_path):
+    """A generic table encoded with a string and an int hive column
+    verifies in both modes: the decoded columns come back in the
+    source's order, not with the hive columns last."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from fastparquet_ray.pipelines import decode_dataset
+
+    t = pa.table({
+        "id": pa.array(np.arange(400), pa.int64()),
+        "name": [f"n{i % 5}" for i in range(400)],
+        "k": pa.array(np.arange(400) % 3, pa.int64()),
+        "v": np.round(np.random.default_rng(5).uniform(0, 10, 400), 2),
+    })
+    src = str(tmp_path / "g.parquet")
+    pq.write_table(t, src)
+    out = str(tmp_path / "enc")
+    encode_pipeline([src], out, hive_cols=["name", "k"])
+    for mode in ("moments", "exact"):
+        res = verify_roundtrip([src], out, mode=mode)
+        assert res["ok"] and res["fingerprint_groups"] == 400, res
+    cols = ["id", "name", "k", "v"]
+    assert decode_dataset(out, columns=cols).schema().names == cols
+
+
+def test_verify_empty_encode(ray_session, tmp_path):
+    """An input with no rows encodes to no shards, and verifies with 0
+    fingerprint groups; a source with rows against that dir is a
+    mismatch, not an error."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table({"id": pa.array([], pa.int64())}), empty)
+    full = str(tmp_path / "full.parquet")
+    pq.write_table(pa.table({"id": pa.array([1, 2, 3], pa.int64())}), full)
+    out = str(tmp_path / "enc")
+    assert encode_pipeline([empty], out)["partitions"] == 0
+    for mode in ("moments", "exact"):
+        res = verify_roundtrip([empty], out, mode=mode)
+        assert res["ok"] and res["fingerprint_groups"] == 0, res
+        res = verify_roundtrip([full], out, mode=mode)
+        assert not res["ok"] and res["fingerprint_groups"] == 3, res
+
+
 def test_verify_single_file_src(ray_session, tmp_path):
     import numpy as np
     import pyarrow as pa
