@@ -28,7 +28,6 @@ from __future__ import annotations
 import base64
 
 import numpy as np
-import pandas as pd
 
 _CAP_BITS = 1 << 19  # 64 KB per column per shard, max
 _MIN_BITS = 1 << 10
@@ -38,6 +37,8 @@ def _hash64(values) -> np.ndarray:
     """Stable uint64 hash. Ints (incl. temporal ints in column units)
     hash as an int64 array; everything else as objects (str/bytes
     agree byte-wise in pandas' siphash path — verified)."""
+    import pandas as pd
+
     a = np.asarray(values)
     if a.dtype.kind in "iu":
         a = a.astype(np.int64, copy=False)

@@ -341,14 +341,15 @@ def _refine_table(
     lengths: np.ndarray,
     data: np.ndarray,
     max_symbols: int,
-) -> FsstTable:
+) -> tuple[FsstTable, int]:
     """One FSST-paper-style refinement round: encode the sample with
     the current table, count actual symbol usage / escaped bytes /
     adjacent-symbol concatenations, rebuild the table from measured
-    gains (gain = count * covered_len)."""
+    gains (gain = count * covered_len). Returns the rebuilt table and
+    the sample's encoded size under the current one."""
     el, ed = table.encode(lengths, data)
     if ed.size == 0:
-        return table
+        return table, 0
     unit_pos, esc_u = _parse_units(el, ed)
     codes = ed[unit_pos]
     cands: dict[bytes, int] = {}
@@ -384,7 +385,28 @@ def _refine_table(
     top = sorted(
         cands.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0])
     )[:max_symbols]
-    return FsstTable([s for s, _ in top])
+    return FsstTable([s for s, _ in top]), int(ed.size)
+
+
+def _prefix_counts(w64: np.ndarray, edist: np.ndarray):
+    """For L = 1..8 while any window has L bytes left in its string:
+    (L, distinct L-byte prefixes as little-endian keys in ascending
+    order, their counts), as ``np.unique(..., return_counts=True)`` of
+    the masked windows gives them. One sort of the byte-swapped
+    (big-endian) windows orders every prefix length at once; only the
+    distinct prefixes are re-sorted by key."""
+    be = w64.byteswap()
+    order = np.argsort(be)
+    be, ed = be[order], edist[order]
+    for L in range(1, MAX_SYM_LEN + 1):
+        k = be[ed >= L] & ~np.uint64((1 << (64 - 8 * L)) - 1)
+        if k.size == 0:
+            return
+        starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
+        counts = np.diff(np.append(starts, k.size))
+        uniq = k[starts].byteswap()
+        o = np.argsort(uniq)
+        yield L, uniq[o], counts[o]
 
 
 def train_fsst(
@@ -407,17 +429,17 @@ def train_fsst(
     if total == 0:
         return FsstTable([])
     if total > max_sample_bytes:
-        # deterministic stride sample of whole strings
+        # deterministic stride sample of whole strings, gathered with
+        # one ragged index
         cum = np.cumsum(lengths)
         n_keep = int(np.searchsorted(cum, max_sample_bytes)) + 1
         stride = max(1, lengths.size // max(n_keep, 1))
         keep = np.arange(0, lengths.size, stride)
-        offs = np.concatenate([[0], cum])
-        parts = [data[offs[i] : offs[i + 1]] for i in keep]
         s_lengths = lengths[keep]
-        s_data = (
-            np.concatenate(parts) if parts else np.empty(0, np.uint8)
-        )
+        s_cum = np.cumsum(s_lengths)
+        src = (cum - lengths)[keep] - (s_cum - s_lengths)
+        idx = np.repeat(src, s_lengths)
+        s_data = data[idx + np.arange(idx.size, dtype=np.int64)]
         if s_data.size > 4 * max_sample_bytes:
             s_data = s_data[: 4 * max_sample_bytes]
             s_lengths = None  # boundaries invalidated; treat as one blob
@@ -427,36 +449,37 @@ def train_fsst(
         s_lengths = np.array([s_data.size], dtype=np.int64)
     w64 = _windows_u64(s_data)
     edist = _end_dist(s_lengths, int(s_data.size))
-    cands: list[tuple[int, int, bytes]] = []  # (gain, -len, symbol)
-    for L in range(1, MAX_SYM_LEN + 1):
-        valid = edist >= L
-        if not valid.any():
-            break
-        keys = w64[valid] & _MASKS[L]
-        uniq, counts = np.unique(keys, return_counts=True)
+    # candidates (gain = count * len, len, little-endian key), ranked by
+    # (gain desc, len asc, symbol bytes desc)
+    gains, lens, keys = [], [], []
+    for L, uniq, counts in _prefix_counts(w64, edist):
         if uniq.size > per_len_candidates:
             top = np.argpartition(counts, -per_len_candidates)[
                 -per_len_candidates:
             ]
             uniq, counts = uniq[top], counts[top]
-        min_count = 2 if L > 1 else 1
-        for key, cnt in zip(uniq.tolist(), counts.tolist()):
-            if cnt < min_count:
-                continue
-            sym = int(key).to_bytes(8, "little")[:L]
-            cands.append((cnt * L, -L, sym))
-    cands.sort(reverse=True)
-    table = FsstTable([sym for _, _, sym in cands[:max_symbols]])
+        ok = counts >= (2 if L > 1 else 1)
+        gains.append(counts[ok].astype(np.int64) * L)
+        lens.append(np.full(int(ok.sum()), L, dtype=np.int64))
+        keys.append(uniq[ok])
+    if gains:
+        gains, lens, keys = map(np.concatenate, (gains, lens, keys))
+        # a symbol's bytes compare as its byte-swapped key (same length)
+        order = np.lexsort((keys.byteswap(), -lens, gains))[::-1][:max_symbols]
+        syms = [
+            int(k).to_bytes(8, "little")[:L]
+            for k, L in zip(keys[order].tolist(), lens[order].tolist())
+        ]
+    else:
+        syms = []
+    table = FsstTable(syms)
     for _ in range(max(iterations - 1, 0)):
-        refined = _refine_table(table, s_lengths, s_data, max_symbols)
+        refined, size = _refine_table(table, s_lengths, s_data, max_symbols)
         # keep the refinement only if it actually helps on the sample
-        if refined.symbols:
-            _, old_e = table.encode(s_lengths, s_data)
-            _, new_e = refined.encode(s_lengths, s_data)
-            if new_e.size < old_e.size:
-                table = refined
-            else:
-                break
-        else:
+        if not refined.symbols:
             break
+        _, new_e = refined.encode(s_lengths, s_data)
+        if new_e.size >= size:
+            break
+        table = refined
     return table

@@ -36,17 +36,23 @@ FOR_BP, FOR64, PFOR and DELTA's body share one miniblock writer and
 reader (``_frames``, ``_pack_frames``, ``_unpack_frames``).
 
 ``INT_CANDIDATES``: the codecs the planner and the per-shard auto path
-trial, in encode-speed order.
+trial, in encode-speed order. ``int_sizes`` gives each one's exact blob
+size. FOR_BP, FOR64, PFOR, DELTA and RLE_INT are split into a layout
+step (frames, block widths, PFOR's exception counts, run geometry) and
+a pack step; they, PLAIN and DICT_INT are sized from the layout alone,
+so a trial builds only ZRANK's blob.
 
 Wire format: [u8 codec_id][u8 dtype_id][varint n][codec-specific body].
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .bitpack import bit_width, pack_bits, unpack_bits, unpack_bits_add
-from .rle import _scatter_ragged, rle_decode, rle_encode
+from .rle import _scatter_ragged, long_runs, rle_decode, rle_encode, rle_size
 from .varint import decode_uvarint, encode_uvarint, zigzag_decode, zigzag_encode
 
 __all__ = [
@@ -57,6 +63,7 @@ __all__ = [
     "decode_any_int",
     "INT_CANDIDATES",
     "INT_ENCODERS",
+    "int_sizes",
 ]
 
 MINIBLOCK = 1024  # values per FOR miniblock; 1024*w bits is byte-aligned
@@ -263,14 +270,14 @@ def _unpack_frames(payload: np.ndarray, widths, out, tail_lens=None):
     return None if tail_lens is None else ends - tail_lens
 
 
-def _encode_for(v: np.ndarray, codec: int, widen: bool = False) -> bytes:
-    """FOR_BP or FOR64 blob of ``v``; both write the same bytes after
-    the codec id. A block wider than 32 bits makes FOR_BP raise
-    ValueError or, with ``widen``, turns the blob into FOR64."""
-    v = np.ascontiguousarray(v)
+def _for_layout(v: np.ndarray, codec: int, widen: bool = False):
+    """(codec, mins, deltas, widths) of a FOR_BP or FOR64 blob of ``v``
+    (None for the arrays when ``v`` is empty). A block wider than 32
+    bits makes FOR_BP raise ValueError or, with ``widen``, turns the
+    blob into FOR64."""
     _no_uint64(v, "FOR_BP" if codec == _C_FOR else "FOR64")
     if v.size == 0:
-        return _header(codec, v)
+        return codec, None, None, None
     mins, d = _frames(v)
     widths = _block_widths(d)
     # uint32 deltas always fit FOR_BP's 32 bits
@@ -278,6 +285,24 @@ def _encode_for(v: np.ndarray, codec: int, widen: bool = False) -> bytes:
         if not widen:
             raise ValueError("FOR_BP: miniblock range exceeds 32 bits")
         codec = _C_FOR64
+    return codec, mins, d, widths
+
+
+def _for_size(v: np.ndarray, widths) -> int:
+    """Bytes of a FOR_BP/FOR64 blob of ``v`` with block ``widths``."""
+    size = len(_header(_C_FOR, v))
+    if widths is None:
+        return size
+    return size + widths.size * _HDR.itemsize + int(_BLOCK_BYTES[widths].sum())
+
+
+def _encode_for(v: np.ndarray, codec: int, widen: bool = False) -> bytes:
+    """FOR_BP or FOR64 blob of ``v``; both write the same bytes after
+    the codec id (``_for_layout``)."""
+    v = np.ascontiguousarray(v)
+    codec, mins, d, widths = _for_layout(v, codec, widen)
+    if mins is None:
+        return _header(codec, v)
     hdr = np.zeros(mins.size, dtype=_HDR)
     hdr["min"] = mins
     hdr["w"] = widths
@@ -299,20 +324,26 @@ def encode_for_bp64(values: np.ndarray) -> bytes:
     return _encode_for(values, _C_FOR64)
 
 
+def _rle_frame(v: np.ndarray) -> tuple[int, int]:
+    """RLE_INT's (minimum, bit width) of non-empty ``v`` read as int64;
+    the width is exact even where the int64 subtraction wraps."""
+    v64 = v.astype(np.int64, copy=False) if v.dtype == np.uint64 else v
+    mn = int(v64.min())
+    mx = int(v64.max()) - mn
+    if mx >> 32:
+        raise ValueError("RLE_INT: value range exceeds 32 bits")
+    return mn, bit_width(mx)
+
+
 def encode_rle_int(values: np.ndarray) -> bytes:
     """min-subtract + Parquet RLE/bit-pack hybrid over the deltas."""
     v = np.ascontiguousarray(values)
     head = _header(_C_RLE, v)
     if v.size == 0:
         return head
-    v64 = v.astype(np.int64, copy=False)
-    mn = int(v64.min())
-    deltas = (v64 - mn).astype(np.uint64)
-    mx = int(deltas.max())
-    if mx >> 32:
-        raise ValueError("RLE_INT: value range exceeds 32 bits")
-    w = bit_width(mx)
-    body = rle_encode(deltas.astype(np.uint32), w)
+    mn, w = _rle_frame(v)
+    deltas = (v.astype(np.int64, copy=False) - mn).astype(np.uint32)
+    body = rle_encode(deltas, w)
     return head + mn.to_bytes(8, "little", signed=True) + bytes([w]) + body
 
 
@@ -337,22 +368,10 @@ def encode_dict_int(values: np.ndarray) -> bytes:
     return head + encode_uvarint(table.size) + bytes([w]) + tbytes + body
 
 
-def encode_pfor(values: np.ndarray) -> bytes:
-    """Patched frame-of-reference (PFOR, Zukowski et al. 2006 public
-    design): per 1024-value miniblock, pick the bit width minimizing
-    packed-bits + exception cost; values wider than the chosen width
-    are stored as (position u16, value u32) patches. Wins on skewed
-    distributions (zipf dict indices) where a naive FOR width is set
-    by a handful of outliers per block.
-
-    Layout: header [min i64][w u8][n_exc u16] per block, then per block
-    payload [packed 1024*w bits][n_exc * (u16 pos + u32 value)].
-    """
-    v = np.ascontiguousarray(values)
-    _no_uint64(v, "PFOR")
-    head = _header(_C_PFOR, v)
-    if v.size == 0:
-        return head
+def _pfor_layout(v: np.ndarray):
+    """(mins, deltas, per-value width estimates, block widths, block
+    exception counts) of a PFOR blob of non-empty ``v``: per block, the
+    width minimizing packed bits + 6 bytes per exception."""
     mins, d32 = _frames(v)
     nb = mins.size
     if d32.dtype == np.uint64:
@@ -376,7 +395,27 @@ def encode_pfor(values: np.ndarray) -> bytes:
     cost = MINIBLOCK * ws // 8 + exc_counts * 6
     wstar = cost[:, :33].argmin(axis=1).astype(np.uint8)
     nexc = exc_counts[np.arange(nb), wstar].astype(np.uint16)
-    hdr = np.zeros(nb, dtype=_PFOR_HDR)
+    return mins, d32, vwidths, wstar, nexc
+
+
+def encode_pfor(values: np.ndarray) -> bytes:
+    """Patched frame-of-reference (PFOR, Zukowski et al. 2006 public
+    design): per 1024-value miniblock, pick the bit width minimizing
+    packed-bits + exception cost; values wider than the chosen width
+    are stored as (position u16, value u32) patches. Wins on skewed
+    distributions (zipf dict indices) where a naive FOR width is set
+    by a handful of outliers per block.
+
+    Layout: header [min i64][w u8][n_exc u16] per block, then per block
+    payload [packed 1024*w bits][n_exc * (u16 pos + u32 value)].
+    """
+    v = np.ascontiguousarray(values)
+    _no_uint64(v, "PFOR")
+    head = _header(_C_PFOR, v)
+    if v.size == 0:
+        return head
+    mins, d32, vwidths, wstar, nexc = _pfor_layout(v)
+    hdr = np.zeros(mins.size, dtype=_PFOR_HDR)
     hdr["min"] = mins
     hdr["w"] = wstar
     hdr["ne"] = nexc
@@ -394,6 +433,12 @@ def encode_pfor(values: np.ndarray) -> bytes:
     return head + hdr.tobytes() + _pack_frames(d32, wstar, tails)
 
 
+def _delta_body(v: np.ndarray) -> np.ndarray:
+    """DELTA's FOR input: zigzag first differences of non-empty ``v``."""
+    d = np.diff(v.astype(np.int64, copy=False))
+    return zigzag_encode(d).astype(np.int64)
+
+
 def encode_delta(values: np.ndarray) -> bytes:
     """Delta coding for (near-)sorted / smooth sequences: zigzag of
     consecutive differences, then a FOR_BP body (FOR64 when a block of
@@ -408,10 +453,8 @@ def encode_delta(values: np.ndarray) -> bytes:
     head = _header(_C_DELTA, v)
     if v.size == 0:
         return head
-    v64 = v.astype(np.int64, copy=False)
-    zz = zigzag_encode(np.diff(v64)).astype(np.int64)
-    first = int(v64[0]).to_bytes(8, "little", signed=True)
-    return head + first + _encode_for(zz, _C_FOR, widen=True)
+    first = int(v[0]).to_bytes(8, "little", signed=True)
+    return head + first + _encode_for(_delta_body(v), _C_FOR, widen=True)
 
 
 def _write_codes(ranks: np.ndarray, n_codes: int) -> bytes:
@@ -450,13 +493,16 @@ def encode_zrank_int(values: np.ndarray) -> bytes:
     head = _header(_C_ZRANK, v)
     if v.size == 0:
         return head
-    vmin = int(v.min())
-    vrange = int(v.max()) - vmin
+    lo = v.min()
+    vrange = int(v.max()) - int(lo)
     if vrange <= (1 << 22):
         # bounded domain (token vocabularies): O(n) bincount + O(vocab)
         # rank instead of np.unique's O(n log n) sort — ~4x faster on
         # 10M-value shards
-        dense = (v.astype(np.int64) - vmin)
+        # offsets taken in v's dtype and read unsigned: exact where the
+        # subtraction wraps (uint64 above 2**63, a signed range past the
+        # dtype's maximum); adding lo back wraps back the same way
+        dense = (v - lo).view(f"u{v.itemsize}").astype(np.intp)
         counts = np.bincount(dense, minlength=vrange + 1)
         present = np.flatnonzero(counts)
         # deterministic ranking: by count desc, value asc on ties
@@ -464,7 +510,7 @@ def encode_zrank_int(values: np.ndarray) -> bytes:
         rank_dense = np.zeros(vrange + 1, dtype=np.int64)
         rank_dense[present[order]] = np.arange(present.size)
         ranks = rank_dense[dense]
-        table = (present[order] + vmin).astype(v.dtype)
+        table = present[order].astype(v.dtype) + lo
     else:
         u, inv, counts = np.unique(v, return_inverse=True, return_counts=True)
         # deterministic ranking: by count desc, value asc on ties
@@ -606,6 +652,134 @@ def encode_zrank_shared(values: np.ndarray, rt: RankTable, thash: str) -> bytes:
     )
 
 
+class _Layout:
+    """The layout facts of one array that the candidate sizes share,
+    each computed on first use: the FOR frames (FOR_BP, FOR64), the
+    long runs (RLE_INT, DICT_INT) and the distinct count (DICT_INT, and
+    ZRANK's lower bound)."""
+
+    def __init__(self, v: np.ndarray):
+        self.v = v
+        self.head = len(_header(_C_PLAIN, v))  # TypeError: no int dtype
+
+    @cached_property
+    def for_layout(self):
+        return _for_layout(self.v, _C_FOR, widen=True)
+
+    @cached_property
+    def runs(self):
+        return long_runs(self.v)
+
+    @cached_property
+    def distinct(self) -> int:
+        return np.unique(self.v).size
+
+
+def _size_for_bp(L: _Layout) -> int:
+    codec, _, _, widths = L.for_layout
+    if codec != _C_FOR:
+        raise ValueError("FOR_BP: miniblock range exceeds 32 bits")
+    return _for_size(L.v, widths)
+
+
+def _size_for64(L: _Layout) -> int:
+    return _for_size(L.v, L.for_layout[3])
+
+
+def _size_delta(L: _Layout) -> int:
+    v = L.v
+    _no_uint64(v, "DELTA")
+    if v.size == 0:
+        return L.head
+    zz = _delta_body(v)
+    return L.head + 8 + _for_size(zz, _for_layout(zz, _C_FOR, widen=True)[3])
+
+
+def _size_pfor(L: _Layout) -> int:
+    v = L.v
+    _no_uint64(v, "PFOR")
+    if v.size == 0:
+        return L.head
+    _, _, _, wstar, nexc = _pfor_layout(v)
+    return (
+        L.head
+        + wstar.size * _PFOR_HDR.itemsize
+        + int(_BLOCK_BYTES[wstar].sum())
+        + 6 * int(nexc.sum(dtype=np.int64))
+    )
+
+
+def _size_rle(L: _Layout) -> int:
+    v = L.v
+    if v.size == 0:
+        return L.head
+    return L.head + 9 + rle_size(L.runs, v.size, _rle_frame(v)[1])
+
+
+def _size_dict(L: _Layout) -> int:
+    v = L.v
+    if v.size == 0:
+        return L.head
+    n_distinct = L.distinct
+    return (
+        L.head
+        + len(encode_uvarint(n_distinct))
+        + 1
+        + n_distinct * v.itemsize
+        + rle_size(L.runs, v.size, bit_width(n_distinct - 1))
+    )
+
+
+# blob sizes from layouts alone; every other candidate is sized by
+# encoding it
+_SIZES = {
+    "plain": lambda L: L.head + L.v.nbytes,
+    "for_bp": _size_for_bp,
+    "for64": _size_for64,
+    "delta": _size_delta,
+    "pfor": _size_pfor,
+    "rle": _size_rle,
+    "dict": _size_dict,
+}
+
+def _zrank_floor(L: _Layout) -> int:
+    """A lower bound on ZRANK's size: it ships its whole rank table,
+    then a width byte and at least one length byte."""
+    if L.v.size == 0:
+        return L.head
+    n = L.distinct
+    return L.head + len(encode_uvarint(n)) + n * L.v.itemsize + 2
+
+
+def int_sizes(
+    values: np.ndarray, names, prune: float | None = None
+) -> dict[str, int | None]:
+    """``len(INT_ENCODERS[name](values))`` for each of ``names``, in
+    their order, leaving out a name whose encoder raises ValueError.
+    The sized codecs (``_SIZES``) are sized from their layouts with no
+    blob built, and first. With ``prune``, zrank maps to None and is
+    not encoded when its floor exceeds ``prune`` times a size already
+    measured: under a pick that takes the first name within ``prune``
+    of the smallest size, it can then neither be picked nor change the
+    pick."""
+    L = _Layout(np.ascontiguousarray(values))
+    names = list(names)
+    out: dict[str, int | None] = {}
+    for name in sorted(names, key=lambda n: n not in _SIZES):
+        try:
+            if name in _SIZES:
+                out[name] = _SIZES[name](L)
+                continue
+            if prune is not None and name == "zrank" and out:
+                if _zrank_floor(L) > min(out.values()) * prune:
+                    out[name] = None
+                    continue
+            out[name] = len(INT_ENCODERS[name](L.v))
+        except ValueError:
+            continue
+    return {n: out[n] for n in names if n in out}
+
+
 _AUTO_SAMPLE = 1 << 18  # values used for codec ranking trials
 
 
@@ -615,14 +789,8 @@ def rank_int_codecs(values: np.ndarray, names) -> list[str]:
     ranked codec that succeeds — O(sample) selection cost instead of
     O(n * candidates) full trial-encodes."""
     s = values[:_AUTO_SAMPLE] if values.size > _AUTO_SAMPLE else values
-    sized = []
-    for name in names:
-        try:
-            sized.append((len(INT_ENCODERS[name](s)), name))
-        except ValueError:
-            continue
-    sized.sort()
-    return [n for _, n in sized]
+    sizes = int_sizes(s, names)
+    return [n for _, n in sorted((b, n) for n, b in sizes.items())]
 
 
 def decode_any_int(

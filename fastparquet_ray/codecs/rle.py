@@ -36,12 +36,17 @@ from .varint import decode_uvarint, encode_uvarint
 __all__ = ["rle_encode", "rle_decode"]
 
 
+def _varint_lens(a: np.ndarray) -> np.ndarray:
+    """ULEB128 byte length of each value: ceil(bit_length / 7), min 1
+    (bit_length via frexp)."""
+    bl = np.frexp(a.astype(np.float64))[1]
+    return np.maximum((bl + 6) // 7, 1).astype(np.int64)
+
+
 def _vec_varint(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ULEB128: returns (bytes matrix (n,5), lengths)."""
     a = arr.astype(np.uint64)
-    # varint length = ceil(bit_length / 7), min 1; bit_length via frexp
-    bl = np.frexp(a.astype(np.float64))[1]
-    lens = np.maximum((bl + 6) // 7, 1).astype(np.int64)
+    lens = _varint_lens(a)
     out = np.zeros((a.size, 5), dtype=np.uint8)
     for k in range(5):
         byte = ((a >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
@@ -86,17 +91,77 @@ def _scatter_ragged(
     ]
 
 
-def rle_encode(values: np.ndarray, width: int) -> bytes:
-    """Encode non-negative ints (< 2**width) into the hybrid stream.
+def long_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the maximal equal runs of length >= 8: the
+    only part of the values the hybrid stream's geometry depends on.
+    Any one-to-one map of the values (min-subtract, dictionary codes)
+    keeps them."""
+    change = np.flatnonzero(values[1:] != values[:-1])
+    starts = np.concatenate([[0], change + 1]).astype(np.int64)
+    lengths = np.diff(np.concatenate([starts, [values.size]]))
+    keep = lengths >= 8
+    return starts[keep], lengths[keep]
 
-    Layout (parquet-cpp RleEncoder-equivalent, derived in closed form):
-    maximal equal runs of length >= 8 become RLE runs; each run's HEAD
-    is trimmed by pad = (gap to the previous run's end) % -8 so that
-    every literal (bit-packed) span between runs is a whole number of
-    8-value groups — run starts are aligned, run LENGTHS are arbitrary
-    (no end quantization, unlike a naive group-uniform scheme). All
-    candidates are accepted, so piece geometry is a pure array
-    computation; the stream is assembled with ragged scatters.
+
+def _pieces(
+    runs: tuple[np.ndarray, np.ndarray], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form piece geometry (parquet-cpp RleEncoder-equivalent):
+    each long run's HEAD is trimmed by pad = (gap to the previous run's
+    end) % -8 so that every literal (bit-packed) span between runs is a
+    whole number of 8-value groups — run starts are aligned, run
+    LENGTHS are arbitrary. Returns (is_rle, count, src) per piece in
+    stream order [bp_0][rle_0][bp_1]...[bp_k(tail)], empty pieces
+    dropped: count is the run length of an RLE piece and the group
+    count of a bit-packed one."""
+    s, l = runs
+    k = s.size
+    e = np.concatenate([[0], (s + l)[:-1]])  # previous run end
+    pad = (-(s - e)) % 8
+    rle_start = s + pad
+    rle_count = l - pad  # >= 1
+    # literal span [e, rle_start), a multiple of 8; then the terminal one
+    tail_start = int((s + l)[-1]) if k else 0
+    kinds = np.empty(2 * k + 1, dtype=bool)
+    kinds[0::2] = False
+    kinds[1::2] = True
+    counts = np.empty(2 * k + 1, dtype=np.int64)
+    counts[0::2][:k] = (rle_start - e) // 8
+    counts[-1] = (n - tail_start + 7) // 8  # terminal groups (padded)
+    counts[1::2] = rle_count
+    srcs = np.empty(2 * k + 1, dtype=np.int64)
+    srcs[0::2][:k] = e
+    srcs[-1] = tail_start
+    srcs[1::2] = rle_start
+    keep = counts > 0
+    return kinds[keep], counts[keep], srcs[keep]
+
+
+def _piece_layout(kinds, counts, width):
+    """(headers, body byte lengths) of the pieces."""
+    headers = np.where(kinds, counts << 1, (counts << 1) | 1)
+    body_lens = np.where(kinds, (width + 7) // 8, counts * width)
+    return headers, body_lens.astype(np.int64)
+
+
+def rle_size(runs: tuple[np.ndarray, np.ndarray], n: int, width: int) -> int:
+    """``len(rle_encode(values, width))`` from ``long_runs(values)`` and
+    ``n`` alone."""
+    if n == 0:
+        return 0
+    if width == 0:
+        return len(encode_uvarint(n << 1))
+    kinds, counts, _ = _pieces(runs, n)
+    headers, body_lens = _piece_layout(kinds, counts, width)
+    return int(_varint_lens(headers.astype(np.uint64)).sum() + body_lens.sum())
+
+
+def rle_encode(values: np.ndarray, width: int) -> bytes:
+    """Encode non-negative ints (< 2**width) into the hybrid stream:
+    maximal equal runs of length >= 8 become RLE runs, laid out by
+    ``_pieces``; all candidates are accepted, so the geometry is a pure
+    array computation and the stream is assembled with ragged
+    scatters.
     """
     v = np.ascontiguousarray(values, dtype=np.uint32)
     n = v.size
@@ -105,53 +170,10 @@ def rle_encode(values: np.ndarray, width: int) -> bytes:
     if width == 0:
         return encode_uvarint(n << 1)  # value occupies 0 bytes
     nbytes_val = (width + 7) // 8
-
-    # maximal equal runs
-    change = np.flatnonzero(v[1:] != v[:-1])
-    starts = np.concatenate([[0], change + 1]).astype(np.int64)
-    lengths = np.diff(np.concatenate([starts, [n]]))
-    cand = lengths >= 8
-    s = starts[cand]
-    l = lengths[cand]
-    k = s.size
-
-    # closed-form piece geometry: prev candidate ends e, head pads
-    e = np.concatenate([[0], (s + l)[:-1]])  # previous run end
-    pad = (-(s - e)) % 8
-    rle_start = s + pad
-    rle_count = l - pad  # >= 1
-    bp_start = e  # literal span [e, rle_start)
-    bp_len = rle_start - bp_start  # multiple of 8
-    # terminal literal span
-    tail_start = int((s + l)[-1]) if k else 0
-    tail_len = n - tail_start
-
-    # piece stream: [bp_0][rle_0][bp_1][rle_1]...[bp_k(tail)]
-    # drop zero-length bp pieces
-    rle_vals = v[s] if k else np.empty(0, np.uint32)
-
-    # build interleaved arrays of (is_rle, count_or_groups, src_off)
-    bp_groups = bp_len // 8
-    kinds = np.empty(2 * k + 1, dtype=bool)
-    kinds[0::2] = False
-    kinds[1::2] = True
-    counts = np.empty(2 * k + 1, dtype=np.int64)
-    counts[0::2][:k] = bp_groups
-    counts[-1] = (tail_len + 7) // 8  # terminal groups (padded)
-    counts[1::2] = rle_count
-    srcs = np.empty(2 * k + 1, dtype=np.int64)
-    srcs[0::2][:k] = bp_start
-    srcs[-1] = tail_start
-    srcs[1::2] = rle_start
-    keep = counts > 0
-    kinds, counts, srcs = kinds[keep], counts[keep], srcs[keep]
+    kinds, counts, srcs = _pieces(long_runs(v), n)
     n_pieces = kinds.size
-    if n_pieces == 0:
-        return b""
-
-    headers = np.where(kinds, counts << 1, (counts << 1) | 1)
+    headers, body_lens = _piece_layout(kinds, counts, width)
     hbytes, hlens = _vec_varint(headers)
-    body_lens = np.where(kinds, nbytes_val, counts * width).astype(np.int64)
     piece_lens = hlens + body_lens
     piece_off = np.concatenate([[0], np.cumsum(piece_lens)])
     out = np.zeros(int(piece_off[-1]), dtype=np.uint8)

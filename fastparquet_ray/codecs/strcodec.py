@@ -203,6 +203,15 @@ def encode_fsst_str(
     )
 
 
+def fsst_floor(lengths: np.ndarray) -> int:
+    """A lower bound on ``len(encode_fsst_str(lengths, ..., shared=True))``:
+    its header and table reference, then at least one code byte per
+    non-empty string."""
+    # codec id, varint n, shared-table mode byte, table md5
+    head = 2 + len(encode_uvarint(lengths.size)) + 16
+    return head + int(np.count_nonzero(lengths))
+
+
 def _decode_dict_parts(
     buf, pos: int, n: int, tables: dict[str, bytes] | None
 ) -> tuple[np.ndarray, list[bytes]]:

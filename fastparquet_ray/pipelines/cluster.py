@@ -55,7 +55,6 @@ disjoint.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -123,6 +122,8 @@ def sample_boundaries(
 def _sample(prepare, map_key, key_col: str, thr, *items) -> pa.Table:
     """Key-pass task: the threshold hash-sample of ``key_col`` over a
     run of items, in order."""
+    import pandas as pd
+
     out = []
     for t in items:
         t = t if prepare is None else prepare(t)

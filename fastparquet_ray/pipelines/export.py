@@ -30,8 +30,8 @@ from __future__ import annotations
 import io
 import json
 import os
+from typing import TYPE_CHECKING
 
-import pandas as pd
 import pyarrow.parquet as pq
 
 from ..state import fs as fsmod
@@ -39,6 +39,9 @@ from ..state.manifest import Manifest
 from .cluster import pack, submit_in_order
 from .decode import Snapshot, decode_shard, snapshot
 from .hive import parse_hive_parts
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 # the arguments an export dir was first written with: a rerun with
 # other arguments would keep the old files next to the new ones. The
@@ -261,6 +264,8 @@ def shard_statistics(
     """Per-shard, per-column stats from the dataset's snapshot: the
     manifest records, a header only for a shard no record covers (the
     reference reads footer Statistics the same way)."""
+    import pandas as pd
+
     snap = snapshot(enc_dir, filesystem)
     rows = []
     for path in snap.paths:
@@ -289,6 +294,8 @@ def sorted_partitioned_columns(enc_dir: "str | Snapshot") -> pd.DataFrame:
     """Columns whose per-shard [min, max] ranges do not overlap across
     shards — i.e. globally range-partitioned (reference A4:
     sorted_partitioned_columns, api.py:905-945)."""
+    import pandas as pd
+
     stats = shard_statistics(enc_dir)
     out = []
     for col, g in stats.dropna(subset=["min", "max"]).groupby("column"):

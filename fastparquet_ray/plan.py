@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import base64
 import json
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,8 @@ from .codecs.fsst import train_fsst
 SAMPLE_ROWS_PER_FRAGMENT = 2000
 SAMPLE_ROWS_TOTAL = 12_000  # cap: plan cost must not scale with input
 SAMPLE_VALUES_CAP = 400_000  # per-column value cap for trial encodes
+
+log = logging.getLogger("fastparquet_ray")
 
 
 @dataclass
@@ -68,40 +72,57 @@ class CodecPlan:
         )
 
 
-def _pick_int_codec(values: np.ndarray, outer: tuple | None = None) -> str:
-    """Trial-encode the ``ic.INT_CANDIDATES``, pick the smallest
-    (deterministic; a slower codec must beat the faster ones by >5%).
-    With an ``outer`` block codec configured, candidates are ranked by
+PICK_MARGIN = 1.05  # a slower codec must beat the faster ones by >5%
+
+
+def _pick(sizes: dict[str, int | None]) -> str:
+    """The first candidate (in speed order) within ``PICK_MARGIN`` of
+    the smallest size; None marks a candidate skipped by a bound."""
+    best = min(x for x in sizes.values() if x is not None)
+    return next(
+        n for n, x in sizes.items() if x is not None and x <= best * PICK_MARGIN
+    )
+
+
+def _pick_int_codec(
+    values: np.ndarray, outer: tuple | None = None
+) -> tuple[str, dict[str, int | None]]:
+    """(pick, candidate sizes) of the ``ic.INT_CANDIDATES`` on a
+    sample. Without an ``outer`` block codec the sizes come from
+    ``ic.int_sizes``, exact and mostly without building a blob, and a
+    candidate whose lower bound already exceeds ``PICK_MARGIN`` times a
+    measured size is skipped (None). With one, candidates are ranked by
     size AFTER outer compression of the sample — the archival choice
     measures what it ships: on the 400k-value perfbench tokens sample
     (seed 1) under zstd:22, plain ships in 148,743 B and wins, while
     without an outer codec zrank wins outright."""
     if values.size == 0:
-        return "plain"
+        return "plain", {}
     if values.size > SAMPLE_VALUES_CAP:
         values = values[:SAMPLE_VALUES_CAP]
-
-    def shipped(blob: bytes) -> int:
-        if outer is None:
-            return len(blob)
+    if outer is None:
+        sizes = ic.int_sizes(values, ic.INT_CANDIDATES, prune=PICK_MARGIN)
+    else:
         codec = pa.Codec(outer[0], compression_level=outer[1])
-        return len(codec.compress(blob, asbytes=True))
-
-    sizes: dict[str, int] = {}
-    for name in ic.INT_CANDIDATES:
-        try:
-            sizes[name] = shipped(ic.INT_ENCODERS[name](values))
-        except ValueError:
-            continue
-    best = min(sizes.values())
-    return next(n for n, size in sizes.items() if size <= best * 1.05)
+        sizes = {}
+        for name in ic.INT_CANDIDATES:
+            try:
+                blob = ic.INT_ENCODERS[name](values)
+            except ValueError:
+                continue
+            sizes[name] = len(codec.compress(blob, asbytes=True))
+    return _pick(sizes), sizes
 
 
-def _pick_str_codec(arr: pa.Array) -> tuple[dict, dict[str, bytes]]:
-    """Returns (spec, tables) for a string column sample.
+def _pick_str_codec(arr: pa.Array) -> tuple[dict, dict[str, bytes], dict]:
+    """Returns (spec, tables, candidate sizes) for a string column
+    sample.
 
     dict: shared table when sampled cardinality is small;
-    fsst: shared table otherwise, if it beats plain; else plain.
+    fsst: shared table otherwise, if it beats plain; else plain. FSST
+    writes at least one code byte per non-empty string, so its table is
+    trained only when that floor is below the plain and dict sizes
+    (else its size is None: ties already go to plain or dict).
     """
     lengths, data = sc.str_to_bufs(arr)
     n = len(arr)
@@ -109,6 +130,7 @@ def _pick_str_codec(arr: pa.Array) -> tuple[dict, dict[str, bytes]]:
     plain_len = len(sc.encode_plain_str(lengths, data))
     out_tables: dict[str, bytes] = {}
     cands: list[tuple[int, dict]] = [(plain_len, {"codec": "plain"})]
+    sizes: dict[str, int | None] = {"plain": plain_len}
     if distinct and distinct <= max(n // 4, 16) and distinct <= 65536:
         table = sorted(
             v.as_py().encode() for v in pc.unique(arr)
@@ -117,17 +139,30 @@ def _pick_str_codec(arr: pa.Array) -> tuple[dict, dict[str, bytes]]:
         blob = sc.encode_dict_str(lengths, data, shared_table=table)
         out_tables[thash] = sc._pack_str_list(table)
         cands.append((len(blob), {"codec": "dict", "table_hash": thash}))
+        sizes["dict"] = len(blob)
     if n:
-        ftable = train_fsst(lengths, data)
-        if ftable.symbols:
-            fhash = ftable.table_hash()
-            blob = sc.encode_fsst_str(lengths, data, ftable, shared=True)
-            out_tables[fhash] = ftable.serialize()
-            cands.append((len(blob), {"codec": "fsst", "table_hash": fhash}))
+        if sc.fsst_floor(lengths) >= min(x for x, _ in cands):
+            sizes["fsst"] = None
+        else:
+            ftable = train_fsst(lengths, data)
+            if ftable.symbols:
+                fhash = ftable.table_hash()
+                blob = sc.encode_fsst_str(lengths, data, ftable, shared=True)
+                out_tables[fhash] = ftable.serialize()
+                spec = {"codec": "fsst", "table_hash": fhash}
+                cands.append((len(blob), spec))
+                sizes["fsst"] = len(blob)
     cands.sort(key=lambda x: x[0])
     spec = cands[0][1]
     used = {spec.get("table_hash")} if spec.get("table_hash") else set()
-    return spec, {k: v for k, v in out_tables.items() if k in used}
+    return spec, {k: v for k, v in out_tables.items() if k in used}, sizes
+
+
+def _trial_note(part: str, pick: str, sizes: dict) -> str:
+    """One trial of a column's DEBUG line."""
+    measured = {n: x for n, x in sizes.items() if x is not None}
+    skipped = [n for n, x in sizes.items() if x is None]
+    return f"{part}sizes={measured} skipped={skipped} pick={pick}"
 
 
 def _maybe_share_zrank(spec: dict, values: np.ndarray, plan: "CodecPlan") -> dict:
@@ -224,6 +259,63 @@ def sample_fragments(
     return pa.concat_tables(parts) if parts else pa.table({})
 
 
+def _train_column(
+    plan: CodecPlan, name: str, col: pa.ChunkedArray, outer: tuple | None
+) -> list[str]:
+    """Put column ``name``'s spec (and its shared tables) into ``plan``;
+    returns a note per codec trial run."""
+    arr = col.chunk(0) if col.num_chunks else pa.array([], col.type)
+    t = arr.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        if arr.null_count:
+            arr = arr.fill_null("")
+        spec, tables, sizes = _pick_str_codec(arr)
+        plan.specs[name] = spec
+        plan.tables.update(tables)
+        return [_trial_note("", spec["codec"], sizes)]
+    if pa.types.is_list(t) or pa.types.is_large_list(t):
+        values = arr.flatten()
+        vt = t.value_type
+        if (
+            arr.null_count
+            or values.null_count
+            or not (pa.types.is_integer(vt) or pa.types.is_floating(vt))
+        ):
+            # nullable / non-numeric lists go through the recursive
+            # container path; codecs chosen per shard (auto)
+            plan.specs[name] = {}
+            return []
+        lengths = pc.list_value_length(arr).cast(pa.int32()).to_numpy()
+        pick, sizes = _pick_int_codec(lengths, outer)
+        spec = {"lengths": {"codec": pick}}
+        notes = [_trial_note("lengths ", pick, sizes)]
+        if pa.types.is_integer(vt):
+            # float values: shuffle or plain, chosen per shard
+            vnp = values.to_numpy()
+            pick, sizes = _pick_int_codec(vnp, outer)
+            spec["values"] = _maybe_share_zrank({"codec": pick}, vnp, plan)
+            notes.append(_trial_note("values ", pick, sizes))
+        plan.specs[name] = spec
+        return notes
+    if pa.types.is_struct(t) or pa.types.is_map(t) or pa.types.is_floating(t):
+        # recursive container path, or float_dec / shuffle / plain:
+        # codecs chosen per shard (auto)
+        plan.specs[name] = {}
+        return []
+    try:
+        from .container import _to_int_np
+
+        if arr.null_count:
+            arr = arr.fill_null(False if pa.types.is_boolean(t) else 0)
+        vnp = _to_int_np(arr)
+        pick, sizes = _pick_int_codec(vnp, outer)
+        plan.specs[name] = _maybe_share_zrank({"codec": pick}, vnp, plan)
+        return [_trial_note("", pick, sizes)]
+    except (TypeError, pa.ArrowInvalid):
+        plan.specs[name] = {}
+        return []
+
+
 def train_plan(sample: pa.Table, outer: tuple | None = None) -> CodecPlan:
     """Build a CodecPlan from a sampled table. ``outer``: the
     configured block codec — int-codec candidates are then ranked by
@@ -232,58 +324,14 @@ def train_plan(sample: pa.Table, outer: tuple | None = None) -> CodecPlan:
     plan.outer = outer
     sample = sample.combine_chunks()
     for name in sample.column_names:
-        col = sample.column(name)
-        arr = col.chunk(0) if col.num_chunks else pa.array([], col.type)
-        t = arr.type
-        if pa.types.is_string(t) or pa.types.is_large_string(t):
-            if arr.null_count:
-                arr = arr.fill_null("")
-            spec, tables = _pick_str_codec(arr)
-            plan.specs[name] = spec
-            plan.tables.update(tables)
-        elif pa.types.is_list(t) or pa.types.is_large_list(t):
-            values = arr.flatten()
-            vt = t.value_type
-            if (
-                arr.null_count
-                or values.null_count
-                or not (pa.types.is_integer(vt) or pa.types.is_floating(vt))
-            ):
-                # nullable / non-numeric lists go through the recursive
-                # container path; codecs chosen per shard (auto)
-                plan.specs[name] = {}
-                continue
-            lengths = pc.list_value_length(arr).cast(pa.int32()).to_numpy()
-            spec = {"lengths": {"codec": _pick_int_codec(lengths, outer)}}
-            if pa.types.is_integer(vt):
-                # float values: shuffle or plain, chosen per shard
-                vnp = values.to_numpy()
-                spec["values"] = _maybe_share_zrank(
-                    {"codec": _pick_int_codec(vnp, outer)}, vnp, plan
-                )
-            plan.specs[name] = spec
-        elif (
-            pa.types.is_struct(t)
-            or pa.types.is_map(t)
-            or pa.types.is_floating(t)
-        ):
-            # recursive container path, or float_dec / shuffle / plain:
-            # codecs chosen per shard (auto)
-            plan.specs[name] = {}
-        else:
-            try:
-                from .container import _to_int_np
-
-                if arr.null_count:
-                    arr = arr.fill_null(
-                        False if pa.types.is_boolean(t) else 0
-                    )
-                vnp = _to_int_np(arr)
-                plan.specs[name] = _maybe_share_zrank(
-                    {"codec": _pick_int_codec(vnp, outer)}, vnp, plan
-                )
-            except (TypeError, pa.ArrowInvalid):
-                plan.specs[name] = {}
+        t0 = time.perf_counter()
+        notes = _train_column(plan, name, sample.column(name), outer)
+        log.debug(
+            "train_plan column %s: %s; %.4f s",
+            name,
+            "; ".join(notes) or "no trial (codecs chosen per shard)",
+            time.perf_counter() - t0,
+        )
     # source-skew histogram for the salting stage
     if "source" in sample.column_names:
         vc = sample.column("source").combine_chunks().value_counts()

@@ -232,6 +232,24 @@ def _core_files() -> list[str]:
     ]
 
 
+def test_encode_import_skips_pandas():
+    """Importing the encode pipeline, as an encode worker does, loads no
+    pandas: the clustered key pass, bloom hashing and the export's
+    stats frames import it where they use it."""
+    code = (
+        "import sys\n"
+        "import ray\n"
+        "import fastparquet_ray.pipelines.encode\n"
+        "print('pandas' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=REPO),
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_core_stands_alone():
     """Importing the core loads no ``fastparquet_ray.functions`` module,
     and no core file imports one, even lazily inside a function."""

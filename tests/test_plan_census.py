@@ -6,13 +6,17 @@ and in ``doc_id``-sorted order, since sort order decides which integer
 codec wins (Column Partition and Permutation for Run Length Encoding,
 SIGMOD'20)."""
 
+import hashlib
+import logging
+
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from fastparquet_ray.codecs import intcodec as ic
+from fastparquet_ray.codecs import strcodec as sc
 from fastparquet_ray.data import generate_fragment
-from fastparquet_ray.plan import _pick_int_codec, train_plan
+from fastparquet_ray.plan import _pick_int_codec, _pick_str_codec, train_plan
 
 # (rows per fragment, fragments, outer) -> picks for
 # (doc_id, n_tok, source, tokens lengths, tokens values); the string
@@ -22,6 +26,20 @@ CENSUS = {
     (400, 1, ("zstd", 3)): ("fsst", "rle", "dict", "rle", "for_bp"),
     (2000, 3, None): ("fsst", "pfor", "dict", "pfor", "zrank"),
     (2000, 3, ("zstd", 3)): ("fsst", "for_bp", "dict", "for_bp", "for_bp"),
+}
+
+# sha256 of the plan's JSON per (case, order), as the plan was before
+# the int trial was sized from layouts and FSST training got its floor:
+# a faster trial must give the same bytes, symbol tables included
+PLAN_SHA256 = {
+    (400, 1, None, "file"): "cdce3f5ac175a99f3aa2f4a8fc7c7814c9f05e93f13ed5963c5c110ea49d5cfa",
+    (400, 1, None, "doc_id"): "f7356f7a8f59a5d2f485e5ec21093a38933fadd7f28f836e1520d3f7f031c6d7",
+    (400, 1, ("zstd", 3), "file"): "aee72787742a50f8146800f5327dc14d376e0dfa776f161698e749487901865d",
+    (400, 1, ("zstd", 3), "doc_id"): "4bcb8be8b6422ebd495f7ab7d40937b3fb55d432236fe9f60ec559b606abdd6d",
+    (2000, 3, None, "file"): "6144286cc0c5664c496b40f101723e836563610550a26253dd75c5ea2af40e2a",
+    (2000, 3, None, "doc_id"): "c4a32fdcf79a27e15128bbbc743a49c123a2503beacd173710d22150de4f99d2",
+    (2000, 3, ("zstd", 3), "file"): "0b26247618352dde0082f884ef8c795fab601b19d19d51c71d4d40fd1ab116f6",
+    (2000, 3, ("zstd", 3), "doc_id"): "b93a60d360da9f4610d43be1edf1734583abf9ddb44465aff06e91226791a0ab",
 }
 
 
@@ -55,6 +73,45 @@ def test_tokens_census(case, order):
     # the only sample statistic anything reads: the salting histogram
     assert list(plan.stats) == ["__source_hist__"]
     assert sum(plan.stats["__source_hist__"].values()) == t.num_rows
+    digest = hashlib.sha256(plan.to_json().encode()).hexdigest()
+    assert digest == PLAN_SHA256[case + (order,)]
+
+
+def test_fsst_trained_only_where_it_can_win(monkeypatch):
+    """``source`` (12 distinct values) goes to dict without an FSST
+    trial: FSST's floor of one byte per string is above dict's size.
+    ``doc_id``, where FSST wins, is trained. Without the floor the
+    picks and tables are the same."""
+    t = _tokens(2000, 3)
+    cols = {c: t.column(c).combine_chunks() for c in ("source", "doc_id")}
+    got = {c: _pick_str_codec(a) for c, a in cols.items()}
+    assert got["source"][0]["codec"] == "dict"
+    assert got["source"][2]["fsst"] is None
+    assert got["doc_id"][0]["codec"] == "fsst"
+    assert got["doc_id"][2]["fsst"] < got["doc_id"][2]["plain"]
+    monkeypatch.setattr(sc, "fsst_floor", lambda lengths: 0)
+    for c, a in cols.items():
+        spec, tables, sizes = _pick_str_codec(a)
+        assert (spec, tables) == got[c][:2]
+        assert sizes["fsst"] is not None
+
+
+def test_train_plan_logs_each_column(caplog):
+    """One DEBUG line per column: candidate sizes, the candidates a
+    bound skipped, the pick and the seconds."""
+    t = _tokens(400, 1)
+    with caplog.at_level(logging.DEBUG, logger="fastparquet_ray"):
+        train_plan(t)
+    lines = {
+        m.split(":")[0].split()[-1]: m
+        for m in (r.getMessage() for r in caplog.records)
+        if m.startswith("train_plan column ")
+    }
+    assert sorted(lines) == sorted(t.column_names)
+    assert "skipped=['fsst'] pick=dict" in lines["source"]
+    assert "lengths sizes={'plain'" in lines["tokens"]
+    assert "values sizes=" in lines["tokens"]
+    assert lines["n_tok"].endswith(" s") and "pick=rle" in lines["n_tok"]
 
 
 def _candidate_inputs() -> dict[str, np.ndarray]:
@@ -83,7 +140,7 @@ def test_every_int_candidate_wins_somewhere():
     assert list(inputs) == list(ic.INT_CANDIDATES)
     assert set(ic.INT_ENCODERS) == set(ic.INT_CANDIDATES)
     for name, values in inputs.items():
-        assert _pick_int_codec(values) == name
+        assert _pick_int_codec(values)[0] == name
 
 
 def test_float_columns_get_no_spec():

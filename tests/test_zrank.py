@@ -40,11 +40,11 @@ def test_zrank_deterministic():
 
 
 def test_plan_picks_zrank_for_zipf_tokens():
-    assert _pick_int_codec(_zipf_tokens()) == "zrank"
+    assert _pick_int_codec(_zipf_tokens())[0] == "zrank"
 
 
 def test_plan_still_picks_cheap_codec_for_sequential():
-    codec = _pick_int_codec(np.arange(100_000, dtype=np.int64))
+    codec, _ = _pick_int_codec(np.arange(100_000, dtype=np.int64))
     assert codec in ("delta", "for_bp")  # zrank must not win here
 
 
