@@ -300,20 +300,21 @@ class EncodedDataset:
         columns). Every kept row lands here — stream large scans with
         :meth:`dataset` or :meth:`iter_batches` instead.
         ``categories`` columns come back as pandas.Categorical."""
-        t = read_table(
-            self._snapshot(), columns, filters=filters,
-            categories=categories,
-        )
+        snap = self._snapshot()
+        t = read_table(snap, columns, filters=filters, categories=categories)
         if t is None:
             return pd.DataFrame()
-        return self._restore_index(t.to_pandas())
+        return self._restore_index(t.to_pandas(), snap)
 
-    def _restore_index(self, df: pd.DataFrame) -> pd.DataFrame:
+    def _restore_index(
+        self, df: pd.DataFrame, snap: Snapshot | None = None
+    ) -> pd.DataFrame:
         """Re-apply a write(write_index=True) index from the
-        ``_pandas.json`` sidecar (reference pandas-metadata read-back,
+        ``_pandas.json`` sidecar (of ``snap``, default the current
+        snapshot; reference pandas-metadata read-back,
         api.py:556-604). Skipped when a projection dropped the index
         columns."""
-        meta = self._snapshot().index_meta
+        meta = (snap or self._snapshot()).index_meta
         cols = meta.get("index_columns", [])
         if not cols or not set(cols) <= set(df.columns):
             return df

@@ -19,6 +19,7 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "unpack_bits_add",
+    "bits_at",
 ]
 
 _MAX_WIDTH = 32
@@ -177,3 +178,24 @@ def unpack_bits_add(
         )
         tgt = out[j:count:8]  # values j, j+8, ... across groups
         tgt += ((lanes[: tgt.size] >> np.uint64(r)) & mask).astype(np.int64)
+
+
+_BYTE_SHIFTS = np.arange(0, 40, 8, dtype=np.uint64)
+
+
+def bits_at(buf: bytes | np.ndarray, width, bitpos: np.ndarray) -> np.ndarray:
+    """The values of an LSB-first bitstream that start at the bit
+    offsets ``bitpos`` (any order), ``width`` bits each (one width, or
+    one per offset; at most 32): random access without unpacking the
+    stream. Returns uint32."""
+    bitpos = np.asarray(bitpos, dtype=np.int64)
+    if bitpos.size == 0 or not np.any(width):
+        return np.zeros(bitpos.size, dtype=np.uint32)
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    # a value spans at most 5 bytes (32 bits + a 7-bit shift); reads
+    # past the end repeat the last byte into bits the mask drops
+    idx = np.minimum((bitpos >> 3)[:, None] + np.arange(5), raw.size - 1)
+    word = np.bitwise_or.reduce(raw[idx].astype(np.uint64) << _BYTE_SHIFTS, axis=1)
+    shift = (bitpos & 7).astype(np.uint64)
+    mask = (np.uint64(1) << np.asarray(width, dtype=np.uint64)) - np.uint64(1)
+    return ((word >> shift) & mask).astype(np.uint32)

@@ -69,6 +69,7 @@ class FsstTable:
         # encode-side match tables, built on the first _match: a table
         # deserialized to decode a column never needs them
         self._by_len: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+        self._codes: dict[bytes, int] | None = None  # encode_one's map
 
     def _build_match_tables(self) -> None:
         symbols = self.symbols
@@ -166,6 +167,38 @@ class FsstTable:
                 break
         best_len[best_len == 0] = 1  # escapes advance one byte
         return best_len, best_code
+
+    def encode_one(self, s: bytes) -> bytes:
+        """``encode`` of the one string ``s``, a position at a time: the
+        same longest match, read off the same match tables, so a probe
+        gets exactly the codes its string has in a column."""
+        codes = self._codes
+        if codes is None:
+            if self._by_len is None:
+                self._build_match_tables()
+            codes = {}
+            for L, (keys, kcodes) in self._by_len.items():
+                if L > 2:  # searchsorted takes the first of equal keys
+                    for k, c in zip(keys.tolist(), kcodes.tolist()):
+                        codes.setdefault(k.to_bytes(8, "little")[:L], c)
+            for L, lut in ((1, self._lut1), (2, self._lut2)):
+                for k in np.flatnonzero(lut != 256).tolist():
+                    codes[k.to_bytes(L, "little")] = int(lut[k])
+            self._codes = codes
+        lens = sorted(self._by_len, reverse=True)
+        out = bytearray()
+        p, n = 0, len(s)
+        while p < n:
+            for L in lens:
+                c = codes.get(s[p : p + L]) if p + L <= n else None
+                if c is not None:
+                    out.append(c)
+                    p += L
+                    break
+            else:
+                out += bytes((ESCAPE, s[p]))
+                p += 1
+        return bytes(out)
 
     def encode(
         self, lengths: np.ndarray, data: np.ndarray

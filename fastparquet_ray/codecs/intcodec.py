@@ -53,6 +53,7 @@ import numpy as np
 
 from .bitpack import bit_width, pack_bits, unpack_bits, unpack_bits_add
 from .rle import _scatter_ragged, long_runs, rle_decode, rle_encode, rle_size
+from .tables import parse_shared
 from .varint import decode_uvarint, encode_uvarint, zigzag_decode, zigzag_encode
 
 __all__ = [
@@ -67,14 +68,14 @@ __all__ = [
 ]
 
 MINIBLOCK = 1024  # values per FOR miniblock; 1024*w bits is byte-aligned
+# a take of at most this many values reads them in place
+_READ_IN_PLACE = 16
 
 _C_PLAIN, _C_FOR, _C_RLE, _C_DICT, _C_DELTA, _C_PFOR, _C_DICT2, _C_FOR64 = (
     0, 1, 2, 3, 4, 5, 6, 7,
 )
 _C_ZRANK = 8
 _C_ZRANKS = 9  # zrank with a plan-shared rank table (+ embedded extras)
-# codecs whose decode ends in a table gather over per-value codes
-_TABLE_GATHER = (_C_DICT, _C_DICT2, _C_ZRANK, _C_ZRANKS)
 
 _DTYPES = {
     1: np.dtype("<i4"),
@@ -468,15 +469,28 @@ def _write_codes(ranks: np.ndarray, n_codes: int) -> bytes:
     return bytes([width]) + encode_uvarint(len(z)) + z
 
 
-def _read_codes(buf, pos: int, n: int) -> np.ndarray:
+def _read_codes(
+    buf, pos: int, n: int, stop: int | None = None, stats: dict | None = None
+) -> np.ndarray:
+    """The code stream's first ``stop`` codes (default all ``n``): a
+    prefix is decompressed as a stream, so nothing past it is. With
+    ``stats``, its ``"codes"`` gets (bytes decompressed, bytes of the
+    whole decompressed stream, bytes stored)."""
     import pyarrow as pa
 
     width = buf[pos]
     zlen, pos = decode_uvarint(buf, pos + 1)
+    dt = np.uint16 if width == 2 else np.uint32
+    if stats is not None:
+        stats["codes"] = (min(n if stop is None else stop, n) * width, n * width, zlen)
+    if stop is not None and stop < n:
+        z = pa.BufferReader(pa.py_buffer(buf)[pos : pos + zlen])
+        raw = pa.CompressedInputStream(z, "zstd").read(stop * width)
+        return np.frombuffer(raw, dtype=dt)
     raw = pa.Codec("zstd").decompress(
         buf[pos : pos + zlen], decompressed_size=n * width, asbytes=True
     )
-    return np.frombuffer(raw, dtype=np.uint16 if width == 2 else np.uint32)
+    return np.frombuffer(raw, dtype=dt)
 
 
 def encode_zrank_int(values: np.ndarray) -> bytes:
@@ -793,24 +807,105 @@ def rank_int_codecs(values: np.ndarray, names) -> list[str]:
     return [n for _, n in sorted((b, n) for n, b in sizes.items())]
 
 
+def _rank_values(buf: bytes, dt: np.dtype) -> np.ndarray:
+    return deserialize_rank_values(buf).astype(dt, copy=False)
+
+
+def _decode_frames(hdr: np.ndarray, payload: np.ndarray, pfor: bool) -> np.ndarray:
+    """The (blocks, MINIBLOCK) int64 values of FOR_BP/FOR64/PFOR blocks
+    with headers ``hdr`` whose payloads (PFOR patches included) lie
+    back to back from ``payload[0]``."""
+    nb = hdr.size
+    out = np.empty((nb, MINIBLOCK), dtype=np.int64)
+    out[:] = hdr["min"][:, None]
+    exc_lens = hdr["ne"].astype(np.int64) * 6 if pfor else None
+    if exc_lens is None or not exc_lens.any():
+        _unpack_frames(payload, hdr["w"], out)
+        return out
+    exc_starts = _unpack_frames(payload, hdr["w"], out, exc_lens)
+    # PFOR patches: one ragged gather of all patch records, then one
+    # flat add into the zeros the main stream holds there (a per-block
+    # Python loop here cost ~30% of token-heavy decode at ~10k
+    # miniblocks per shard)
+    ebuf = np.empty(int(exc_lens.sum()), dtype=np.uint8)
+    _scatter_ragged(
+        ebuf, np.cumsum(exc_lens) - exc_lens, payload, exc_starts, exc_lens
+    )
+    exc = ebuf.view(_PATCH)
+    rows = np.repeat(np.arange(nb, dtype=np.int64), exc_lens // 6)
+    out.reshape(-1)[rows * MINIBLOCK + exc["p"]] += exc["v"]
+    return out
+
+
+def _frames_take(
+    hdr: np.ndarray, payload: np.ndarray, pfor: bool, take: np.ndarray
+) -> np.ndarray:
+    """``_decode_frames(hdr, payload, pfor).ravel()[take]``, decoding
+    no block that holds none of ``take``. A few values in blocks of at
+    most 32 bits are read where they lie, one at a time (a patch found
+    by position among its block's records): per-call numpy work would
+    cost more than the reads. Otherwise their blocks are unpacked,
+    gathered back to back unless they are a prefix of the blocks."""
+    blk, j = take // MINIBLOCK, take % MINIBLOCK
+    widths = hdr["w"]
+    lens = _BLOCK_BYTES[widths]
+    if pfor:
+        lens = lens + hdr["ne"].astype(np.int64) * 6
+    starts = np.cumsum(lens) - lens
+    if take.size <= _READ_IN_PLACE and widths[blk].max() <= 32:
+        raw = memoryview(payload)
+        out = np.empty(take.size, dtype=np.int64)
+        for k, (b, i) in enumerate(zip(blk.tolist(), j.tolist())):
+            w, s = int(widths[b]), int(starts[b])
+            bit = i * w
+            v = int.from_bytes(raw[s + (bit >> 3) : s + (bit >> 3) + 5], "little")
+            v = (v >> (bit & 7)) & ((1 << w) - 1)
+            ne = int(hdr["ne"][b]) if pfor else 0
+            if ne:
+                p0 = s + int(_BLOCK_BYTES[w])
+                rec = payload[p0 : p0 + ne * 6].view(_PATCH)
+                r = int(np.searchsorted(rec["p"], i))
+                if r < ne and rec["p"][r] == i:
+                    v += int(rec["v"][r])
+            out[k] = int(hdr["min"][b]) + v
+        return out
+    blocks, inv = np.unique(blk, return_inverse=True)
+    if blocks[-1] == blocks.size - 1:
+        sub = payload
+    else:
+        sub_lens = lens[blocks]
+        sub = np.empty(int(sub_lens.sum()), dtype=np.uint8)
+        _scatter_ragged(
+            sub, np.cumsum(sub_lens) - sub_lens, payload, starts[blocks],
+            sub_lens,
+        )
+    return _decode_frames(hdr[blocks], sub, pfor)[inv, j]
+
+
 def decode_any_int(
     buf: bytes,
     tables: dict[str, bytes] | None = None,
     take: np.ndarray | None = None,
+    stats: dict | None = None,
 ) -> np.ndarray:
     """Decode any int blob. ``take`` (value positions) returns only
-    those values: the table-gather codecs (zrank, zrank-shared, dict,
-    dict2) pick their codes before the gather, the others decode whole
-    and then take."""
+    those values, decoding no more than it needs: FOR_BP, FOR64 and
+    PFOR unpack only the miniblocks that hold them; RLE_INT, DICT_INT
+    and DICT2 walk their runs up to the last one and read each value
+    where it lies; ZRANK and ZRANKS decompress their code stream up to
+    the last one and gather from the shared table and the extras in
+    place. PLAIN reads them; DELTA decodes whole and then takes.
+    ``stats`` as for ``_read_codes``, filled by ZRANK and ZRANKS."""
     codec = buf[0]
     dt = _DTYPES[buf[1]]
     n, pos = decode_uvarint(buf, 2)
-    if n == 0:
+    if n == 0 or (take is not None and not len(take)):
         return np.empty(0, dtype=dt)
-    if take is not None and codec not in _TABLE_GATHER:
-        return decode_any_int(buf, tables)[take]
+    if take is not None:
+        take = np.asarray(take, dtype=np.int64)
     if codec == _C_PLAIN:
-        return np.frombuffer(buf, dtype=dt, count=n, offset=pos).copy()
+        v = np.frombuffer(buf, dtype=dt, count=n, offset=pos)
+        return v.copy() if take is None else v[take]
     if codec in (_C_FOR, _C_FOR64, _C_PFOR):
         pfor = codec == _C_PFOR
         nb = -(-n // MINIBLOCK)
@@ -818,45 +913,38 @@ def decode_any_int(
             buf, dtype=_PFOR_HDR if pfor else _HDR, count=nb, offset=pos
         )
         payload = np.frombuffer(buf, dtype=np.uint8, offset=pos + hdr.nbytes)
-        out = np.empty((nb, MINIBLOCK), dtype=np.int64)
-        out[:] = hdr["min"][:, None]
-        exc_lens = hdr["ne"].astype(np.int64) * 6 if pfor else None
-        if exc_lens is None or not exc_lens.any():
-            _unpack_frames(payload, hdr["w"], out)
-            return out.ravel()[:n].astype(dt)
-        exc_starts = _unpack_frames(payload, hdr["w"], out, exc_lens)
-        # PFOR patches: one ragged gather of all patch records, then one
-        # flat add into the zeros the main stream holds there (a
-        # per-block Python loop here cost ~30% of token-heavy decode at
-        # ~10k miniblocks per shard)
-        ebuf = np.empty(int(exc_lens.sum()), dtype=np.uint8)
-        _scatter_ragged(
-            ebuf, np.cumsum(exc_lens) - exc_lens, payload, exc_starts, exc_lens
-        )
-        exc = ebuf.view(_PATCH)
-        rows = np.repeat(np.arange(nb, dtype=np.int64), exc_lens // 6)
-        out.reshape(-1)[rows * MINIBLOCK + exc["p"]] += exc["v"]
-        return out.ravel()[:n].astype(dt)
+        if take is None:
+            return _decode_frames(hdr, payload, pfor).ravel()[:n].astype(dt)
+        return _frames_take(hdr, payload, pfor, take).astype(dt)
     if codec in (_C_ZRANK, _C_ZRANKS):
         # [varint count][values LE] (ZRANK's table, ZRANKS's extras after
         # the shared table's md5), then the code stream
         shared = None
         if codec == _C_ZRANKS:
             thash = buf[pos : pos + 16].hex()
-            if tables is None or thash not in tables:
-                raise KeyError(f"shared rank table {thash} not provided")
-            shared = deserialize_rank_values(tables[thash]).astype(dt, copy=False)
+            shared = parse_shared(tables, thash, "rank", _rank_values, dt)
             pos += 16
         tsize, pos = decode_uvarint(buf, pos)
         table = np.frombuffer(buf, dtype=dt, count=tsize, offset=pos)
-        codes = _read_codes(buf, pos + table.nbytes, n)
-        if shared is not None:
-            table = np.concatenate([shared, table]) if tsize else shared
-        return table[codes if take is None else codes[take]]
+        if take is None:
+            codes = _read_codes(buf, pos + table.nbytes, n, stats=stats)
+            if shared is not None:
+                table = np.concatenate([shared, table]) if tsize else shared
+            return table[codes]
+        codes = _read_codes(
+            buf, pos + table.nbytes, n, int(take.max()) + 1, stats
+        )[take]
+        if shared is None:
+            return table[codes]
+        out = np.empty(codes.size, dtype=dt)
+        extra = codes >= shared.size
+        out[~extra] = shared[codes[~extra]]
+        out[extra] = table[codes[extra] - shared.size]
+        return out
     if codec == _C_RLE:
         mn = int.from_bytes(buf[pos : pos + 8], "little", signed=True)
         w = buf[pos + 8]
-        deltas = rle_decode(buf[pos + 9 :], w, n)
+        deltas = rle_decode(buf[pos + 9 :], w, n, take)
         return (deltas.astype(np.int64) + mn).astype(dt)
     if codec == _C_DICT:
         tsize, pos = decode_uvarint(buf, pos)
@@ -864,8 +952,7 @@ def decode_any_int(
         pos += 1
         table = np.frombuffer(buf, dtype=dt, count=tsize, offset=pos)
         pos += table.nbytes
-        idx = rle_decode(buf[pos:], w, n)
-        return table[idx if take is None else idx[take]]
+        return table[rle_decode(buf[pos:], w, n, take)]
     if codec == _C_DICT2:  # decode-only (module docstring)
         tsize, pos = decode_uvarint(buf, pos)
         table = np.frombuffer(buf, dtype=dt, count=tsize, offset=pos)
@@ -874,6 +961,8 @@ def decode_any_int(
         idx = decode_any_int(bytes(buf[pos : pos + blen]), take=take)
         return table[idx]
     if codec == _C_DELTA:
+        if take is not None:
+            return decode_any_int(buf)[take]
         first = int.from_bytes(buf[pos : pos + 8], "little", signed=True)
         zz = decode_any_int(buf[pos + 8 :]).astype(np.uint64)
         deltas = zigzag_decode(zz)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitpack import pack_bits, unpack_bits
+from .bitpack import bits_at, pack_bits, unpack_bits
 from .varint import decode_uvarint, encode_uvarint
 
 __all__ = ["rle_encode", "rle_decode"]
@@ -218,25 +218,19 @@ def rle_encode(values: np.ndarray, width: int) -> bytes:
     return out.tobytes()
 
 
-def rle_decode(buf: bytes, width: int, count: int) -> np.ndarray:
-    """Decode ``count`` values from the hybrid stream. Returns uint32.
-
-    Two passes: a thin Python walk over run headers (no numpy work per
-    run), then ONE vectorized expansion — np.repeat for all RLE runs,
-    one unpack_bits over the gathered bit-packed payloads, ragged
-    scatters into the output. Run-heavy streams decode at array speed.
-    """
-    if count == 0:
-        return np.empty(0, dtype=np.uint32)
+def _walk_runs(buf, width: int, stop: int):
+    """Run headers of a hybrid stream, in stream order, up to the run
+    that holds value ``stop - 1``: (is_rle, RLE value | bit-packed
+    payload byte offset, RLE count | bit-packed group count) lists. A
+    thin Python walk: no numpy work per run."""
     raw = memoryview(buf)
     nbytes = (width + 7) // 8
-    # pass 1: thin header walk, stream order preserved
     kinds: list[bool] = []  # True = RLE
     a_vals: list[int] = []  # RLE value | payload byte offset
     b_vals: list[int] = []  # RLE count | bp group count
     pos = 0
     filled = 0
-    while filled < count:
+    while filled < stop:
         header, pos = decode_uvarint(raw, pos)
         if header & 1:
             groups = header >> 1
@@ -253,12 +247,47 @@ def rle_decode(buf: bytes, width: int, count: int) -> np.ndarray:
             a_vals.append(value)
             b_vals.append(run)
             filled += run
+    return (
+        np.array(kinds, dtype=bool),
+        np.array(a_vals, dtype=np.int64),
+        np.array(b_vals, dtype=np.int64),
+    )
+
+
+def rle_decode(
+    buf: bytes, width: int, count: int, take: np.ndarray | None = None
+) -> np.ndarray:
+    """Decode ``count`` values from the hybrid stream. Returns uint32.
+
+    Two passes: a thin Python walk over run headers (``_walk_runs``),
+    then ONE vectorized expansion — np.repeat for all RLE runs, one
+    unpack_bits over the gathered bit-packed payloads, ragged scatters
+    into the output. Run-heavy streams decode at array speed.
+
+    ``take`` (value positions) returns ``rle_decode(...)[take]``: the
+    walk stops at the run holding the last one, and a bit-packed value
+    is read where it lies (``bits_at``), so no run is expanded.
+    """
+    if take is not None:
+        take = np.asarray(take, dtype=np.int64)
+        if not take.size:
+            return np.empty(0, dtype=np.uint32)
+        kinds, a_arr, b_arr = _walk_runs(buf, width, int(take.max()) + 1)
+        nvals = np.where(kinds, b_arr, b_arr * 8)
+        starts = np.cumsum(nvals) - nvals
+        run = np.searchsorted(starts, take, side="right") - 1
+        out = a_arr[run].astype(np.uint32)  # RLE values; bp ones below
+        bp = ~kinds[run]
+        if bp.any():
+            j = take[bp] - starts[run[bp]]
+            out[bp] = bits_at(buf, width, a_arr[run[bp]] * 8 + j * width)
+        return out
+    if count == 0:
+        return np.empty(0, dtype=np.uint32)
+    kind_arr, a_arr, b_arr = _walk_runs(buf, width, count)
     # pass 2: build ONE stream-ordered (value, count) sequence and
     # expand with a single np.repeat — each RLE run is one seq slot
     # with its count; each bp value is one slot with count 1.
-    kind_arr = np.array(kinds, dtype=bool)
-    a_arr = np.array(a_vals, dtype=np.int64)
-    b_arr = np.array(b_vals, dtype=np.int64)
     slots = np.where(kind_arr, 1, b_arr * 8)  # seq slots per piece
     seq_start = np.concatenate([[0], np.cumsum(slots)[:-1]])
     seq_len = int(slots.sum())

@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .fsst import FsstTable
+from .tables import parse_shared
 from .intcodec import decode_any_int, encode_plain_int, encode_rle_int
 from .rle import rle_decode, rle_encode
 from .bitpack import bit_width
@@ -41,6 +42,7 @@ __all__ = [
     "decode_any_str",
     "decode_dict_codes",
     "dict_table_hash",
+    "str_matches",
 ]
 
 _S_PLAIN, _S_DICT, _S_FSST = 16, 17, 18
@@ -212,26 +214,66 @@ def fsst_floor(lengths: np.ndarray) -> int:
     return head + int(np.count_nonzero(lengths))
 
 
+def _dict_strings(buf: bytes) -> list[bytes]:
+    return _unpack_str_list(buf, 0)[0]
+
+
+def _dict_index(buf: bytes) -> dict[bytes, int]:
+    """string -> code; a repeated string keeps its first code, as the
+    encoder's ``index_in`` gives it."""
+    return {v: i for i, v in reversed(list(enumerate(_dict_strings(buf))))}
+
+
+def _fsst_table(buf: bytes) -> FsstTable:
+    return FsstTable.deserialize(buf)[0]
+
+
+def _dict_head(buf, pos: int):
+    """A DICT_STR body's table part -> (shared table hash or None,
+    the embedded strings: the table, or the extras after the shared
+    table, position of the code width byte)."""
+    mode = buf[pos]
+    pos += 1
+    thash = None
+    if mode != 0:
+        thash = buf[pos : pos + 16].hex()
+        pos += 16
+    strings, pos = _unpack_str_list(buf, pos)
+    return thash, strings, pos
+
+
 def _decode_dict_parts(
-    buf, pos: int, n: int, tables: dict[str, bytes] | None
+    buf, pos: int, n: int, tables: dict[str, bytes] | None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[bytes]]:
-    """DICT_STR body -> (codes uint32[n], symbol table) — no gather."""
+    """DICT_STR body -> (codes uint32[n], symbol table) — no gather;
+    with ``rows``, the codes at those rows only."""
+    thash, strings, pos = _dict_head(buf, pos)
+    if thash is not None:
+        shared = parse_shared(tables, thash, "dict", _dict_strings)
+        strings = shared + strings if strings else shared
+    w = buf[pos]
+    idx = rle_decode(bytes(buf[pos + 1 :]), w, n, rows)
+    return idx, strings
+
+
+def _fsst_parts(buf, pos: int, tables) -> tuple[FsstTable, np.ndarray, np.ndarray]:
+    """FSST_STR body -> (its table, encoded lengths, encoded bytes)."""
     mode = buf[pos]
     pos += 1
     if mode == 0:
-        table, pos = _unpack_str_list(buf, pos)
+        ln, pos = decode_uvarint(buf, pos)
+        table, _ = FsstTable.deserialize(buf[pos : pos + ln])
+        pos += ln
     else:
         thash = buf[pos : pos + 16].hex()
         pos += 16
-        if tables is None or thash not in tables:
-            raise KeyError(f"shared dict table {thash} not provided")
-        table, _ = _unpack_str_list(tables[thash], 0)
-        extras, pos = _unpack_str_list(buf, pos)
-        table = table + extras
-    w = buf[pos]
-    pos += 1
-    idx = rle_decode(bytes(buf[pos:]), w, n)
-    return idx, table
+        table = parse_shared(tables, thash, "fsst", _fsst_table)
+    enc_lengths, pos = _decode_lengths(buf, pos)
+    enc_data = np.frombuffer(buf, dtype=np.uint8, offset=pos)[
+        : int(enc_lengths.sum())
+    ]
+    return table, enc_lengths, enc_data
 
 
 def decode_dict_codes(
@@ -249,45 +291,138 @@ def decode_dict_codes(
     return _decode_dict_parts(buf, pos, n, tables)
 
 
+def _ragged_take(
+    lengths: np.ndarray, data: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, data) of the strings at ``rows`` of ragged buffers."""
+    starts = np.cumsum(lengths) - lengths
+    sel = lengths[rows]
+    return sel, data[ragged_positions(starts[rows], sel)]
+
+
+def ragged_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The element positions of the ragged slices [starts, starts +
+    lengths), concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+
+
+def _gather_strings(
+    idx: np.ndarray, table: list[bytes]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, data) of ``table[idx]``."""
+    tl = np.array([len(s) for s in table], dtype=np.int64)
+    toff = np.concatenate([[0], np.cumsum(tl)])
+    tdata = np.frombuffer(b"".join(table), dtype=np.uint8)
+    lengths = tl[idx]
+    return lengths, tdata[ragged_positions(toff[idx], lengths)]
+
+
 def decode_any_str(
-    buf: bytes, tables: dict[str, bytes] | None = None
+    buf: bytes,
+    tables: dict[str, bytes] | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decode any string blob -> (lengths, data). ``tables`` maps
-    table_hash -> serialized table for shared-table blobs."""
+    table_hash -> serialized table for shared-table blobs. ``rows``
+    (ascending positions) decodes those strings only: PLAIN and FSST
+    cut their slices from the (encoded) bytes, DICT_STR reads the
+    codes at the rows and gathers the distinct ones it needs."""
     codec = buf[0]
     n, pos = decode_uvarint(buf, 1)
     if codec == _S_PLAIN:
         lengths, pos = _decode_lengths(buf, pos)
         data = np.frombuffer(buf, dtype=np.uint8, offset=pos)[: int(lengths.sum())]
-        return lengths, data
+        if rows is None:
+            return lengths, data
+        return _ragged_take(lengths, data, rows)
     if codec == _S_DICT:
-        idx, table = _decode_dict_parts(buf, pos, n, tables)
-        tl = np.array([len(s) for s in table], dtype=np.int64)
-        toff = np.concatenate([[0], np.cumsum(tl)])
-        tdata = np.frombuffer(b"".join(table), dtype=np.uint8)
-        lengths = tl[idx]
-        total = int(lengths.sum())
-        unit_off = np.concatenate([[0], np.cumsum(lengths)])
-        unit_id = np.repeat(np.arange(n), lengths)
-        within = np.arange(total, dtype=np.int64) - unit_off[unit_id]
-        data = tdata[toff[idx][unit_id] + within]
-        return lengths, data
+        if rows is None:
+            idx, table = _decode_dict_parts(buf, pos, n, tables)
+            return _gather_strings(idx, table)
+        thash, strings, pos = _dict_head(buf, pos)
+        codes = rle_decode(bytes(buf[pos + 1 :]), buf[pos], n, rows)
+        need, idx = np.unique(codes, return_inverse=True)
+        shared = (
+            parse_shared(tables, thash, "dict", _dict_strings) if thash else []
+        )
+        ns = len(shared)
+        sub = [shared[c] if c < ns else strings[c - ns] for c in need.tolist()]
+        return _gather_strings(idx, sub)
     if codec == _S_FSST:
-        mode = buf[pos]
-        pos += 1
-        if mode == 0:
-            ln, pos = decode_uvarint(buf, pos)
-            table, _ = FsstTable.deserialize(buf[pos : pos + ln])
-            pos += ln
-        else:
-            thash = buf[pos : pos + 16].hex()
-            pos += 16
-            if tables is None or thash not in tables:
-                raise KeyError(f"shared fsst table {thash} not provided")
-            table, _ = FsstTable.deserialize(tables[thash])
-        enc_lengths, pos = _decode_lengths(buf, pos)
-        enc_data = np.frombuffer(buf, dtype=np.uint8, offset=pos)[
-            : int(enc_lengths.sum())
-        ]
+        table, enc_lengths, enc_data = _fsst_parts(buf, pos, tables)
+        if rows is not None:
+            enc_lengths, enc_data = _ragged_take(enc_lengths, enc_data, rows)
         return table.decode(enc_lengths, enc_data)
+    raise ValueError(f"unknown string codec id {codec}")
+
+
+def _ragged_find(
+    lengths: np.ndarray, data: np.ndarray, probes: list[bytes]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ragged buffers equal to one of ``probes`` (distinct),
+    ascending, and the probe each equals: only rows of a probe's
+    length have their bytes compared."""
+    starts = np.cumsum(lengths) - lengths
+    hits, which = [], []
+    for i, p in enumerate(probes):
+        cand = np.flatnonzero(lengths == len(p))
+        s = starts[cand]
+        # a byte at a time, last first, over the rows still equal
+        for k in range(len(p) - 1, -1, -1):
+            if not cand.size:
+                break
+            keep = data[s + k] == p[k]
+            cand, s = cand[keep], s[keep]
+        hits.append(cand)
+        which.append(np.full(cand.size, i, dtype=np.int64))
+    if not hits:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    rows, which = np.concatenate(hits), np.concatenate(which)
+    order = np.argsort(rows, kind="stable")
+    return rows[order], which[order]
+
+
+def str_matches(
+    buf: bytes, tables: dict[str, bytes] | None, probes: list[bytes]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a string blob whose value equals one of ``probes``
+    (distinct), ascending, and the index of the probe each equals —
+    found without decoding the strings. FSST encodes every string on
+    its own under one table, so equal strings have equal codes: a
+    probe is encoded (``FsstTable.encode_one``) and compared with the
+    rows of its encoded length. DICT_STR looks the probes up in its
+    table(s) and compares codes; PLAIN compares bytes."""
+    codec = buf[0]
+    n, pos = decode_uvarint(buf, 1)
+    if codec == _S_PLAIN:
+        lengths, pos = _decode_lengths(buf, pos)
+        data = np.frombuffer(buf, dtype=np.uint8, offset=pos)
+        return _ragged_find(lengths, data, probes)
+    if codec == _S_FSST:
+        table, enc_lengths, enc_data = _fsst_parts(buf, pos, tables)
+        return _ragged_find(
+            enc_lengths, enc_data, [table.encode_one(p) for p in probes]
+        )
+    if codec == _S_DICT:
+        thash, strings, pos = _dict_head(buf, pos)
+        index, ns = {}, 0
+        if thash is not None:
+            index = parse_shared(tables, thash, "dict", _dict_index)
+            ns = len(parse_shared(tables, thash, "dict", _dict_strings))
+        extras = {v: ns + i for i, v in enumerate(strings)}
+        code_of = {}
+        for i, p in enumerate(probes):
+            c = index.get(p, extras.get(p))
+            if c is not None:
+                code_of[c] = i
+        if not code_of:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        codes = rle_decode(bytes(buf[pos + 1 :]), buf[pos], n)
+        want = np.array(sorted(code_of), dtype=np.int64)
+        rows = np.flatnonzero(np.isin(codes, want))
+        probe = np.array([code_of[c] for c in want.tolist()], dtype=np.int64)
+        return rows, probe[np.searchsorted(want, codes[rows])]
     raise ValueError(f"unknown string codec id {codec}")

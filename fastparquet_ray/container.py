@@ -25,6 +25,7 @@ replace the reference's definition levels, writer.py:375-408).
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 from typing import Any
@@ -36,6 +37,7 @@ from .bloom import bloom_build
 from .codecs import intcodec as ic
 from .codecs import strcodec as sc
 from .codecs.fsst import FsstTable, train_fsst
+from .codecs.tables import SharedTables, parse_shared
 from .codecs.varint import decode_uvarint, encode_uvarint
 
 MAGIC = b"FPRS1"
@@ -268,30 +270,17 @@ class ShardEncoder:
         outer: tuple[str, int | None] | None = None,
     ):
         self.plan = plan or {}
-        self.tables = tables or {}
+        self.tables = SharedTables(tables or {})
         self.outer = outer  # e.g. ("zstd", 3) — block codec over buffers
-        self._fsst_cache: dict[str, FsstTable] = {}
-        self._dict_cache: dict[str, list[bytes]] = {}
-        self._rank_cache: dict[str, ic.RankTable] = {}
 
     def _fsst_table(self, thash: str) -> FsstTable:
-        if thash not in self._fsst_cache:
-            t, _ = FsstTable.deserialize(self.tables[thash])
-            self._fsst_cache[thash] = t
-        return self._fsst_cache[thash]
+        return parse_shared(self.tables, thash, "fsst", sc._fsst_table)
 
     def _dict_table(self, thash: str) -> list[bytes]:
-        if thash not in self._dict_cache:
-            t, _ = sc._unpack_str_list(self.tables[thash], 0)
-            self._dict_cache[thash] = t
-        return self._dict_cache[thash]
+        return parse_shared(self.tables, thash, "dict", sc._dict_strings)
 
     def _rank_table(self, thash: str) -> ic.RankTable:
-        if thash not in self._rank_cache:
-            self._rank_cache[thash] = ic.RankTable(
-                ic.deserialize_rank_values(self.tables[thash])
-            )
-        return self._rank_cache[thash]
+        return parse_shared(self.tables, thash, "rank", ic.RankTable.deserialize)
 
     def _encode_int(self, vnp: np.ndarray, spec: dict | None) -> bytes:
         """Int body under a spec: zrank with a plan-shared table when
@@ -781,6 +770,66 @@ def column_stats(header: dict) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=64)
+def _read_schema(b64: str) -> pa.Schema:
+    """A header's serialized schema; the shards of a dataset share it,
+    so it is parsed once."""
+    return pa.ipc.read_schema(pa.py_buffer(base64.b64decode(b64)))
+
+
+class ShardHead:
+    """A shard blob's header, parsed once for any number of decodes:
+    the ``header`` dict, the Arrow ``schema``, ``base`` (offset of the
+    first column body) and ``columns`` (column header by name)."""
+
+    def __init__(self, blob: bytes):
+        self.base = header_end(blob)
+        self.header = json.loads(blob[9 : self.base])
+        self.schema = _read_schema(self.header["schema"])
+        self.columns = {c["name"]: c for c in self.header["columns"]}
+
+    def bodies(self, blob: bytes, info: dict) -> tuple[bytes, list[bytes]]:
+        """(validity bitmap, body buffers) of the column ``info``, outer
+        compression undone."""
+        start = self.base + info["offset"]
+        vlen = info["validity_len"]
+        bodies: list[bytes] = []
+        p = start + vlen
+        for i, sz in enumerate(info["sizes"]):
+            b = blob[p : p + sz]
+            p += sz
+            if "outer" in info:
+                b = _outer_decompress(
+                    b, info["outer"][0], info["outer_sizes"][i]
+                )
+            bodies.append(b)
+        return blob[start : start + vlen], bodies
+
+    def valid(self, blob: bytes, info: dict) -> np.ndarray | None:
+        """The column's validity as a bool mask, None without nulls."""
+        if not info["null_count"]:
+            return None
+        start = self.base + info["offset"]
+        vbits = np.frombuffer(
+            blob, dtype=np.uint8, count=info["validity_len"], offset=start
+        )
+        return np.unpackbits(vbits, bitorder="little")[
+            : self.header["num_rows"]
+        ].astype(bool)
+
+
+def note_read(how: dict | None, name: str, mode: str, codes=None) -> None:
+    """Count one read of column ``name`` under ``mode`` in ``how``
+    ({name: {mode: count, "codes": [decompressed, whole, stored]}}),
+    adding ZRANK/ZRANKS code-stream bytes (``_read_codes`` stats)."""
+    if how is None:
+        return
+    col = how.setdefault(name, {})
+    col[mode] = col.get(mode, 0) + 1
+    if codes:
+        col["codes"] = [a + b for a, b in zip(col.get("codes", (0, 0, 0)), codes)]
+
+
 def decode_table(
     blob: bytes,
     tables: dict[str, bytes] | None = None,
@@ -788,6 +837,8 @@ def decode_table(
     categories: list[str] | None = None,
     rows: np.ndarray | None = None,
     decoded: dict[str, Any] | None = None,
+    head: ShardHead | None = None,
+    how: dict | None = None,
 ) -> pa.Table:
     """``categories``: string columns to return as
     pa.DictionaryArray (reference categories=, api.py:387-475 /
@@ -796,24 +847,25 @@ def decode_table(
     directly, so decode memory is O(distinct) for the labels instead
     of O(rows); other codecs decode then dictionary_encode.
 
-    ``rows`` (ascending row positions) keeps only those rows: int
-    columns and list values pick their positions before the table
-    gather of the dictionary-style int codecs
-    (``decode_any_int(take=)``), every other kind decodes whole and
-    then takes, and an empty ``rows`` decodes no column body. A
-    dictionary-typed result (stored dictionary or ``categories``)
-    decodes whole first, so it keeps the shard's full dictionary.
-    ``decoded`` maps column names to arrays the caller already holds
-    at ``rows``; they take their place in the table as given."""
-    header = read_header(blob)
-    base = header_end(blob)
-    schema = pa.ipc.read_schema(
-        pa.py_buffer(base64.b64decode(header["schema"]))
-    )
-    n = header["num_rows"]
+    ``rows`` (ascending row positions) keeps only those rows, and
+    decodes no more than they need: int columns, list lengths and
+    values, strings and binaries, and plain and decimal-coded floats
+    decode at the rows (``decode_any_int(take=)``,
+    ``decode_any_str(rows=)``); nested, decimal128 and byte-shuffled
+    float columns decode whole and then take; an empty ``rows``
+    decodes no column body. A dictionary-typed result (stored
+    dictionary or ``categories``) decodes whole first, so it keeps the
+    shard's full dictionary. ``decoded`` maps column names to arrays
+    the caller already holds at ``rows``; they take their place in the
+    table as given. ``head``: the blob's parsed header, if the caller
+    has it. ``how`` counts how each decoded column was read
+    (``note_read``): "at rows" or "whole"."""
+    head = head or ShardHead(blob)
+    schema = head.schema
+    n = head.header["num_rows"]
     out_cols = []
     out_fields = []
-    for info in header["columns"]:
+    for info in head.header["columns"]:
         name = info["name"]
         if columns is not None and name not in columns:
             continue
@@ -825,36 +877,26 @@ def decode_table(
             out_cols.append(arr)
             out_fields.append(field)
             continue
-        start = base + info["offset"]
-        vlen = info["validity_len"]
-        validity = blob[start : start + vlen]
-        pos = start + vlen
+        validity, bodies = head.bodies(blob, info)
         kind = info["kind"]
         t = field.type
         if pa.types.is_dictionary(t):
             t = t.value_type
-        bodies: list[bytes] = []
-        p = pos
-        for i, sz in enumerate(info["sizes"]):
-            b = blob[p : p + sz]
-            p += sz
-            if "outer" in info:
-                b = _outer_decompress(
-                    b, info["outer"][0], info["outer_sizes"][i]
-                )
-            bodies.append(b)
         # a dictionary-typed result keeps the whole shard's dictionary
         # (as a take of the full decode would): decode whole, take last
         dict_out = pa.types.is_dictionary(field.type) or bool(
             categories and name in categories and kind == "str"
         )
         sel = None if dict_out else rows
+        at_rows = sel is not None  # False once a kind decoded whole
+        codes: dict = {}
         if sel is not None and not sel.size:
             arr = pa.array([], type=field.type if kind == "nested" else t)
         elif kind == "nested":
             arr, _ = decode_nested(bodies[0], 0, field.type, tables)
+            at_rows = False
         elif kind == "bytes":
-            lengths, data = sc.decode_any_str(bodies[0], tables)
+            lengths, data = sc.decode_any_str(bodies[0], tables, sel)
             arr = sc.bufs_to_arrow(lengths, data, binary=True)
             if not arr.type.equals(t):
                 arr = arr.cast(t)
@@ -872,20 +914,24 @@ def decode_table(
                         pa.array(idx.astype(np.int32), pa.int32()), dict_vals
                     )
             if arr is None:
-                lengths, data = sc.decode_any_str(bodies[0], tables)
+                lengths, data = sc.decode_any_str(bodies[0], tables, sel)
                 arr = sc.bufs_to_arrow(lengths, data)
         elif kind == "list":
             lb, vb = bodies[0], bodies[1]
-            lengths = ic.decode_any_int(lb, tables).astype(np.int64)
-            total = int(lengths.sum())
             vpos = None
+            shuffled = "float_values" in info and vb[:1] == b"S"
+            if sel is None or shuffled:
+                lengths = ic.decode_any_int(lb, tables).astype(np.int64)
+                total = int(lengths.sum())
+            else:
+                # the lengths up to the last kept row place its values
+                lengths = ic.decode_any_int(
+                    lb, tables, take=np.arange(int(sel[-1]) + 1)
+                ).astype(np.int64)
             if sel is not None:
-                # value positions of the kept rows
                 starts = np.cumsum(lengths) - lengths
                 lengths = lengths[sel]
-                vpos = np.arange(int(lengths.sum())) + np.repeat(
-                    starts[sel] - (np.cumsum(lengths) - lengths), lengths
-                )
+                vpos = sc.ragged_positions(starts[sel], lengths)
             if "float_values" in info:
                 fdt = np.dtype(info["float_values"])
                 if vb[:1] == b"S":
@@ -896,7 +942,7 @@ def decode_table(
                     values = values[vpos]
                 varr = pa.array(values, type=t.value_type)
             else:
-                vals = ic.decode_any_int(vb, tables, take=vpos)
+                vals = ic.decode_any_int(vb, tables, take=vpos, stats=codes)
                 varr = pa.array(vals, type=t.value_type)
             offsets = np.zeros(lengths.size + 1, dtype=np.int32)
             np.cumsum(lengths, out=offsets[1:])
@@ -915,9 +961,10 @@ def decode_table(
                 t, n, [vb, pa.py_buffer(pairs.tobytes())],
                 null_count=info["null_count"],
             )
+            at_rows = False
         elif kind == "float":
             if "fdec_scale" in info:
-                ints = ic.decode_any_int(bodies[0])
+                ints = ic.decode_any_int(bodies[0], take=sel)
                 values = (ints / 10.0 ** info["fdec_scale"]).astype(
                     np.dtype(info["float_dtype"])
                 )
@@ -925,21 +972,22 @@ def decode_table(
                 values = _float_unshuffle(
                     bodies[0], np.dtype(info["float_dtype"]), n
                 )
+                at_rows = False
             else:
                 values = np.frombuffer(bodies[0], dtype=info["float_dtype"])
+                if sel is not None:
+                    values = values[sel]
             arr = pa.array(values, type=t)
         else:
-            vals = ic.decode_any_int(bodies[0], tables, take=sel)
+            vals = ic.decode_any_int(bodies[0], tables, take=sel, stats=codes)
             if pa.types.is_boolean(t):
                 arr = pa.array(vals.astype(bool), type=t)
             else:
                 arr = pa.array(vals).cast(t)
-        if sel is not None and sel.size and kind not in ("list", "int"):
+        if sel is not None and sel.size and not at_rows:
             arr = arr.take(pa.array(sel))
         if info["null_count"] and kind not in ("nested", "dec128"):
-            mask = np.unpackbits(
-                np.frombuffer(validity, dtype=np.uint8), bitorder="little"
-            )[:n].astype(bool)
+            mask = head.valid(blob, info)
             if sel is not None:
                 mask = mask[sel]
             arr = pa.compute.if_else(pa.array(mask), arr, pa.scalar(None, arr.type))
@@ -961,6 +1009,7 @@ def decode_table(
             # intentional type change from categories= (everything else
             # is cast back to the stored schema by from_arrays below)
             field = pa.field(name, arr.type, field.nullable)
+        note_read(how, name, "at rows" if at_rows else "whole", codes.get("codes"))
         out_cols.append(arr)
         out_fields.append(field)
     # reattach schema-level metadata (it rode the IPC-serialized

@@ -9,11 +9,18 @@ listing, symbol tables, hive root and every shard's rows, bytes, key
 range and column stats, from the manifest records; header only for a
 shard no record covers. ``Snapshot.prune`` drops shards on min/max/
 bloom stats (reference M2 filter_row_groups/filter_out_stats,
-api.py:948-999/761-819). ``decode_shard`` turns one shard blob into a
-table, decoding only the projected columns (M1, api.py:433-439); with
-filters it decodes the filter columns first, evaluates the residual
-predicate vectorized (M3/M4) to row positions, and decodes the other
-projected columns at those rows only — nothing more when no row
+api.py:948-999/761-819). The snapshot's ``tables`` keep every symbol
+table parsed once. ``decode_shard`` turns one shard blob into a table,
+parsing its header once and decoding only the projected columns (M1,
+api.py:433-439). With filters it first finds the matching rows:
+``==`` / ``in`` on a string column compare compressed (an FSST column's
+probe is encoded with the column's table and compared with the rows of
+its encoded length; a dictionary column's probe is looked up in the
+table and compared as a code), and every other filter decodes its
+column (at the rows still in play) and is evaluated vectorized
+(M3/M4). The other projected columns are then decoded at those rows
+only (``container.decode_table(rows=)``: only the miniblocks, runs and
+code-stream prefix that hold them) — nothing more when no row
 matches.
 
 - ``decode_dataset``: a lazy, streaming ray.data.Dataset for scans:
@@ -33,6 +40,7 @@ import json
 import logging
 from functools import cached_property
 
+from ..codecs.tables import SharedTables
 from ..state import fs as fsmod
 from ..state.manifest import Manifest, covering_stats
 
@@ -67,15 +75,18 @@ class Snapshot:
         )
         self._shards: dict[str, dict] = {}
         self._from_headers: set[str] = set()
+        # per shard: its column stats plus its hive path values
+        self._prune_stats: dict[str, dict] = {}
 
     @cached_property
     def paths(self) -> list[str]:
         return self.manifest.shard_glob()
 
     @cached_property
-    def tables(self) -> dict:
+    def tables(self) -> SharedTables:
+        """The plan's shared tables, each parsed once on first use."""
         m = self.manifest
-        return m.load_plan().tables if m.has_plan() else {}
+        return SharedTables(m.load_plan().tables if m.has_plan() else {})
 
     @cached_property
     def records(self) -> dict[str, dict]:
@@ -153,13 +164,15 @@ class Snapshot:
                 raise ValueError(f"bad filter {f}")
         kept = []
         for p in paths:
-            stats = dict(self.shard(p)["stats"])
-            for col, val in parse_hive_parts(self.rel(p)).items():
-                stats.setdefault(col, {"min": val, "max": val})
-            if all(
-                _stats_may_match(stats, c, op, v, path=p)
-                for c, op, v in filters
-            ):
+            stats = self._prune_stats.get(p)
+            if stats is None:
+                stats = self._prune_stats[p] = dict(self.shard(p)["stats"])
+                for col, val in parse_hive_parts(self.rel(p)).items():
+                    stats.setdefault(col, {"min": val, "max": val})
+            for c, op, v in filters:
+                if not _stats_may_match(stats, c, op, v, path=p):
+                    break
+            else:
                 kept.append(p)
         from_headers = sum(p in self._from_headers for p in paths)
         log.debug(
@@ -283,6 +296,16 @@ def _stats_may_match(
         if not vals:
             return False
         return _bloom_may_match(s, vals, path, col)
+    # a None value matches no row under a comparison (the residual
+    # filter's comparison is null there); ``in`` matches the null rows
+    # when its list holds None, which needs a null in the shard
+    if op == "in" and any(v is None for v in val):
+        val = [v for v in val if v is not None]
+        nulls = (s or {}).get("null_count")
+        if nulls is None or nulls > 0:
+            return True
+    elif op not in ("in", "not in") and val is None:
+        return False
     if not s or s.get("min") is None or s.get("max") is None:
         return True
     lo, hi = s["min"], s["max"]
@@ -317,6 +340,10 @@ def _stats_may_match(
             return False
         return _bloom_may_match(s, vals, path, col)
     if op == "not in":
+        # a null row is kept unless the list holds None
+        nulls = s.get("null_count")
+        if nulls != 0 and not any(v is None for v in val):
+            return True
         return not (lo == hi and lo in val)
     return True
 
@@ -358,10 +385,13 @@ def _residual_rows(filters, t):
             m = pc.less(c, val)
         elif op == "<=":
             m = pc.less_equal(c, val)
-        elif op == "in":
-            m = pc.is_in(c, value_set=pa.array(list(val)))
-        elif op == "not in":
-            m = pc.invert(pc.is_in(c, value_set=pa.array(list(val))))
+        elif op in ("in", "not in"):
+            vt = c.type.value_type if pa.types.is_dictionary(c.type) else c.type
+            # an empty set takes the column's type (pyarrow infers null)
+            vs = pa.array(list(val), type=None if val else vt)
+            m = pc.is_in(c, value_set=vs)
+            if op == "not in":
+                m = pc.invert(m)
         elif op in ("contains", "contains_any"):
             # list membership: one vectorized flatten + segment-any
             la = c.combine_chunks()
@@ -384,6 +414,71 @@ def _residual_rows(filters, t):
     )
 
 
+def _compressed_rows(blob, head, tables, flt, categories):
+    """(rows, the column's values there) of one ``==`` / ``in`` filter
+    on a stored string column, found in the compressed domain
+    (``strcodec.str_matches``); None where the filter needs the decoded
+    column: other ops, non-string probes, and dictionary-typed or
+    ``categories`` results. Null rows never match."""
+    import pyarrow as pa
+
+    from ..codecs.strcodec import str_matches
+
+    col, op, val = flt
+    info = head.columns.get(col)
+    if op not in ("==", "in") or info is None or info["kind"] != "str":
+        return None
+    t = head.schema.field(col).type
+    if pa.types.is_dictionary(t) or (categories and col in categories):
+        return None
+    probes = [val] if op == "==" else list(val)
+    if not all(isinstance(v, str) for v in probes):
+        return None
+    probes = list(dict.fromkeys(probes))
+    body = head.bodies(blob, info)[1][0]
+    rows, which = str_matches(body, tables, [v.encode() for v in probes])
+    valid = head.valid(blob, info)
+    if valid is not None:
+        keep = valid[rows]
+        rows, which = rows[keep], which[keep]
+    return rows, pa.array([probes[i] for i in which.tolist()], type=t)
+
+
+def _filter_rows(blob, head, tables, filters, categories, dec, how):
+    """Row positions of the shard matching every filter, and the
+    filter columns' values at them: ``==`` / ``in`` on string columns
+    compare compressed first, then the other filters decode their
+    columns at the surviving rows (all rows when none ran) and are
+    evaluated vectorized."""
+    import numpy as np
+
+    from ..container import note_read
+
+    rows, vals, rest = None, {}, []
+    for f in filters:
+        m = _compressed_rows(blob, head, tables, f, categories)
+        if m is None:
+            rest.append(f)
+            continue
+        note_read(how, f[0], "compared compressed")
+        r, v = m
+        if rows is None:
+            rows, vals[f[0]] = r, v
+            continue
+        rows, ia, ib = np.intersect1d(
+            rows, r, assume_unique=True, return_indices=True
+        )
+        vals = {c: a.take(ia) for c, a in vals.items()}
+        vals[f[0]] = v.take(ib)
+    if rest:
+        ft = dec(list(dict.fromkeys(f[0] for f in rest)), rows)
+        keep = _residual_rows(rest, ft)
+        rows = keep if rows is None else rows[keep]
+        vals = {c: a.take(keep) for c, a in vals.items()}
+        vals.update({c: ft[c].take(keep) for c in ft.column_names})
+    return rows, vals
+
+
 def decode_shard(
     blob: bytes,
     path: str,
@@ -392,17 +487,22 @@ def decode_shard(
     categories: list[str] | None = None,
     hive: str | None = None,
     filters=None,
+    how: dict | None = None,
 ):
     """One shard blob -> Arrow table. With ``hive`` (the dataset root),
     `key=value` path components below it become typed partition
     columns, which are not stored in the shard (reference
-    paths_to_cats, api.py:700-758).
+    paths_to_cats, api.py:700-758). The header is parsed once.
 
-    With ``filters``, the filter columns are decoded first and the
-    residual predicate picks the matching rows; the other projected
-    columns are decoded at those rows only (``decode_table(rows=)``),
-    and not at all when no row matches."""
-    from ..container import decode_table
+    With ``filters``, ``==`` and ``in`` on a string column compare
+    compressed (``_compressed_rows``: FSST and dictionary codes are
+    matched without decoding the column); every other filter decodes
+    its column at the rows still in play and is evaluated vectorized.
+    The other projected columns are decoded at the matching rows only
+    (``decode_table(rows=)``), and not at all when no row matches; the
+    filter columns' values come from the filtering. ``how`` counts how
+    each column was read (``container.note_read``)."""
+    from ..container import ShardHead, decode_table
     from .hive import attach_hive_columns, parse_hive_parts
 
     parts = {}
@@ -411,22 +511,22 @@ def decode_shard(
         parts = parse_hive_parts(
             path[len(root):] if path.startswith(root) else path
         )
+    head = ShardHead(blob)
 
     def dec(cols, rows=None, decoded=None):
         stored = None if cols is None else [c for c in cols if c not in parts]
         t = decode_table(
             blob, tables, columns=stored, categories=categories, rows=rows,
-            decoded=decoded,
+            decoded=decoded, head=head, how=how,
         )
         return attach_hive_columns(t, parts, cols) if parts else t
 
     if filters:
-        fcols = list(dict.fromkeys(f[0] for f in filters))
-        ft = dec(fcols)
-        rows = _residual_rows(filters, ft)
+        rows, vals = _filter_rows(
+            blob, head, tables, filters, categories, dec, how
+        )
         decoded = {
-            c: ft[c].take(rows)
-            for c in fcols
+            c: v for c, v in vals.items()
             if c not in parts and (columns is None or c in columns)
         }
         t = dec(columns, rows, decoded)
@@ -469,6 +569,24 @@ def decode_dataset(
     )
 
 
+def _describe_reads(how: dict) -> str:
+    """``container.note_read`` counts as text: per column, how many
+    shards read it each way, and a ZRANK code stream's bytes."""
+    out = []
+    for name, modes in how.items():
+        ways = ", ".join(
+            f"{mode} x{k}" for mode, k in modes.items() if mode != "codes"
+        )
+        if "codes" in modes:
+            dec, whole, stored = modes["codes"]
+            ways += (
+                f", codes {dec} of {whole} B decompressed "
+                f"({stored} B stored)"
+            )
+        out.append(f"{name} ({ways})")
+    return "; ".join(out) or "none"
+
+
 def read_table(
     out_dir: "str | Snapshot",
     columns: list[str] | None = None,
@@ -488,22 +606,29 @@ def read_table(
     paths = snap.prune(filters)
     if not paths:
         return None
-    parts, rows, nbytes = [], 0, 0
+    parts, rows, nbytes, how = [], 0, 0, {}
     for rp in paths:
         blob = fsmod.read_bytes(snap.fs, rp)
         nbytes += len(blob)
         t = decode_shard(
-            blob, rp, snap.tables, columns, categories, snap.hive, filters
+            blob, rp, snap.tables, columns, categories, snap.hive, filters,
+            how,
         )
         parts.append(t)
         rows += t.num_rows
         if limit is not None and rows >= limit:
             break
-    log.debug(
-        "read_table %s: decoded %d of %d kept shards, %d bytes, %d rows",
-        snap.out_dir, len(parts), len(paths), nbytes, rows,
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "read_table %s: decoded %d of %d kept shards, %d bytes, %d "
+            "rows; columns: %s",
+            snap.out_dir, len(parts), len(paths), nbytes, rows,
+            _describe_reads(how),
+        )
+    out = (
+        parts[0] if len(parts) == 1
+        else pa.concat_tables(parts, promote_options="default")
     )
-    out = pa.concat_tables(parts, promote_options="default")
     return out if limit is None else out.slice(0, limit)
 
 

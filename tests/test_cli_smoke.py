@@ -1,4 +1,4 @@
-"""``tools/cli_smoke.py`` as a test: its 16 CLI stages (exact verify,
+"""``tools/cli_smoke.py`` as a test: its 17 CLI stages (exact verify,
 z-order clustered resume, ``optimize``, resumable exports) run in a
 subprocess under a timeout and leave no process behind."""
 
@@ -61,6 +61,6 @@ def test_cli_smoke(tmp_path):
     _kill(left)
     # cli_smoke prints the failing verb's stdout and stderr
     assert proc.returncode == 0, out[-6000:]
-    assert out.count("PASS ") == 16, out[-6000:]
+    assert out.count("PASS ") == 17, out[-6000:]
     assert '"smoke": "ok"' in out, out[-6000:]
     assert not left, f"processes left behind: {left}"

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from fastparquet_ray.codecs import intcodec as ic
@@ -43,7 +44,7 @@ class _GoldenDict2Encoder(ShardEncoder):
         return super()._encode_int(vnp, spec)
 
 
-def _shard():
+def _shard(outer=None):
     rng = np.random.default_rng(11)
     tok = rng.zipf(1.3, N).clip(max=5000).astype(np.int32)
     words = [f"w{i % 37:03d}-{(i * 7) % 11}" for i in range(N)]
@@ -83,6 +84,16 @@ def _shard():
     specs["l_zrank"] = {"values": {"codec": "zrank"}}
     cols["l_for"] = pa.array(lists, pa.list_(pa.int64()))
     specs["l_for"] = {"values": {"codec": "for_bp"}}
+    # mostly empty lists, runs of them at the miniblock edges
+    sizes = np.where(rng.random(N) < 0.7, 0, rng.integers(1, 5, N))
+    sizes[1020:1030] = 0
+    cols["l_empty"] = pa.array(
+        np.split(tok[: sizes.sum()], np.cumsum(sizes)[:-1]),
+        pa.list_(pa.int32()),
+    )
+    specs["l_empty"] = {
+        "values": {"codec": "zrank", "table_hash": rt.table_hash()}
+    }
     cols["l_float"] = pa.array(
         [v.astype(np.float32) / 7 for v in lists], pa.list_(pa.float32())
     )
@@ -126,13 +137,43 @@ def _shard():
     )
     cols["cat"] = pa.array(words).dictionary_encode()
     t = pa.table(cols)
-    blob = _GoldenDict2Encoder(specs, tables).encode_table(t, "p")
+    blob = _GoldenDict2Encoder(specs, tables, outer=outer).encode_table(t, "p")
     return blob, tables
 
 
 @pytest.fixture(scope="module")
 def shard():
     return _shard()
+
+
+@pytest.fixture(scope="module")
+def outer_shard():
+    return _shard(outer=("zstd", 3))
+
+
+def _pick(pick):
+    rng = np.random.default_rng(5)
+    return {
+        "empty": np.empty(0, np.int64),
+        "one": np.array([1234]),
+        "first-last": np.array([0, N - 1]),
+        "edges": np.array([0, 1, 1023, 1024, 1025, 2047, 2048, N - 1]),
+        "sparse": np.sort(rng.choice(N, 17, replace=False)),
+        "dense": np.flatnonzero(rng.random(N) < 0.6),
+        "all": np.arange(N),
+    }[pick]
+
+
+PICKS = ["empty", "one", "first-last", "edges", "sparse", "dense", "all"]
+
+
+def _assert_rows_equal_take(blob, tables, idx):
+    whole = decode_table(blob, tables)
+    got = decode_table(blob, tables, rows=idx)
+    assert got.schema.equals(whole.schema, check_metadata=True)
+    for name in whole.column_names:
+        want = whole[name].take(pa.array(idx, pa.int64()))
+        assert got[name].equals(want), name
 
 
 def test_census_codecs_are_covered(shard):
@@ -151,27 +192,32 @@ def test_census_codecs_are_covered(shard):
     assert used["dec"] == "dec128"
 
 
-@pytest.mark.parametrize(
-    "pick",
-    ["empty", "one", "first-last", "sparse", "dense", "all"],
-)
+@pytest.mark.parametrize("pick", PICKS)
 def test_rows_equal_take(shard, pick):
+    _assert_rows_equal_take(*shard, _pick(pick))
+
+
+@pytest.mark.parametrize("pick", PICKS)
+def test_rows_equal_take_outer(outer_shard, pick):
+    """Bodies under outer compression are decompressed whole first,
+    then decoded at the rows like any other."""
+    _assert_rows_equal_take(*outer_shard, _pick(pick))
+
+
+def test_rows_at_empty_lists(shard):
     blob, tables = shard
-    rng = np.random.default_rng(5)
-    idx = {
-        "empty": np.empty(0, np.int64),
-        "one": np.array([1234]),
-        "first-last": np.array([0, N - 1]),
-        "sparse": np.sort(rng.choice(N, 17, replace=False)),
-        "dense": np.flatnonzero(rng.random(N) < 0.6),
-        "all": np.arange(N),
-    }[pick]
-    whole = decode_table(blob, tables)
-    got = decode_table(blob, tables, rows=idx)
-    assert got.schema.equals(whole.schema, check_metadata=True)
-    for name in whole.column_names:
-        want = whole[name].take(pa.array(idx, pa.int64()))
-        assert got[name].equals(want), name
+    whole = decode_table(blob, tables, columns=["l_empty"])["l_empty"]
+    sizes = pc.list_value_length(whole).to_numpy()
+    idx = np.sort(np.concatenate([
+        np.flatnonzero(sizes == 0)[::50], np.flatnonzero(sizes > 0)[::50],
+        np.arange(1018, 1032),
+    ]))
+    got = decode_table(blob, tables, columns=["l_empty"], rows=idx)
+    assert got["l_empty"].equals(whole.take(pa.array(idx)))
+    # the kept rows are empty lists only: no value is decoded
+    idx = np.flatnonzero(sizes == 0)[:5]
+    got = decode_table(blob, tables, columns=["l_empty"], rows=idx)
+    assert got["l_empty"].to_pylist() == [[]] * 5
 
 
 def test_rows_with_projection_and_categories(shard):
@@ -209,3 +255,43 @@ def test_decode_any_int_take(codec):
         ic.decode_any_int(blob, tables, take=take), v[take]
     )
     assert ic.decode_any_int(blob, tables, take=take[:0]).size == 0
+
+
+# first and last value, both sides of every miniblock edge, a run of
+# more values than are read in place, and every value
+TAKES = {
+    "ends": [0, 4999],
+    "edges": [1023, 1024, 2047, 2048, 3071, 3072, 4095, 4096],
+    "few": list(range(0, 5000, 97)),
+    "many": list(range(1000, 1200)) + list(range(4000, 4100)),
+    "all": list(range(5000)),
+}
+
+
+@pytest.mark.parametrize("take", list(TAKES))
+@pytest.mark.parametrize("codec", [*INT_CODECS, "zranks", "dict2"])
+def test_decode_any_int_take_rows(codec, take):
+    """``take=`` decodes only what it needs and still equals the whole
+    decode's values there, patches (pfor), runs (rle, dict) and
+    shared-table extras (zranks) included."""
+    rng = np.random.default_rng(4)
+    v = rng.zipf(1.3, 5000).clip(max=70000).astype(np.int64)
+    v[2000:2600] = 7  # one long run
+    tables = None
+    if codec == "dict2":
+        v, blob = _golden_dict2()
+    elif codec == "zranks":
+        rt = ic.RankTable(ic.train_rank_table(v[:100]))
+        tables = {rt.table_hash(): rt.serialize()}
+        blob = ic.encode_zrank_shared(v, rt, rt.table_hash())
+    else:
+        blob = ic.INT_ENCODERS[codec](v)
+    rows = np.array([r for r in TAKES[take] if r < v.size], np.int64)
+    whole = ic.decode_any_int(blob, tables)
+    stats = {}
+    got = ic.decode_any_int(blob, tables, take=rows, stats=stats)
+    assert got.dtype == whole.dtype
+    np.testing.assert_array_equal(got, whole[rows])
+    if codec in ("zrank", "zranks"):
+        dec, full, _ = stats["codes"]
+        assert dec == (rows.max() + 1) * (full // v.size) <= full

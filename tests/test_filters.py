@@ -118,3 +118,64 @@ def test_nullable_column_stats_still_prune(ray_session, tmp_path):
     vstats = stats[stats["column"] == "v"]
     assert (vstats["distinct"].to_numpy() > 0).all()
     assert vstats["null_count"].sum() > 0
+
+
+NONE_FILTERS = {
+    "eq-none": ("n", "==", None),
+    "ne-none": ("n", "!=", None),
+    "gt-none": ("n", ">", None),
+    "in-one-none": ("n", "in", [1, None]),
+    "in-none": ("n", "in", [None]),
+    "not-in-five": ("n", "not in", [5]),
+    "not-in-five-none": ("n", "not in", [5, None]),
+}
+
+
+@pytest.fixture(scope="module")
+def nullable_enc(tmp_path_factory, ray_session):
+    """Four shards of a nullable int32 column: nulls over 1..49, no
+    nulls over 100..149, no nulls over 1..9, and 5 or null; bloom
+    filters on."""
+    import pyarrow as pa
+
+    src = tmp_path_factory.mktemp("none_src")
+    shards = [
+        [None if j % 5 == 0 else j for j in range(50)],
+        list(range(100, 150)),
+        list(range(1, 10)),
+        [None if j % 3 else 5 for j in range(30)],
+    ]
+    for i, v in enumerate(shards):
+        pq.write_table(
+            pa.table({"doc_id": [f"d{i}-{j}" for j in range(len(v))],
+                      "n": pa.array(v, pa.int32())}),
+            str(src / f"p{i}.parquet"),
+        )
+    out = str(tmp_path_factory.mktemp("none_enc"))
+    encode_pipeline(
+        sorted(str(p) for p in src.glob("*.parquet")), out, bloom_cols=["n"]
+    )
+    return out
+
+
+@pytest.mark.parametrize("name", list(NONE_FILTERS))
+def test_none_filter_values_prune_like_residual(ray_session, nullable_enc, name):
+    """A None filter value prunes (min/max and bloom) to the rows the
+    unpruned residual filter gives: none under a comparison, the null
+    rows under ``in`` a list holding None, and ``not in`` keeps nulls
+    unless the list holds None."""
+    import pyarrow as pa
+
+    from fastparquet_ray.api import EncodedDataset
+    from fastparquet_ray.pipelines.decode import _residual_rows, read_table
+
+    flt = [NONE_FILTERS[name]]
+    whole = read_table(nullable_enc)  # no filter: nothing pruned
+    want = whole["doc_id"].take(pa.array(_residual_rows(flt, whole)))
+    want = want.to_pylist()
+    got = EncodedDataset(nullable_enc).to_pandas(filters=flt)
+    assert sorted(got.get("doc_id", [])) == sorted(want)
+    got = decode_dataset(nullable_enc, filters=flt).to_pandas()
+    assert sorted(got.get("doc_id", [])) == sorted(want)
+    if name.startswith("in") or name.startswith("not"):
+        assert want

@@ -8,6 +8,7 @@ invariants that unit tests cover only piecewise:
         -> optimize -> verify --exact (optimized layout)
         -> decode (idempotent rerun + single-file repair)
         -> decode --filter --times int96 twice (rerun changes nothing)
+        -> decode --filter doc_id==<key> (a point lookup: one row)
         -> decode --format jsonl
 
 Each verb runs as its own `python -m fastparquet_ray` process (its own
@@ -188,6 +189,20 @@ def main() -> None:
     md = pq.read_metadata(os.path.join(fpq, "_metadata"))
     assert md.num_rows == web, (md.num_rows, web)
 
+    # a point lookup on the doc_id-clustered dataset exports exactly
+    # the one row with that key
+    key = pq.read_table(sorted(glob.glob(src + "/*.parquet"))[-1],
+                        columns=["doc_id"])["doc_id"][7].as_py()
+    lk = os.path.join(work, "pq_key")
+    k1 = run(["decode", enc, lk, "--filter", f"doc_id=={key}"])
+    got = [
+        r
+        for p in glob.glob(lk + "/**/*.parquet", recursive=True)
+        if not os.path.basename(p).startswith("_")
+        for r in pq.read_table(p).to_pylist()
+    ]
+    assert k1["rows"] == 1 and [r["doc_id"] for r in got] == [key], (k1, got)
+
     run(["decode", opt, jld, "--format", "jsonl"])
     n_rows = 0
     for p in glob.glob(jld + "/*.json*"):
@@ -195,7 +210,7 @@ def main() -> None:
             n_rows += sum(1 for _ in f)
     assert n_rows == 4000, n_rows
 
-    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 16}))
+    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 17}))
 
 
 if __name__ == "__main__":
