@@ -51,7 +51,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitpack import bit_width, pack_bits, unpack_bits, unpack_bits_add
+from .bitpack import (
+    IN_PLACE_SHARE,
+    bit_width,
+    bits_at,
+    pack_bits,
+    unpack_bits,
+    unpack_bits_add,
+)
 from .rle import _scatter_ragged, long_runs, rle_decode, rle_encode, rle_size
 from .tables import parse_shared
 from .varint import decode_uvarint, encode_uvarint, zigzag_decode, zigzag_encode
@@ -68,8 +75,6 @@ __all__ = [
 ]
 
 MINIBLOCK = 1024  # values per FOR miniblock; 1024*w bits is byte-aligned
-# a take of at most this many values reads them in place
-_READ_IN_PLACE = 16
 
 _C_PLAIN, _C_FOR, _C_RLE, _C_DICT, _C_DELTA, _C_PFOR, _C_DICT2, _C_FOR64 = (
     0, 1, 2, 3, 4, 5, 6, 7,
@@ -840,46 +845,37 @@ def _decode_frames(hdr: np.ndarray, payload: np.ndarray, pfor: bool) -> np.ndarr
 def _frames_take(
     hdr: np.ndarray, payload: np.ndarray, pfor: bool, take: np.ndarray
 ) -> np.ndarray:
-    """``_decode_frames(hdr, payload, pfor).ravel()[take]``, decoding
-    no block that holds none of ``take``. A few values in blocks of at
-    most 32 bits are read where they lie, one at a time (a patch found
-    by position among its block's records): per-call numpy work would
-    cost more than the reads. Otherwise their blocks are unpacked,
-    gathered back to back unless they are a prefix of the blocks."""
-    blk, j = take // MINIBLOCK, take % MINIBLOCK
+    """``_decode_frames(hdr, payload, pfor).ravel()[take]`` for blocks
+    of at most 32 bits, each value read where it lies (``bits_at``)
+    plus its PFOR patch, found by position among the patch records of
+    the blocks ``take`` touches."""
     widths = hdr["w"]
     lens = _BLOCK_BYTES[widths]
     if pfor:
-        lens = lens + hdr["ne"].astype(np.int64) * 6
+        ne = hdr["ne"].astype(np.int64)
+        lens = lens + ne * 6
     starts = np.cumsum(lens) - lens
-    if take.size <= _READ_IN_PLACE and widths[blk].max() <= 32:
-        raw = memoryview(payload)
-        out = np.empty(take.size, dtype=np.int64)
-        for k, (b, i) in enumerate(zip(blk.tolist(), j.tolist())):
-            w, s = int(widths[b]), int(starts[b])
-            bit = i * w
-            v = int.from_bytes(raw[s + (bit >> 3) : s + (bit >> 3) + 5], "little")
-            v = (v >> (bit & 7)) & ((1 << w) - 1)
-            ne = int(hdr["ne"][b]) if pfor else 0
-            if ne:
-                p0 = s + int(_BLOCK_BYTES[w])
-                rec = payload[p0 : p0 + ne * 6].view(_PATCH)
-                r = int(np.searchsorted(rec["p"], i))
-                if r < ne and rec["p"][r] == i:
-                    v += int(rec["v"][r])
-            out[k] = int(hdr["min"][b]) + v
-        return out
-    blocks, inv = np.unique(blk, return_inverse=True)
-    if blocks[-1] == blocks.size - 1:
-        sub = payload
-    else:
-        sub_lens = lens[blocks]
-        sub = np.empty(int(sub_lens.sum()), dtype=np.uint8)
+    blk = take // MINIBLOCK
+    w = widths[blk]
+    d = bits_at(payload, w, starts[blk] * 8 + take % MINIBLOCK * w)
+    out = hdr["min"][blk] + d
+    # a patched value holds 0 in the bit-packed stream
+    cand = np.flatnonzero((d == 0) & (ne[blk] > 0)) if pfor else ()
+    if len(cand):
+        pb = np.unique(blk[cand])
+        plen = ne[pb] * 6
+        ebuf = np.empty(int(plen.sum()), dtype=np.uint8)
         _scatter_ragged(
-            sub, np.cumsum(sub_lens) - sub_lens, payload, starts[blocks],
-            sub_lens,
+            ebuf, np.cumsum(plen) - plen, payload,
+            starts[pb] + _BLOCK_BYTES[widths[pb]], plen,
         )
-    return _decode_frames(hdr[blocks], sub, pfor)[inv, j]
+        exc = ebuf.view(_PATCH)
+        # patch positions ascend within a block, blocks ascend
+        key = np.repeat(pb, ne[pb]) * MINIBLOCK + exc["p"]
+        r = np.minimum(np.searchsorted(key, take[cand]), key.size - 1)
+        hit = key[r] == take[cand]
+        out[cand[hit]] += exc["v"][r[hit]]
+    return out
 
 
 def decode_any_int(
@@ -889,12 +885,14 @@ def decode_any_int(
     stats: dict | None = None,
 ) -> np.ndarray:
     """Decode any int blob. ``take`` (value positions) returns only
-    those values, decoding no more than it needs: FOR_BP, FOR64 and
-    PFOR unpack only the miniblocks that hold them; RLE_INT, DICT_INT
-    and DICT2 walk their runs up to the last one and read each value
-    where it lies; ZRANK and ZRANKS decompress their code stream up to
-    the last one and gather from the shared table and the extras in
-    place. PLAIN reads them; DELTA decodes whole and then takes.
+    those values, decoding no more than it needs. A few of them
+    (``IN_PLACE_SHARE``) are read where they lie: by FOR_BP, FOR64 and
+    PFOR when no block is wider than 32 bits, and by RLE_INT, DICT_INT
+    and DICT2 after a walk of their runs up to the last one
+    (``rle_decode(take=)``); more decode whole and then take. ZRANK
+    and ZRANKS decompress their code stream up to the last one and
+    gather from the shared table and the extras in place. PLAIN reads
+    them; DELTA decodes whole and then takes.
     ``stats`` as for ``_read_codes``, filled by ZRANK and ZRANKS."""
     codec = buf[0]
     dt = _DTYPES[buf[1]]
@@ -913,9 +911,12 @@ def decode_any_int(
             buf, dtype=_PFOR_HDR if pfor else _HDR, count=nb, offset=pos
         )
         payload = np.frombuffer(buf, dtype=np.uint8, offset=pos + hdr.nbytes)
-        if take is None:
-            return _decode_frames(hdr, payload, pfor).ravel()[:n].astype(dt)
-        return _frames_take(hdr, payload, pfor, take).astype(dt)
+        if take is not None and take.size * IN_PLACE_SHARE <= n and (
+            hdr["w"].max() <= 32
+        ):
+            return _frames_take(hdr, payload, pfor, take).astype(dt)
+        v = _decode_frames(hdr, payload, pfor).ravel()[:n].astype(dt)
+        return v if take is None else v[take]
     if codec in (_C_ZRANK, _C_ZRANKS):
         # [varint count][values LE] (ZRANK's table, ZRANKS's extras after
         # the shared table's md5), then the code stream

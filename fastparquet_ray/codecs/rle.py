@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitpack import bits_at, pack_bits, unpack_bits
+from .bitpack import IN_PLACE_SHARE, bits_at, pack_bits, unpack_bits
 from .varint import decode_uvarint, encode_uvarint
 
 __all__ = ["rle_encode", "rle_decode"]
@@ -264,12 +264,15 @@ def rle_decode(
     unpack_bits over the gathered bit-packed payloads, ragged scatters
     into the output. Run-heavy streams decode at array speed.
 
-    ``take`` (value positions) returns ``rle_decode(...)[take]``: the
-    walk stops at the run holding the last one, and a bit-packed value
-    is read where it lies (``bits_at``), so no run is expanded.
+    ``take`` (value positions) returns ``rle_decode(...)[take]``. A
+    few (``IN_PLACE_SHARE``) stop the walk at the run holding the last
+    one and read a bit-packed value where it lies (``bits_at``), so no
+    run is expanded.
     """
     if take is not None:
         take = np.asarray(take, dtype=np.int64)
+        if take.size * IN_PLACE_SHARE > count:
+            return rle_decode(buf, width, count)[take]
         if not take.size:
             return np.empty(0, dtype=np.uint32)
         kinds, a_arr, b_arr = _walk_runs(buf, width, int(take.max()) + 1)

@@ -848,18 +848,18 @@ def decode_table(
     of O(rows); other codecs decode then dictionary_encode.
 
     ``rows`` (ascending row positions) keeps only those rows, and
-    decodes no more than they need: int columns, list lengths and
-    values, strings and binaries, and plain and decimal-coded floats
-    decode at the rows (``decode_any_int(take=)``,
-    ``decode_any_str(rows=)``); nested, decimal128 and byte-shuffled
-    float columns decode whole and then take; an empty ``rows``
-    decodes no column body. A dictionary-typed result (stored
-    dictionary or ``categories``) decodes whole first, so it keeps the
-    shard's full dictionary. ``decoded`` maps column names to arrays
-    the caller already holds at ``rows``; they take their place in the
-    table as given. ``head``: the blob's parsed header, if the caller
-    has it. ``how`` counts how each decoded column was read
-    (``note_read``): "at rows" or "whole"."""
+    decodes no more than they need: int columns, list values,
+    strings and binaries, and plain and decimal-coded floats decode at
+    the rows (``decode_any_int(take=)``, ``decode_any_str(rows=)``);
+    list lengths, nested, decimal128 and byte-shuffled float columns
+    decode whole and then take; an empty ``rows`` decodes no column
+    body. A dictionary-typed result (stored dictionary or
+    ``categories``) decodes whole first, so it keeps the shard's full
+    dictionary. ``decoded`` maps column names to arrays the caller
+    already holds at ``rows``; they take their place in the table as
+    given. ``head``: the blob's parsed header, if the caller has it.
+    ``how`` counts how each decoded column was read (``note_read``):
+    "at rows" or "whole"."""
     head = head or ShardHead(blob)
     schema = head.schema
     n = head.header["num_rows"]
@@ -918,16 +918,9 @@ def decode_table(
                 arr = sc.bufs_to_arrow(lengths, data)
         elif kind == "list":
             lb, vb = bodies[0], bodies[1]
+            lengths = ic.decode_any_int(lb, tables).astype(np.int64)
+            total = int(lengths.sum())
             vpos = None
-            shuffled = "float_values" in info and vb[:1] == b"S"
-            if sel is None or shuffled:
-                lengths = ic.decode_any_int(lb, tables).astype(np.int64)
-                total = int(lengths.sum())
-            else:
-                # the lengths up to the last kept row place its values
-                lengths = ic.decode_any_int(
-                    lb, tables, take=np.arange(int(sel[-1]) + 1)
-                ).astype(np.int64)
             if sel is not None:
                 starts = np.cumsum(lengths) - lengths
                 lengths = lengths[sel]

@@ -19,9 +19,9 @@ its encoded length; a dictionary column's probe is looked up in the
 table and compared as a code), and every other filter decodes its
 column (at the rows still in play) and is evaluated vectorized
 (M3/M4). The other projected columns are then decoded at those rows
-only (``container.decode_table(rows=)``: only the miniblocks, runs and
-code-stream prefix that hold them) — nothing more when no row
-matches.
+only (``container.decode_table(rows=)``: a few bit-packed values read
+where they lie, runs walked and a code stream decompressed up to the
+last row) — nothing more when no row matches.
 
 - ``decode_dataset``: a lazy, streaming ray.data.Dataset for scans:
   its read tasks each decode a contiguous run of kept shards, as many
@@ -168,7 +168,11 @@ class Snapshot:
             if stats is None:
                 stats = self._prune_stats[p] = dict(self.shard(p)["stats"])
                 for col, val in parse_hive_parts(self.rel(p)).items():
-                    stats.setdefault(col, {"min": val, "max": val})
+                    # a path value holds for every row: all null or none
+                    stats.setdefault(col, {
+                        "min": val, "max": val,
+                        "null_count": int(val is None),
+                    })
             for c, op, v in filters:
                 if not _stats_may_match(stats, c, op, v, path=p):
                     break

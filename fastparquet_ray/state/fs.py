@@ -87,10 +87,7 @@ def atomic_write(fs: Any, path: str, data: bytes, suffix: str = "") -> None:
 
 
 def read_bytes(fs: Any, path: str, length: int | None = None) -> bytes:
-    """The file's bytes (its first ``length``). A local file is read
-    with ``open``: fsspec's file object costs more than a small read."""
-    opener = open if is_local(fs) else fs.open
-    with opener(path, "rb") as f:
+    with fs.open(path, "rb") as f:
         return f.read() if length is None else f.read(length)
 
 

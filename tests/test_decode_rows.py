@@ -257,8 +257,8 @@ def test_decode_any_int_take(codec):
     assert ic.decode_any_int(blob, tables, take=take[:0]).size == 0
 
 
-# first and last value, both sides of every miniblock edge, a run of
-# more values than are read in place, and every value
+# first and last value, both sides of every miniblock edge, scattered
+# values and runs (read in place), and every value (decoded whole)
 TAKES = {
     "ends": [0, 4999],
     "edges": [1023, 1024, 2047, 2048, 3071, 3072, 4095, 4096],

@@ -112,6 +112,15 @@ def test_record_stats_prune_like_headers(
     assert with_stats == legacy
     # the filters do prune: parity is not all-shards-kept
     assert sum(len(k) for k in with_stats) < len(filters) * len(shards)
+    if layout == "hive":
+        # a partition's path value holds for all its rows: `not in`
+        # drops the listed partitions from the path alone
+        f = [("source", "not in", ["web", "code"])]
+        kept = with_stats[filters.index(f)]
+        assert kept
+        assert not [
+            p for p in kept if "/source=web/" in p or "/source=code/" in p
+        ]
 
 
 # the stats keys records carried before they carried every stat
