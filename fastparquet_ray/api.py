@@ -64,7 +64,7 @@ def write(
     """Encode a table (or existing parquet path(s)) into an encoded
     shard dataset with manifest. Returns the job summary.
 
-    partition_on_source: True -> write-side "local" bucket split
+    partition_on_source: True -> write-side "local" source split
     (source-pure shards, ZERO network exchange — the measured scale
     default; the salted exchange cost ~5x in BENCH r01); pass "shuffle"
     explicitly for the one-shard-per-bucket salted exchange layout.

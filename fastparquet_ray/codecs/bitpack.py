@@ -1,12 +1,17 @@
 """Parquet-spec bit packing: values laid out as a contiguous LSB-first
 bitstream (width bits per value, little-endian bit order within bytes).
 
-Ground truth is the reference decoder
-/root/reference/fastparquet/cencoding.pyx:127-167 (read_bitpacked) and
-its unit vector b"\\x88\\xc6\\xfa" -> [0..7] at width 3
-(/root/reference/fastparquet/test/test_encoding.py:91-104). Here the
-kernels are numpy-vectorized (np.unpackbits/np.packbits with
-bitorder="little") instead of a per-value Cython loop.
+Ground truth is fastparquet's reference decoder (cencoding.pyx:127-167,
+read_bitpacked) and its unit vector b"\\x88\\xc6\\xfa" -> [0..7] at
+width 3 (test_encoding.py:91-104). Here the kernels are numpy-vectorized
+instead of a per-value loop. Whole-byte widths are byte copies and
+dtype views. Any other width works on groups of 8 values, which span
+exactly ``width`` bytes: value j of every group is one unaligned
+``<u8`` lane at a fixed stride, read (or read-modify-written, in
+``pack_bits``) in one array pass, so a stream costs 8 passes.
+``unpack_bits`` is the one sequential reader (it returns the values or
+adds them into an array); ``bits_at`` reads values at arbitrary bit
+offsets.
 """
 
 from __future__ import annotations
@@ -15,10 +20,8 @@ import numpy as np
 
 __all__ = [
     "bit_width",
-    "bit_width_arr",
     "pack_bits",
     "unpack_bits",
-    "unpack_bits_add",
     "bits_at",
     "IN_PLACE_SHARE",
 ]
@@ -32,13 +35,6 @@ def bit_width(max_value: int) -> int:
     if max_value < 0:
         raise ValueError("bit_width requires non-negative max_value")
     return int(max_value).bit_length()
-
-
-def bit_width_arr(values: np.ndarray) -> int:
-    """Bit width needed for a non-negative integer array (0 for empty)."""
-    if values.size == 0:
-        return 0
-    return bit_width(int(values.max()))
 
 
 def pack_bits(values: np.ndarray, width: int) -> bytes:
@@ -88,97 +84,60 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
     )
 
 
-def unpack_bits(buf: bytes | np.ndarray, width: int, count: int) -> np.ndarray:
+def unpack_bits(
+    buf: bytes | np.ndarray, width: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Inverse of pack_bits: read ``count`` values of ``width`` bits from
-    an LSB-first bitstream. Returns uint32.
+    an LSB-first bitstream. Returns them as uint32 or, given ``out``
+    (int64), adds them into ``out[:count]`` in place (wrapping mod
+    2**64, as FOR decode adds deltas to preloaded frame minimums) and
+    returns ``out``.
+
+    Widths 8, 16 and 32 are dtype views of the bytes and 24 a 3-byte
+    copy. Any other width reads value j of each 8-value group (which
+    spans ``width`` bytes) as one lane: an unaligned ``<u8`` view with
+    stride ``width`` over a zero-padded copy of the payload, shifted
+    and masked in one vectorized pass per lane.
     """
-    if count == 0:
-        return np.empty(0, dtype=np.uint32)
-    if width == 0:
-        return np.zeros(count, dtype=np.uint32)
-    if not 0 < width <= _MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{_MAX_WIDTH}, got {width}")
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    need_bytes = (count * width + 7) // 8
-    if raw.size < need_bytes:
-        raise ValueError(
-            f"buffer too small: need {need_bytes} bytes for "
-            f"{count} x {width}-bit values, have {raw.size}"
-        )
-    if width % 8 == 0:
-        nb = width // 8
-        padded = np.zeros((count, 4), dtype=np.uint8)
-        padded[:, :nb] = raw[: count * nb].reshape(count, nb)
-        return padded.reshape(-1).view("<u4").copy()
-    # groups of 8 values == width bytes each; last group may be partial.
-    # Per-lane u64 loads come from UNALIGNED STRIDED views over one
-    # contiguous padded buffer (np.ndarray with byte offset + stride):
-    # measured 1.5-1.9x faster than materializing a contiguous copy of
-    # the 8-byte window per lane (x86 handles unaligned loads natively).
-    g = (count + 7) // 8
-    grp = np.zeros(g * (width + 8), dtype=np.uint8)  # +8 slack for u64 reads
-    full = raw[: g * width]
-    if full.size < g * width:
-        tmp = np.zeros(g * width, dtype=np.uint8)
-        tmp[: full.size] = full
-        full = tmp
-    grp.reshape(g, width + 8)[:, :width] = full.reshape(g, width)
-    mask = np.uint64((1 << width) - 1)
-    out = np.empty((g, 8), dtype=np.uint64)
-    stride = width + 8
-    for j in range(8):
-        start_bit = j * width
-        p0, r = divmod(start_bit, 8)
-        lanes = np.ndarray(
-            (g,), dtype="<u8", buffer=grp, offset=p0, strides=(stride,)
-        )
-        out[:, j] = (lanes >> np.uint64(r)) & mask
-    return out.reshape(-1)[:count].astype(np.uint32)
-
-
-def unpack_bits_add(
-    buf: bytes | np.ndarray, width: int, count: int, out: np.ndarray
-) -> None:
-    """Fused unpack+add for FOR decode (NEXT r3 #3): adds ``count``
-    ``width``-bit values from the bitstream into ``out[:count]``
-    (int64, preloaded with the per-value frame minimums) IN PLACE.
-    Skips unpack_bits' intermediate (g, 8) u64 matrix and its
-    astype(uint32) copy plus the caller's separate add pass — each
-    lane goes shift->mask->cast->strided-add in one sweep."""
     if count == 0 or width == 0:
-        return
+        return np.zeros(count, dtype=np.uint32) if out is None else out
     if not 0 < width <= _MAX_WIDTH:
         raise ValueError(f"width must be in 1..{_MAX_WIDTH}, got {width}")
     raw = np.frombuffer(buf, dtype=np.uint8)
-    need_bytes = (count * width + 7) // 8
-    if raw.size < need_bytes:
+    nb = (count * width + 7) // 8
+    if raw.size < nb:
         raise ValueError(
-            f"buffer too small: need {need_bytes} bytes for "
+            f"buffer too small: need {nb} bytes for "
             f"{count} x {width}-bit values, have {raw.size}"
         )
     if width % 8 == 0:
-        nb = width // 8
-        padded = np.zeros((count, 4), dtype=np.uint8)
-        padded[:, :nb] = raw[: count * nb].reshape(count, nb)
-        out[:count] += padded.reshape(-1).view("<u4")
-        return
+        if width == 24:
+            vals = np.zeros((count, 4), dtype=np.uint8)
+            vals[:, :3] = raw[:nb].reshape(count, 3)
+            vals = vals.view("<u4").ravel()
+        else:
+            vals = raw[:nb].view(f"<u{width // 8}")
+        if out is None:
+            return vals.astype(np.uint32)
+        out[:count] += vals
+        return out
     g = (count + 7) // 8
-    grp = np.zeros(g * (width + 8), dtype=np.uint8)  # +8 slack for u64 reads
-    full = raw[: g * width]
-    if full.size < g * width:
-        tmp = np.zeros(g * width, dtype=np.uint8)
-        tmp[: full.size] = full
-        full = tmp
-    grp.reshape(g, width + 8)[:, :width] = full.reshape(g, width)
+    n = min(raw.size, g * width)
+    padded = np.zeros(g * width + 8, dtype=np.uint8)  # +8: last u64 read
+    padded[:n] = raw[:n]
     mask = np.uint64((1 << width) - 1)
-    stride = width + 8
+    res = np.empty((g, 8), dtype=np.uint32) if out is None else None
     for j in range(8):
         p0, r = divmod(j * width, 8)
         lanes = np.ndarray(
-            (g,), dtype="<u8", buffer=grp, offset=p0, strides=(stride,)
+            (g,), dtype="<u8", buffer=padded, offset=p0, strides=(width,)
         )
-        tgt = out[j:count:8]  # values j, j+8, ... across groups
-        tgt += ((lanes[: tgt.size] >> np.uint64(r)) & mask).astype(np.int64)
+        if out is None:
+            res[:, j] = (lanes >> np.uint64(r)) & mask
+        else:
+            tgt = out[j:count:8]  # values j, j+8, ... across groups
+            tgt += ((lanes[: tgt.size] >> np.uint64(r)) & mask).view(np.int64)
+    return out if res is None else res.ravel()[:count]
 
 
 _BYTE_SHIFTS = np.arange(0, 40, 8, dtype=np.uint64)

@@ -57,7 +57,6 @@ from .bitpack import (
     bits_at,
     pack_bits,
     unpack_bits,
-    unpack_bits_add,
 )
 from .rle import _scatter_ragged, long_runs, rle_decode, rle_encode, rle_size
 from .tables import parse_shared
@@ -245,7 +244,7 @@ def _unpack_frames(payload: np.ndarray, widths, out, tail_lens=None):
     w0 = int(widths[0])
     if tail_lens is None and w0 <= 32 and (widths == w0).all():
         # one width, blocks back to back: single fused unpack+add sweep
-        unpack_bits_add(payload, w0, nb * MINIBLOCK, out.ravel())
+        unpack_bits(payload, w0, nb * MINIBLOCK, out.ravel())
         return
     lens = _BLOCK_BYTES[widths]
     if tail_lens is not None:

@@ -123,20 +123,13 @@ def fingerprint_inputs(paths: list[str]) -> dict[str, tuple]:
     return out
 
 
-def salt_buckets(plan: CodecPlan, proportional: bool) -> dict[str, int]:
-    """Salt sub-buckets per source for ``add_salt_column``.
-    proportional: 32 buckets shared out by sampled source frequency, so
-    the hottest source splits over many exchange groups instead of one
-    giant one. Otherwise ONE per source: write-side splitting needs
-    source PURITY only, and sub-buckets would merely fragment each
-    block into ~32 tiny shards (measured: 2048 vs 320 partitions at
-    sf0.1, with the per-shard symbol-table overhead that implies)."""
+def salt_buckets(plan: CodecPlan) -> dict[str, int]:
+    """Salt sub-buckets per source for ``add_salt_column``: 32 buckets
+    shared out by sampled source frequency, so the hottest source
+    splits over many exchange groups instead of one giant one."""
     hist = plan.stats.get("__source_hist__") or {}
     total = sum(hist.values()) or 1
-    buckets = {
-        s: max(1, round(32 * c / total)) if proportional else 1
-        for s, c in hist.items()
-    }
+    buckets = {s: max(1, round(32 * c / total)) for s, c in hist.items()}
     for s in SOURCES:
         buckets.setdefault(str(s), 1)
     return buckets
@@ -189,8 +182,8 @@ def encode_pipeline(
                   column): each (source, salt) bucket lands in ONE
                   shard (fewest shards; one all-to-all)
       "local"   - write-side partitioning: every input block splits by
-                  bucket locally and writes one shard per non-empty
-                  (block, bucket) — shards are still source-pure but
+                  source locally and writes one shard per non-empty
+                  (block, source) — shards are still source-pure but
                   there are more of them; ZERO network exchange (the
                   scale pattern when co-location isn't required)
 
@@ -231,6 +224,11 @@ def encode_pipeline(
     # the first input's schema: user codec specs are checked against it
     # before any work, and it tells whether the user owns a "path"
     paths, schema = resolve_inputs(paths)
+    if partition_by_source and "source" not in schema.names:
+        raise ValueError(
+            "partition_by_source splits shards on the 'source' column, "
+            "which the input does not have"
+        )
     if column_codecs:
         check_codec_specs(column_codecs, schema)
     out_fs, out_root = fsmod.get_fs(out_dir, filesystem)
@@ -574,16 +572,19 @@ def _encode_job(
     # one shard per bucket: a reducer may hold several buckets, so
     # EncodeShard splits on BUCKET_COL
     split_by = [BUCKET_COL] if exch else []
-    if partition_by_source:
-        # source salt (add_salt_column); "local" splits each block on it
-        # in EncodeShard with no exchange
-        buckets = salt_buckets(plan, partition_by_source is True)
+    if partition_by_source is True:
+        # the source salt (add_salt_column) is the exchange key; two
+        # sources can share a salt, so each shard splits on the source
+        buckets = salt_buckets(plan)
         steps.append(
             functools.partial(add_salt_column, buckets_by_source=buckets)
         )
-        split_by.insert(0, SALT_COL)
-        if partition_by_source is True:
-            exch = (SALT_COL, [], [], sum(buckets.values()))
+        split_by += [SALT_COL, "source"]
+        exch = (SALT_COL, [], [], sum(buckets.values()))
+    elif partition_by_source:
+        # "local": EncodeShard splits each block on the source, no
+        # exchange
+        split_by.insert(0, "source")
     if hive_cols:
         # local split by the hive columns (no exchange); composes with
         # the salt column when a salted layout was also requested

@@ -376,8 +376,8 @@ def add_salt_column(
     """Add ``__salt__`` = source_index * 4096 + (hash(doc_id) %
     K(source)), where K grows with the source's sampled frequency —
     bounds the hottest source's partition size (SURVEY.md §4.2 skew
-    row). One int key is what ``cluster.exchange`` splits on, and it
-    still encodes the source (shards stay source-pure)."""
+    row). One int key is what ``cluster.exchange`` splits on; two
+    sources can share a salt, so shards split on the source too."""
     import pandas as pd
 
     kh = pd.util.hash_array(
@@ -387,10 +387,8 @@ def add_salt_column(
     names = sorted(buckets_by_source)
     name_idx = {s: i for i, s in enumerate(names)}
     # sources absent from the sampled histogram get a bucket index
-    # derived from a stable hash of the source string — distinct unseen
-    # sources therefore land in distinct buckets and shards stay
-    # source-pure (ADVICE r01: a single shared overflow index mixed
-    # unseen sources into one shard)
+    # derived from a stable hash of the source string, which spreads
+    # unseen sources over the reducers (distinct sources may collide)
     sidx = np.array(
         [
             name_idx[s]

@@ -120,20 +120,69 @@ def test_append_new_fragments(ray_session, tmp_path):
 
 
 def test_local_partition_mode(ray_session, tmp_path):
-    """partition_by_source='local': source-pure shards with ZERO
-    shuffle (write-side bucket split)."""
+    """Both source layouts give source-pure shards: 'local' (a
+    write-side split with ZERO shuffle) and True (the salted exchange).
+    Also after a resume appends a fragment whose two sources are
+    missing from the plan's histogram and share a salt."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from fastparquet_ray.container import decode_table
+    from fastparquet_ray.stages import add_salt_column
+
     src = str(tmp_path / "src")
     paths = write_tokens_dataset(src, 2000, n_fragments=2)
-    out = str(tmp_path / "enc")
-    s = encode_pipeline(paths, out, partition_by_source="local")
-    assert s["rows"] == 2000
-    from fastparquet_ray.container import decode_table
+    t = pq.read_table(paths[0]).slice(0, 300)
+    new = ["src277", "src355"]
+    salts = add_salt_column(
+        pa.table({"doc_id": ["a", "b"], "source": new}), {}
+    ).column("__salt__").to_pylist()
+    assert salts[0] == salts[1]  # the collision this layout must survive
+    t = t.set_column(
+        t.schema.get_field_index("doc_id"), "doc_id",
+        pc.binary_join_element_wise("x", t.column("doc_id"), ""),
+    ).set_column(
+        t.schema.get_field_index("source"), "source",
+        pa.array([new[i % 2] for i in range(t.num_rows)]),
+    )
+    os.makedirs(tmp_path / "more")
+    extra = str(tmp_path / "more" / "tokens-00002.parquet")
+    pq.write_table(t, extra)
+    for layout in ("local", True):
+        out = str(tmp_path / f"enc_{layout}")
+        s = encode_pipeline(paths, out, partition_by_source=layout)
+        assert s["rows"] == 2000
+        s = encode_pipeline(paths + [extra], out, partition_by_source=layout)
+        assert s["rows"] == 2300 and s["encoded"] >= 2, s
+        tables = Manifest(out).load_plan().tables
+        seen = []
+        for shard in glob.glob(os.path.join(out, "shard-*.fprs")):
+            t = decode_table(
+                open(shard, "rb").read(), tables, columns=["source"]
+            )
+            sources = set(t.column("source").to_pylist())
+            assert len(sources) == 1, (layout, shard, sources)
+            seen += sources
+        assert set(new) <= set(seen), (layout, seen)
+        assert verify_roundtrip(paths + [extra], out)["ok"]
 
-    tables = Manifest(out).load_plan().tables
-    for shard in sorted(glob.glob(os.path.join(out, "shard-*.fprs")))[:20]:
-        t = decode_table(open(shard, "rb").read(), tables, columns=["source"])
-        assert len(set(t.column("source").to_pylist())) <= 1
-    assert verify_roundtrip(paths, out)["ok"]
+
+def test_partition_by_source_needs_source_column(tmp_path):
+    """Without a 'source' column a source layout fails up front,
+    naming the column, before any shard is written."""
+    import pyarrow.parquet as pq
+
+    src = tmp_path / "src"
+    os.makedirs(src)
+    pq.write_table(
+        pa.table({"doc_id": ["a", "b"], "n_tok": [1, 2]}),
+        str(src / "tokens-00000.parquet"),
+    )
+    for layout in ("local", True):
+        out = str(tmp_path / f"enc_{layout}")
+        with pytest.raises(ValueError, match="'source'"):
+            encode_pipeline(str(src), out, partition_by_source=layout)
+        assert not glob.glob(os.path.join(out, "**", "shard-*"), recursive=True)
 
 
 def test_decode_projection_streaming(ray_session, dataset, tmp_path):

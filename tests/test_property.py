@@ -3,6 +3,7 @@ layer 4 randomized style, strengthened with shrinking)."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,39 @@ def test_bitpack_roundtrip(width, values):
         np.uint32
     )
     assert (unpack_bits(pack_bits(v, width), width, v.size) == v).all()
+
+
+def _read_lsb_first(buf: bytes, width: int, count: int) -> list[int]:
+    """Value i = bits [i*width, (i+1)*width) of ``buf``, LSB first."""
+    out = []
+    for i in range(count):
+        p = i * width
+        word = int.from_bytes(buf[p >> 3 : ((p + width + 7) >> 3) + 1], "little")
+        out.append((word >> (p & 7)) & ((1 << width) - 1))
+    return out
+
+
+@pytest.mark.parametrize("width", range(1, 33))
+def test_unpack_bits_against_bit_reader(width):
+    """Both forms of ``unpack_bits`` against a per-value reader: the
+    uint32 values, and the add into ``out`` (int64 preloaded with its
+    extremes), which wraps mod 2**64 and leaves ``out[count:]`` alone."""
+    rng = np.random.default_rng(width)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    for count in (0, 1, 7, 8, 9, 1023, 1024, 1025, 4097):
+        buf = rng.integers(0, 256, (count * width + 7) // 8, np.uint8).tobytes()
+        ref = _read_lsb_first(buf, width, count)
+        got = unpack_bits(buf, width, count)
+        assert got.dtype == np.uint32 and got.tolist() == ref, count
+        pre = rng.integers(lo, hi, count + 3, dtype=np.int64, endpoint=True)
+        pre[::3], pre[1::3] = hi, lo
+        out = pre.copy()
+        assert unpack_bits(buf, width, count, out) is out
+        want = [
+            (p + r + 2**63) % 2**64 - 2**63 for p, r in zip(pre.tolist(), ref)
+        ]
+        assert out[:count].tolist() == want, count
+        assert (out[count:] == pre[count:]).all(), count
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -104,6 +104,30 @@ def test_fsst_long_strings(rng):
     assert to_list(rl, rd) == strs
 
 
+@pytest.mark.parametrize("side", ["frontier", "precompute"])
+def test_fsst_encode_paths_match_encode_one(rng, side):
+    """On either side of the encode path switch (average length
+    ``_PRECOMPUTE_LEN``) a column encodes to each string's
+    ``encode_one`` codes, escapes (literal 255s included) too."""
+    from fastparquet_ray.codecs import fsst
+
+    words = [b"the", b"fast", b"key", b"order", b"\xff\xfe", b"merge"]
+    avg = fsst._PRECOMPUTE_LEN * (0.5 if side == "frontier" else 2)
+    strs = []
+    for _ in range(40):
+        n = int(rng.integers(avg // 2, avg * 3 // 2))
+        s = b" ".join(words[i] for i in rng.integers(0, len(words), n // 4))
+        strs.append(s + rng.integers(0, 256, n // 8, dtype=np.uint8).tobytes())
+    strs[:2] = [b"", b"\xff" * 9]
+    l, d = roundtrip_bytes(strs)
+    assert (d.size > fsst._PRECOMPUTE_LEN * l.size) == (side == "precompute")
+    t = train_fsst(l, d)
+    el, ed = t.encode(l, d)
+    assert ed.tobytes() == b"".join(t.encode_one(s) for s in strs)
+    assert el.tolist() == [len(t.encode_one(s)) for s in strs]
+    assert to_list(*t.decode(el, ed)) == strs
+
+
 def test_fsst_compresses_doc_ids():
     vals = [f"{s}/doc-{i:012d}" for i, s in
             zip(range(2000), ["web", "books", "code", "wiki", "forums"] * 400)]

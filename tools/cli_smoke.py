@@ -4,6 +4,8 @@ invariants that unit tests cover only piecewise:
 
     gen -> encode --column-codecs with a bad codec (refused, no shard)
         -> encode (plain) -> re-encode (fingerprint resume, no read)
+        -> encode --partition-by-source -> verify --exact
+        -> stats (one source per shard)
         -> encode --cluster-by --bloom -> verify --exact -> stats
         -> optimize -> verify --exact (optimized layout)
         -> decode (idempotent rerun + single-file repair)
@@ -99,6 +101,21 @@ def main() -> None:
     p2 = run(["encode", src, plain])
     assert p2["skipped"] == p2["partitions"] == p1["partitions"], p2
     assert p2["fragments_read"] == 0 and p2["encoded"] == 0, p2
+
+    # source layout: a write-side split, one source per shard, which
+    # the shard stats show as min == max of the source column
+    bys = os.path.join(work, "by_source")
+    b1 = run(["encode", src, bys, "--partition-by-source"])
+    assert b1["rows"] == 4000 and b1["encoded"] > 0, b1
+    vb = run(["verify", src, bys, "--exact"])
+    assert vb["ok"] and vb["mismatched_groups"] == 0, vb
+    t0 = time.time()
+    rows = [ln.split() for ln in cli(["stats", bys]).strip().splitlines()[1:]]
+    mixed = [r for r in rows if r[2] == "source" and r[5] != r[6]]
+    n_src = sum(r[2] == "source" for r in rows)
+    assert n_src == b1["partitions"] and not mixed, mixed
+    print(f"PASS  stats    {time.time() - t0:5.1f}s  "
+          f"{n_src} shards, one source each")
 
     e = run(
         [
@@ -210,7 +227,7 @@ def main() -> None:
             n_rows += sum(1 for _ in f)
     assert n_rows == 4000, n_rows
 
-    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 17}))
+    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 20}))
 
 
 if __name__ == "__main__":
