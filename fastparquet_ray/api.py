@@ -24,7 +24,9 @@ the snapshot's stats, then the kept ones are read and decoded
 serially, with no Ray Data job (the reference answers these
 in-process too). ``write`` and ``verify_against`` run plain Ray
 tasks; the lazy Datasets from ``dataset()``, ``iter_batches()`` and
-``eds[i:j]`` are Ray Data scans (streaming, distributed). Ray must
+``eds[i:j]`` are Ray Data scans (streaming, distributed), planned
+from the same snapshot: one read task per byte-balanced run of kept
+shards, one block per shard, no shard opened to plan them. Ray must
 already be initialised by the caller for those (or Ray will auto-init
 a local session on first use).
 """

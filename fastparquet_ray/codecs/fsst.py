@@ -43,6 +43,13 @@ MAX_SYM_LEN = 8
 # than 2x for the path it gets.
 _PRECOMPUTE_LEN = 256
 
+# training: the sample's bytes (a stride sample of whole strings), the
+# candidates kept per symbol length, and the rounds (the greedy pass
+# plus measured refinements)
+_SAMPLE_BYTES = 1 << 17
+_LEN_CANDIDATES = 1024
+_ROUNDS = 2
+
 _MASKS = np.array(
     [0] + [(1 << (8 * L)) - 1 for L in range(1, 9)], dtype=np.uint64
 )
@@ -345,7 +352,6 @@ def _refine_table(
     table: FsstTable,
     lengths: np.ndarray,
     data: np.ndarray,
-    max_symbols: int,
 ) -> tuple[FsstTable, int]:
     """One FSST-paper-style refinement round: encode the sample with
     the current table, count actual symbol usage / escaped bytes /
@@ -389,7 +395,7 @@ def _refine_table(
                 add(sym, n * len(sym))
     top = sorted(
         cands.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0])
-    )[:max_symbols]
+    )[:MAX_SYMBOLS]
     return FsstTable([s for s, _ in top]), int(ed.size)
 
 
@@ -414,30 +420,23 @@ def _prefix_counts(w64: np.ndarray, edist: np.ndarray):
         yield L, uniq[o], counts[o]
 
 
-def train_fsst(
-    lengths: np.ndarray,
-    data: np.ndarray,
-    max_sample_bytes: int = 1 << 17,
-    max_symbols: int = MAX_SYMBOLS,
-    per_len_candidates: int = 1024,
-    iterations: int = 2,
-) -> FsstTable:
+def train_fsst(lengths: np.ndarray, data: np.ndarray) -> FsstTable:
     """Train a symbol table on (a deterministic sample of) the strings.
 
     Greedy pass (count substring frequencies for lengths 1..8, windows
     never crossing string boundaries, gain = count * len, top
-    ``max_symbols``) followed by ``iterations - 1`` measured refinement
+    ``MAX_SYMBOLS``) followed by ``_ROUNDS - 1`` measured refinement
     rounds per the FSST paper (re-encode the sample, count actual
     usage + escapes + adjacent-symbol merges).
     """
     total = int(data.size)
     if total == 0:
         return FsstTable([])
-    if total > max_sample_bytes:
+    if total > _SAMPLE_BYTES:
         # deterministic stride sample of whole strings, gathered with
         # one ragged index
         cum = np.cumsum(lengths)
-        n_keep = int(np.searchsorted(cum, max_sample_bytes)) + 1
+        n_keep = int(np.searchsorted(cum, _SAMPLE_BYTES)) + 1
         stride = max(1, lengths.size // max(n_keep, 1))
         keep = np.arange(0, lengths.size, stride)
         s_lengths = lengths[keep]
@@ -445,8 +444,8 @@ def train_fsst(
         src = (cum - lengths)[keep] - (s_cum - s_lengths)
         idx = np.repeat(src, s_lengths)
         s_data = data[idx + np.arange(idx.size, dtype=np.int64)]
-        if s_data.size > 4 * max_sample_bytes:
-            s_data = s_data[: 4 * max_sample_bytes]
+        if s_data.size > 4 * _SAMPLE_BYTES:
+            s_data = s_data[: 4 * _SAMPLE_BYTES]
             s_lengths = None  # boundaries invalidated; treat as one blob
     else:
         s_lengths, s_data = lengths, data
@@ -458,10 +457,8 @@ def train_fsst(
     # (gain desc, len asc, symbol bytes desc)
     gains, lens, keys = [], [], []
     for L, uniq, counts in _prefix_counts(w64, edist):
-        if uniq.size > per_len_candidates:
-            top = np.argpartition(counts, -per_len_candidates)[
-                -per_len_candidates:
-            ]
+        if uniq.size > _LEN_CANDIDATES:
+            top = np.argpartition(counts, -_LEN_CANDIDATES)[-_LEN_CANDIDATES:]
             uniq, counts = uniq[top], counts[top]
         ok = counts >= (2 if L > 1 else 1)
         gains.append(counts[ok].astype(np.int64) * L)
@@ -470,7 +467,7 @@ def train_fsst(
     if gains:
         gains, lens, keys = map(np.concatenate, (gains, lens, keys))
         # a symbol's bytes compare as its byte-swapped key (same length)
-        order = np.lexsort((keys.byteswap(), -lens, gains))[::-1][:max_symbols]
+        order = np.lexsort((keys.byteswap(), -lens, gains))[::-1][:MAX_SYMBOLS]
         syms = [
             int(k).to_bytes(8, "little")[:L]
             for k, L in zip(keys[order].tolist(), lens[order].tolist())
@@ -478,8 +475,8 @@ def train_fsst(
     else:
         syms = []
     table = FsstTable(syms)
-    for _ in range(max(iterations - 1, 0)):
-        refined, size = _refine_table(table, s_lengths, s_data, max_symbols)
+    for _ in range(_ROUNDS - 1):
+        refined, size = _refine_table(table, s_lengths, s_data)
         # keep the refinement only if it actually helps on the sample
         if not refined.symbols:
             break

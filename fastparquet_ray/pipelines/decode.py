@@ -24,8 +24,8 @@ where they lie, runs walked and a code stream decompressed up to the
 last row) — nothing more when no row matches.
 
 - ``decode_dataset``: a lazy, streaming ray.data.Dataset for scans:
-  its read tasks each decode a contiguous run of kept shards, as many
-  tasks as ``cluster.reducer_count`` gives the shards' raw bytes.
+  one read task per ``cluster.pack`` run of the kept shards by raw
+  bytes, planned from the snapshot alone (``sources.fprs``).
 - ``read_table``: the kept shards read and decoded serially in the
   calling process, for materializing reads (``to_pandas``, ``head``)
   whose result lands in the driver anyway — no Ray Data job, so a
@@ -57,20 +57,20 @@ _OPS = {
 class Snapshot:
     """One encoded dataset's metadata, each part read on first use and
     kept: ``paths`` (shard files, sorted, relative to ``fs``),
-    ``tables``, ``records`` (by shard), ``hive`` (the root of a
-    `key=value` layout, else None) and ``shard(path)``. Without
-    ``out_dir`` it stands for bare shard paths (stats from headers)."""
+    ``tables``, ``records`` (by shard), ``hive`` (a `key=value`
+    layout's root and ``hive_fields``, else None) and ``shard(path)``.
+    Without ``out_dir`` it stands for bare shard paths (stats from
+    headers)."""
 
     def __init__(self, out_dir: str | None, filesystem=None):
         self.out_dir = out_dir
         self.manifest = out_dir and Manifest(out_dir, filesystem=filesystem)
         self.fs = self.manifest.fs if out_dir else filesystem
         self.root = self.manifest.root.rstrip("/") if out_dir else ""
-        self.remote = filesystem is not None or not fsmod.is_local(self.fs)
         # a URI's protocol prefix, which ``shard_files`` keeps
         self.proto = (
             out_dir.split("://", 1)[0] + "://"
-            if out_dir and filesystem is None and self.remote
+            if out_dir and filesystem is None and not fsmod.is_local(self.fs)
             else ""
         )
         self._shards: dict[str, dict] = {}
@@ -83,10 +83,21 @@ class Snapshot:
         return self.manifest.shard_glob()
 
     @cached_property
+    def plan(self):
+        """The ``_plan.json`` sidecar (a ``CodecPlan``), or None."""
+        m = self.manifest
+        return m.load_plan() if m and m.has_plan() else None
+
+    @cached_property
     def tables(self) -> SharedTables:
         """The plan's shared tables, each parsed once on first use."""
-        m = self.manifest
-        return SharedTables(m.load_plan().tables if m.has_plan() else {})
+        return SharedTables(self.plan.tables if self.plan else {})
+
+    @cached_property
+    def hive_fields(self) -> dict:
+        """Hive column -> the Arrow type the encode recorded, if any."""
+        fields = self.plan.hive if self.plan else None
+        return {f.name: f.type for f in fields or ()}
 
     @cached_property
     def records(self) -> dict[str, dict]:
@@ -94,11 +105,11 @@ class Snapshot:
         return {r["shard"]: r for r in recs.values()}
 
     @cached_property
-    def hive(self) -> str | None:
-        from .hive import parse_hive_parts
+    def hive(self):
+        from .hive import Hive, parse_hive_parts
 
         hived = any(parse_hive_parts(self.rel(p)) for p in self.paths)
-        return self.root if hived else None
+        return Hive(self.root, self.hive_fields) if hived else None
 
     @cached_property
     def index_meta(self) -> dict:
@@ -151,7 +162,7 @@ class Snapshot:
         every listed shard, raising when there is none) whose column
         stats and hive path values (reference filter_out_cats,
         api.py:1002-1039) may match every filter."""
-        from .hive import parse_hive_parts
+        from .hive import partition_values
 
         if paths is None:
             if not self.paths:
@@ -167,11 +178,12 @@ class Snapshot:
             stats = self._prune_stats.get(p)
             if stats is None:
                 stats = self._prune_stats[p] = dict(self.shard(p)["stats"])
-                for col, val in parse_hive_parts(self.rel(p)).items():
+                parts = partition_values(self.rel(p), self.hive_fields)
+                for col, val in parts.items():
                     # a path value holds for every row: all null or none
                     stats.setdefault(col, {
-                        "min": val, "max": val,
-                        "null_count": int(val is None),
+                        "min": val.as_py(), "max": val.as_py(),
+                        "null_count": int(not val.is_valid),
                     })
             for c, op, v in filters:
                 if not _stats_may_match(stats, c, op, v, path=p):
@@ -188,25 +200,22 @@ class Snapshot:
         return kept
 
     def read(self, paths: list[str], **kw):
-        """Lazy ray.data.Dataset over ``paths``: decode runs in
-        stateless read tasks (symbol tables are KBs, shipped once with
-        the datasource), each over a contiguous run of shards, as many
-        as ``cluster.reducer_count`` gives their ``raw_bytes``."""
+        """Lazy ray.data.Dataset over ``paths`` (``sources.fprs``):
+        one stateless read task per ``cluster.pack`` run of the shards
+        (symbol tables are KBs, shipped with each task)."""
+        import ray.data
         from ray._private.auto_init_hook import auto_init_ray
 
-        from ..sources.fprs import read_fprs
-        from .cluster import reducer_count
+        from ..sources.fprs import FprsDatasource
 
-        # Ray Data starts a session on first use; the task count needs
-        # the session's CPUs now
+        # Ray Data starts a session on first use; the runs are packed
+        # on the session's CPUs before it starts
         auto_init_ray()
-        n = reducer_count(
-            sum(self.shard(p)["raw_bytes"] for p in paths), len(paths)
-        )
-        return read_fprs(
-            paths, tables=self.tables, hive=self.hive,
-            filesystem=self.fs if self.remote else None,
-            override_num_blocks=n, **kw,
+        source = FprsDatasource(self, paths, **kw)
+        # as many blocks as tasks: else Ray Data splits each task's
+        # output to reach its default parallelism
+        return ray.data.read_datasource(
+            source, override_num_blocks=len(source.runs)
         )
 
 
@@ -489,14 +498,15 @@ def decode_shard(
     tables: dict,
     columns: list[str] | None = None,
     categories: list[str] | None = None,
-    hive: str | None = None,
+    hive=None,
     filters=None,
     how: dict | None = None,
 ):
-    """One shard blob -> Arrow table. With ``hive`` (the dataset root),
-    `key=value` path components below it become typed partition
-    columns, which are not stored in the shard (reference
-    paths_to_cats, api.py:700-758). The header is parsed once.
+    """One shard blob -> Arrow table. With ``hive`` (a ``hive.Hive``),
+    `key=value` path components below its root become partition
+    columns of the recorded types, which are not stored in the shard
+    (reference paths_to_cats, api.py:700-758). The header is parsed
+    once.
 
     With ``filters``, ``==`` and ``in`` on a string column compare
     compressed (``_compressed_rows``: FSST and dictionary codes are
@@ -507,13 +517,13 @@ def decode_shard(
     filter columns' values come from the filtering. ``how`` counts how
     each column was read (``container.note_read``)."""
     from ..container import ShardHead, decode_table
-    from .hive import attach_hive_columns, parse_hive_parts
+    from .hive import attach_hive_columns, partition_values
 
     parts = {}
     if hive is not None:
-        root = hive.rstrip("/")
-        parts = parse_hive_parts(
-            path[len(root):] if path.startswith(root) else path
+        root = hive.root.rstrip("/")
+        parts = partition_values(
+            path[len(root):] if path.startswith(root) else path, hive.fields
         )
     head = ShardHead(blob)
 
@@ -543,7 +553,6 @@ def decode_shard(
 def decode_dataset(
     out_dir: "str | Snapshot",
     columns: list[str] | None = None,
-    concurrency=None,
     filters=None,
     categories: list[str] | None = None,
     filesystem=None,
@@ -568,8 +577,7 @@ def decode_dataset(
 
         return ray.data.from_arrow(pa.table({}))
     return snap.read(
-        paths, columns=columns, concurrency=concurrency,
-        categories=categories, filters=filters,
+        paths, columns=columns, categories=categories, filters=filters
     )
 
 

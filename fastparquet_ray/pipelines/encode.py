@@ -79,7 +79,6 @@ import time
 import pyarrow as pa
 
 from ..container import check_codec_specs
-from ..data import SOURCES
 from ..plan import CodecPlan, sample_fragments, train_plan
 from ..stages.encode_stage import (
     BUCKET_COL,
@@ -126,13 +125,11 @@ def fingerprint_inputs(paths: list[str]) -> dict[str, tuple]:
 def salt_buckets(plan: CodecPlan) -> dict[str, int]:
     """Salt sub-buckets per source for ``add_salt_column``: 32 buckets
     shared out by sampled source frequency, so the hottest source
-    splits over many exchange groups instead of one giant one."""
+    splits over many exchange groups instead of one giant one. A
+    source the sample missed gets one bucket in ``add_salt_column``."""
     hist = plan.stats.get("__source_hist__") or {}
     total = sum(hist.values()) or 1
-    buckets = {s: max(1, round(32 * c / total)) for s, c in hist.items()}
-    for s in SOURCES:
-        buckets.setdefault(str(s), 1)
-    return buckets
+    return {s: max(1, round(32 * c / total)) for s, c in hist.items()}
 
 
 def resolve_inputs(paths: list[str] | str) -> tuple[list[str], "pa.Schema"]:
@@ -286,6 +283,11 @@ def encode_pipeline(
         # column spec, built in the container stats path per shard
         for c in bloom_cols:
             plan.specs.setdefault(c, {})["bloom"] = True
+    # the partition columns leave the shards: their types ride in the
+    # plan sidecar, so readers rebuild them as written
+    plan.hive = (
+        pa.schema([schema.field(c) for c in hive_cols]) if hive_cols else None
+    )
     with _timed(stage_s, "manifest"):
         manifest.write_plan(plan)
 

@@ -45,23 +45,28 @@ class CodecPlan:
     # "__source_hist__": sampled rows per source (salted layouts)
     stats: dict = field(default_factory=dict)
     outer: tuple | None = None  # ("zstd", level) block codec, or None
+    # the hive partition columns' Arrow fields (a hive layout only)
+    hive: pa.Schema | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "specs": self.specs,
-                "tables": {
-                    k: base64.b64encode(v).decode() for k, v in self.tables.items()
-                },
-                "stats": self.stats,
-                "outer": list(self.outer) if self.outer else None,
-            }
-        )
+        d = {
+            "specs": self.specs,
+            "tables": {
+                k: base64.b64encode(v).decode() for k, v in self.tables.items()
+            },
+            "stats": self.stats,
+            "outer": list(self.outer) if self.outer else None,
+        }
+        if self.hive is not None:
+            # an IPC schema message: every Arrow type round-trips
+            d["hive"] = base64.b64encode(self.hive.serialize()).decode()
+        return json.dumps(d)
 
     @classmethod
     def from_json(cls, s: str) -> "CodecPlan":
         d = json.loads(s)
         outer = d.get("outer")
+        hive = d.get("hive")
         return cls(
             specs=d["specs"],
             tables={
@@ -69,6 +74,8 @@ class CodecPlan:
             },
             stats=d.get("stats", {}),
             outer=tuple(outer) if outer else None,
+            hive=pa.ipc.read_schema(pa.py_buffer(base64.b64decode(hive)))
+            if hive else None,
         )
 
 

@@ -1,3 +1,3 @@
-from .fprs import FprsDatasource, read_fprs
+from .fprs import FprsDatasource
 
-__all__ = ["FprsDatasource", "read_fprs"]
+__all__ = ["FprsDatasource"]

@@ -1,85 +1,71 @@
-"""Ray Data datasource for .fprs shard files — the engine's native
-read path (reference analog: ParquetFile + to_pandas,
-/root/reference/fastparquet/api.py:95-162/387-475, re-expressed as a
-FileBasedDatasource so shards stream through the normal read operator
-with column projection at decode and lineage-based retry for free;
-``pipelines.decode.Snapshot.read`` sizes its read tasks by bytes).
+"""Ray Data datasource over the shards of an encoded dataset, the
+engine's scan path (reference analog: ParquetFile + to_pandas,
+/root/reference/fastparquet/api.py:95-162/387-475).
+
+It is planned from a ``pipelines.decode.Snapshot`` alone: its read
+tasks are the ``cluster.pack`` runs of the kept shards by
+``raw_bytes``, as every Ray job of the core is cut, and their
+metadata (rows, bytes, paths) comes from the snapshot, so no shard
+file is opened or stat'ed to plan a scan. A task reads its shards
+through ``state.fs`` on the snapshot's filesystem (the fsspec
+instance rides into the task) and yields one ``decode_shard`` table
+per shard; Ray Data retries a failed task from its lineage.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+import functools
 
-from ray.data.datasource import FileBasedDatasource
-
-if TYPE_CHECKING:
-    import pyarrow
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 
-class FprsDatasource(FileBasedDatasource):
-    _FILE_EXTENSIONS = ["fprs"]
-
+class FprsDatasource(Datasource):
     def __init__(
         self,
-        paths,
-        tables: dict[str, bytes] | None = None,
+        snap,
+        paths: list[str],
         columns: list[str] | None = None,
-        hive: str | None = None,
         categories: list[str] | None = None,
         filters=None,
-        **kwargs,
     ):
-        super().__init__(paths, **kwargs)
-        self._tables = tables or {}
-        self._columns = columns
-        self._categories = categories
-        self._filters = filters
-        # hive = dataset ROOT path: `key=value` components BELOW it are
-        # partition dirs (None disables hive parsing)
-        self._hive = hive
+        from ..pipelines.cluster import pack
 
-    def _read_stream(
-        self, f: "pyarrow.NativeFile", path: str
-    ) -> Iterator["pyarrow.Table"]:
-        from ..pipelines.decode import decode_shard
-
-        yield decode_shard(
-            f.readall(), path, self._tables, self._columns,
-            self._categories, self._hive, self._filters,
+        self.runs = pack(paths, [snap.shard(p)["raw_bytes"] for p in paths])
+        self._meta = [
+            BlockMetadata(
+                # filters keep an unknown share of the rows
+                num_rows=None if filters else sum(
+                    snap.shard(p)["rows"] for p in run
+                ),
+                size_bytes=sum(snap.shard(p)["raw_bytes"] for p in run),
+                input_files=run,
+                exec_stats=None,
+            )
+            for run in self.runs
+        ]
+        self._read = functools.partial(
+            _read_run, snap.fs, snap.tables, columns, categories, snap.hive,
+            filters,
         )
 
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(m.size_bytes for m in self._meta)
 
-def read_fprs(
-    paths: list[str] | str,
-    tables: dict[str, bytes] | None = None,
-    columns: list[str] | None = None,
-    concurrency=None,
-    filesystem=None,
-    hive: str | None = None,
-    categories: list[str] | None = None,
-    filters=None,
-    override_num_blocks: int | None = None,
-):
-    """ray.data Dataset over shard files: each shard is decoded whole,
-    by one of ``override_num_blocks`` read tasks that each take a
-    contiguous run of the shards (default: Ray Data's count).
-    ``filesystem`` may be an fsspec filesystem (wrapped for pyarrow) or
-    a pyarrow FileSystem — reference S10 remote-FS analog. ``hive``
-    (the dataset root path) parses `key=value` components below it
-    into typed partition columns; ``filters`` keeps only the matching
-    rows of each shard (``pipelines.decode.decode_shard``)."""
-    import ray.data
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        return [
+            ReadTask(functools.partial(self._read, run), meta)
+            for run, meta in zip(self.runs, self._meta)
+        ]
 
-    if filesystem is not None and not hasattr(filesystem, "type_name"):
-        # fsspec -> pyarrow wrapper (Ray Data wants pyarrow.fs)
-        from ..state.fs import to_pyarrow_fs
 
-        filesystem = to_pyarrow_fs(filesystem)
-    return ray.data.read_datasource(
-        FprsDatasource(
-            paths, tables=tables, columns=columns, hive=hive,
-            categories=categories, filters=filters, filesystem=filesystem,
-        ),
-        concurrency=concurrency,
-        override_num_blocks=override_num_blocks,
-    )
+def _read_run(fs, tables, columns, categories, hive, filters, run):
+    """Read task: each shard of ``run`` decoded into one table."""
+    from ..pipelines.decode import decode_shard
+    from ..state import fs as fsmod
+
+    for path in run:
+        yield decode_shard(
+            fsmod.read_bytes(fs, path), path, tables, columns, categories,
+            hive, filters,
+        )

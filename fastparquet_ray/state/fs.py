@@ -139,8 +139,9 @@ def stat_key(fs: Any, path: str) -> tuple:
 
 
 def to_pyarrow_fs(fs: Any):
-    """Wrap an fsspec filesystem for APIs that want pyarrow.fs (Ray
-    Data's FileBasedDatasource). Local filesystems pass through as
+    """Wrap an fsspec filesystem for the pyarrow.parquet calls that
+    read input files (footers, row groups); shards are read through
+    the fsspec instance itself. Local filesystems pass through as
     native pyarrow LocalFileSystem (faster, zero wrapping)."""
     import pyarrow.fs as pafs
 

@@ -82,6 +82,7 @@ class Manifest:
                     tables={**old_tables, **plan.tables},
                     stats=plan.stats,
                     outer=plan.outer,
+                    hive=plan.hive,
                 )
                 fsmod.atomic_write(
                     self.fs, self.plan_path, merged.to_json().encode()

@@ -12,7 +12,7 @@ on for object stores), prefix listing (find/glob), head, delete.
 
 Instances are picklable (the boto3 client is rebuilt lazily per
 process), so they can ride into Ray tasks/actors via
-encode_pipeline(filesystem=...) / read_fprs(filesystem=...).
+encode_pipeline(filesystem=...) / decode_dataset(filesystem=...).
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ Three layers:
    Ray workers — the components themselves are exercised for real).
 2. file:// URIs through the whole Ray pipeline (URI parsing end-to-end
    across processes).
-3. a wrapped fsspec filesystem (DirFileSystem) inside Ray read tasks
-   via read_fprs(filesystem=...) — the PyFileSystem/FSSpecHandler
-   bridge that any remote store uses.
+3. a non-local fsspec filesystem (DirFileSystem) inside Ray read tasks
+   via decode_dataset(filesystem=...): the fsspec instance rides into
+   each task, as any remote store's does.
 """
 
 import numpy as np
@@ -113,23 +113,19 @@ def test_wrapped_fsspec_fs_inside_ray_read(ray_session, tmp_path):
     from fsspec.implementations.dirfs import DirFileSystem
     from fsspec.implementations.local import LocalFileSystem
 
-    from fastparquet_ray.sources.fprs import read_fprs
-
     src = tmp_path / "src"
     src.mkdir()
     t = _table(150, seed=4)
     pq.write_table(t, str(src / "part-0.parquet"))
-    out = str(tmp_path / "enc")
-    encode_pipeline([str(src / "part-0.parquet")], out)
-    tables = Manifest(out).load_plan().tables
+    encode_pipeline([str(src / "part-0.parquet")], str(tmp_path / "enc"))
 
-    # DirFileSystem is not "local" by protocol -> read_fprs wraps it in
-    # a pyarrow PyFileSystem and Ray read tasks open through it
-    dfs = DirFileSystem(path=out, fs=LocalFileSystem())
+    # DirFileSystem is not "local" by protocol: the dataset is named
+    # relative to it, and Ray read tasks open the shards through it
+    dfs = DirFileSystem(path=str(tmp_path), fs=LocalFileSystem())
     assert not fsmod.is_local(dfs)
-    names = sorted(p.rsplit("/", 1)[-1] for p in shard_files(out))
-    ds = read_fprs(names, tables=tables, filesystem=dfs)
+    ds = decode_dataset("enc", filesystem=dfs)
     got = ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
+    assert len(got) == 150
     exp = t.to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert got["doc_id"].tolist() == exp["doc_id"].tolist()
     assert all(list(a) == list(b) for a, b in zip(got["tokens"], exp["tokens"]))

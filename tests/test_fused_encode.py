@@ -201,6 +201,57 @@ def test_decode_read_tasks_sized_by_bytes(
     assert pc.sum(t["n_tok"]).as_py() == pc.sum(src["n_tok"]).as_py()
 
 
+def test_decode_read_tasks_are_byte_runs(
+    ray_session, tmp_path, monkeypatch, header_reads
+):
+    """One shard 8x the others: each read task takes one
+    ``cluster.pack`` run of the shards by raw bytes, not an even share
+    by count, names the run's shards as its input files and is planned
+    without a shard read; the scan gives back every row."""
+    import pyarrow.parquet as pq
+
+    from fastparquet_ray.data import generate_fragment
+    from fastparquet_ray.pipelines import decode_dataset
+    from fastparquet_ray.pipelines.cluster import pack
+    from fastparquet_ray.pipelines.decode import Snapshot
+    from fastparquet_ray.sources.fprs import FprsDatasource
+
+    src = tmp_path / "src"
+    src.mkdir()
+    start = 0
+    for i, rows in enumerate([800] + [100] * 7):
+        pq.write_table(
+            generate_fragment(rows, fragment_idx=i, start_id=start),
+            str(src / f"tokens-{i:05d}.parquet"),
+        )
+        start += rows
+    out = str(tmp_path / "enc")
+    encode_pipeline(str(src), out, resume=False)
+    snap = Snapshot(out)
+    assert len(snap.paths) == 8
+    runs = pack(snap.paths, [snap.shard(p)["raw_bytes"] for p in snap.paths])
+    # by count, 8 shards on 4 CPUs would be 4 tasks of 2
+    assert [len(r) for r in runs] != [2, 2, 2, 2]
+
+    planned = []
+    real = FprsDatasource.get_read_tasks
+
+    def recording(self, parallelism, *a, **k):
+        tasks = real(self, parallelism, *a, **k)
+        planned.append([t.metadata.input_files for t in tasks])
+        return tasks
+
+    monkeypatch.setattr(FprsDatasource, "get_read_tasks", recording)
+    ds = decode_dataset(out, columns=["doc_id"])
+    assert planned and all(p == runs for p in planned)
+    assert header_reads == []
+    ids = [
+        i for b in ds.iter_batches(batch_format="pyarrow")
+        for i in b["doc_id"].to_pylist()
+    ]
+    assert len(ids) == len(set(ids)) == 1500
+
+
 def test_encode_summary_stage_timers(ray_session, paths, tmp_path, caplog):
     t0 = time.perf_counter()
     with caplog.at_level(logging.DEBUG, logger="fastparquet_ray"):

@@ -197,3 +197,47 @@ def test_take_range_clustered_hive_is_hive_major(ray_session, tmp_path):
     mid = eds.take_range(150, 450, columns=["doc_id", "source"])
     assert mid["doc_id"].tolist() == want["doc_id"][150:450].tolist()
     assert mid["source"].tolist() == want["source"][150:450].tolist()
+
+
+def test_hive_columns_keep_their_types(ray_session, tmp_path):
+    """Partition columns come back at the types the encode recorded in
+    ``_plan.json``: a zero-padded string stays a string, an int32 stays
+    int32, so both verify modes pass and a string filter prunes and
+    matches. A plan without the record decodes as before."""
+    import json
+
+    import fastparquet_ray as fr
+    from fastparquet_ray.pipelines.verify import verify_roundtrip
+
+    src = tmp_path / "src"
+    src.mkdir()
+    n = 60
+    t = pa.table({
+        "doc_id": [f"d{i:03d}" for i in range(n)],
+        "zip": [f"{i % 3:03d}" for i in range(n)],
+        "k32": pa.array([i % 2 for i in range(n)], pa.int32()),
+        "v": pa.array(np.arange(n, dtype=np.float64)),
+    })
+    p = str(src / "part-0.parquet")
+    pq.write_table(t, p)
+    out = str(tmp_path / "enc")
+    encode_pipeline([p], out, resume=False, hive_cols=["zip", "k32"])
+    assert len(shard_files(out)) == 6
+    for mode in ("moments", "exact"):
+        assert verify_roundtrip(p, out, mode=mode)["ok"], mode
+
+    eds = fr.EncodedDataset(out)
+    got = eds.to_pandas().sort_values("doc_id", ignore_index=True)
+    assert got["zip"].tolist() == t["zip"].to_pylist()
+    assert got["k32"].dtype == np.int32
+    schema = eds.dataset().schema()
+    assert dict(zip(schema.names, schema.types))["zip"] == pa.string()
+    hit = eds.to_pandas(filters=[("zip", "==", "001")])
+    assert len(hit) == 20 and set(hit["zip"]) == {"001"}
+
+    plan_path = tmp_path / "enc" / "_plan.json"
+    plan = json.loads(plan_path.read_text())
+    del plan["hive"]
+    plan_path.write_text(json.dumps(plan))
+    old = fr.EncodedDataset(out).to_pandas()
+    assert old["zip"].dtype == np.int64 and set(old["zip"]) == {0, 1, 2}

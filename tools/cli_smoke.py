@@ -6,6 +6,8 @@ invariants that unit tests cover only piecewise:
         -> encode (plain) -> re-encode (fingerprint resume, no read)
         -> encode --partition-by-source -> verify --exact
         -> stats (one source per shard)
+        -> encode --hive-cols zip -> verify --exact (a zero-padded
+           string partition column, every column fingerprinted)
         -> encode --cluster-by --bloom -> verify --exact -> stats
         -> optimize -> verify --exact (optimized layout)
         -> decode (idempotent rerun + single-file repair)
@@ -31,6 +33,7 @@ import sys
 import tempfile
 import time
 
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
@@ -116,6 +119,22 @@ def main() -> None:
     assert n_src == b1["partitions"] and not mixed, mixed
     print(f"PASS  stats    {time.time() - t0:5.1f}s  "
           f"{n_src} shards, one source each")
+
+    # hive layout: a zero-padded string partition column comes back as
+    # the strings it was; without a tokens column verify fingerprints
+    # every column, the partition one included
+    hsrc = os.path.join(work, "hive_src")
+    os.makedirs(hsrc, exist_ok=True)
+    pq.write_table(pa.table({
+        "doc_id": [f"h{i:04d}" for i in range(300)],
+        "zip": [f"{i % 3:03d}" for i in range(300)],
+        "v": [i * 0.5 for i in range(300)],
+    }), os.path.join(hsrc, "part-0.parquet"))
+    hive = os.path.join(work, "hive")
+    h = run(["encode", hsrc, hive, "--hive-cols", "zip"])
+    assert h["rows"] == 300 and h["partitions"] == 3, h
+    vh = run(["verify", hsrc, hive, "--exact"])
+    assert vh["ok"] and vh["mismatched_groups"] == 0, vh
 
     e = run(
         [
@@ -227,7 +246,7 @@ def main() -> None:
             n_rows += sum(1 for _ in f)
     assert n_rows == 4000, n_rows
 
-    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 20}))
+    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 22}))
 
 
 if __name__ == "__main__":
