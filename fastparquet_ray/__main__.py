@@ -36,14 +36,20 @@ def _init_ray():
     DataContext.get_current().enable_progress_bars = False
 
 
-def _parse_filter(expr: str):
-    """'col>=value' -> (col, op, typed value); longest ops first."""
+def _parse_filter(expr: str, types: dict):
+    """'col>=value' -> (col, op, value); longest ops first. The value
+    stays the string given for a column ``types`` (column -> Arrow
+    type) records as a string, so ``zip==001`` keeps its zeros; any
+    other column's value is parsed by ``val_to_typed``."""
+    from .pipelines.hive import is_string, val_to_typed
+
     for op in ("==", "!=", ">=", "<=", ">", "<"):
         if op in expr:
             col, _, raw = expr.partition(op)
-            from .pipelines.hive import val_to_typed
-
-            return (col.strip(), op, val_to_typed(raw.strip()))
+            col, raw = col.strip(), raw.strip()
+            t = types.get(col)
+            keep = t is not None and is_string(t)
+            return col, op, raw if keep else val_to_typed(raw)
     raise SystemExit(f"bad --filter {expr!r} (ops: == != > >= < <=)")
 
 
@@ -222,7 +228,12 @@ def main(argv: list[str] | None = None) -> int:
             cols = args.columns.split(",") if args.columns else None
             filters = None
             if args.filter:
-                filters = [_parse_filter(f) for f in args.filter]
+                from .api import EncodedDataset
+
+                # hive columns at their recorded types, stored ones at
+                # the first shard's
+                types = {f.name: f.type for f in EncodedDataset(args.enc).schema}
+                filters = [_parse_filter(f, types) for f in args.filter]
             from .pipelines.export import export_jsonl, export_parquet
 
             if args.format == "jsonl":

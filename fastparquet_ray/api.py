@@ -226,21 +226,40 @@ class EncodedDataset:
 
     # ----- metadata (no data read) -----
 
+    def _hive_fields(self, stored) -> list[pa.Field]:
+        """The partition columns of a hive layout, which every read
+        appends after the ``stored`` ones, at the types the encode
+        recorded (``Snapshot.hive_fields``; a layout encoded before
+        they were recorded: the types of the first shard's path
+        values)."""
+        from .pipelines.hive import partition_values
+
+        snap = self._snapshot()
+        if snap.hive is None:
+            return []
+        parts = partition_values(snap.rel(snap.paths[0]), snap.hive_fields)
+        return [pa.field(k, v.type) for k, v in parts.items() if k not in stored]
+
     @property
     def columns(self) -> list[str]:
         snap = self._snapshot()
-        return list(snap.shard(snap.paths[0])["stats"])
+        stored = list(snap.shard(snap.paths[0])["stats"])
+        return stored + [f.name for f in self._hive_fields(stored)]
 
     @property
     def schema(self) -> pa.Schema:
-        """Arrow schema from the first shard header (no data read) —
-        reference ParquetFile.schema analog (api.py:529-536)."""
+        """Arrow schema from the first shard header (no data read),
+        hive partition columns appended — reference ParquetFile.schema
+        analog (api.py:529-536)."""
         import base64
 
         hdr = self._first_header()
-        return pa.ipc.read_schema(
+        schema = pa.ipc.read_schema(
             pa.py_buffer(base64.b64decode(hdr["schema"]))
         )
+        for f in self._hive_fields(schema.names):
+            schema = schema.append(f)
+        return schema
 
     @property
     def dtypes(self) -> dict:

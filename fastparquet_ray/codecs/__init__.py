@@ -1,8 +1,9 @@
 """Lightweight columnar codec kernels (numpy-vectorized, no Cython).
 
-Int codecs (intcodec, ids 0-9): PLAIN / FOR+bit-pack / RLE hybrid /
-  DICT / DELTA / PFOR / DICT2 (decode-only) / FOR64 / ZRANK / ZRANKS
-  (ZRANK over a plan-shared rank table)
+Int codecs (intcodec, ids 0-11): PLAIN / FOR+bit-pack / RLE hybrid /
+  DICT / DELTA / PFOR / DICT2 (decode-only) / FOR64 / one-frame ZRANK
+  and ZRANKS (decode-only) / ZRANK / ZRANKS (ZRANK over a plan-shared
+  rank table)
 String codecs (strcodec, ids 16-18): PLAIN / DICT / FSST
 Primitives: varint, zigzag, Parquet-spec bit-pack, RLE/bit-pack hybrid.
 

@@ -28,9 +28,16 @@ Codecs, by codec-id byte:
              block of width <= 32 is bit-packed as in FOR_BP, a wider
              one stores ceil(w/8)-byte deltas. Where FOR_BP succeeds,
              the two blobs differ only in the codec byte.
-8 ZRANK      frequency-ranked dict + zstd over the rank codes.
-9 ZRANKS     ZRANK over a plan-shared rank table + embedded extras;
-             both write one code stream [width u8][varint zlen][zstd].
+8, 9         ZRANK and ZRANKS with a one-frame code stream [width u8]
+             [varint zlen][zstd of the interleaved codes]; decode-only
+             (older shards and the golden corpus hold their bytes).
+10 ZRANK     frequency-ranked dict + zstd over the rank codes.
+11 ZRANKS    ZRANK over a plan-shared rank table + embedded extras;
+             both write one framed code stream [width u8][varint
+             n_frames][varint zlen per frame][frames]: each frame is
+             zstd over the byte planes of 2**18 bytes of u16/u32 codes
+             (the last frame the rest), so a lookup decompresses only
+             the frames holding its rows (``_write_codes``).
 
 FOR_BP, FOR64, PFOR and DELTA's body share one miniblock writer and
 reader (``_frames``, ``_pack_frames``, ``_unpack_frames``).
@@ -78,8 +85,10 @@ MINIBLOCK = 1024  # values per FOR miniblock; 1024*w bits is byte-aligned
 _C_PLAIN, _C_FOR, _C_RLE, _C_DICT, _C_DELTA, _C_PFOR, _C_DICT2, _C_FOR64 = (
     0, 1, 2, 3, 4, 5, 6, 7,
 )
-_C_ZRANK = 8
-_C_ZRANKS = 9  # zrank with a plan-shared rank table (+ embedded extras)
+_C_ZRANK_V1, _C_ZRANKS_V1 = 8, 9  # one-frame code stream, decode-only
+_C_ZRANK = 10
+_C_ZRANKS = 11  # zrank with a plan-shared rank table (+ embedded extras)
+_ZRANK_IDS = (_C_ZRANK_V1, _C_ZRANKS_V1, _C_ZRANK, _C_ZRANKS)
 
 _DTYPES = {
     1: np.dtype("<i4"),
@@ -462,39 +471,95 @@ def encode_delta(values: np.ndarray) -> bytes:
     return head + first + _encode_for(_delta_body(v), _C_FOR, widen=True)
 
 
+FRAME_BYTES = 1 << 18  # code bytes per frame of a ZRANK/ZRANKS stream
+
+
 def _write_codes(ranks: np.ndarray, n_codes: int) -> bytes:
-    """ZRANK/ZRANKS code stream: [width u8][varint zlen][zstd codes],
-    each rank a u16 (u32 above 64k codes)."""
+    """ZRANK/ZRANKS code stream: [width u8][varint n_frames][varint
+    zlen per frame][frames], each rank a u16 (u32 above 64k codes).
+    A frame holds the next ``FRAME_BYTES // width`` codes (the last
+    one the rest) as byte planes, every code's low byte and then each
+    higher byte in turn, zstd-compressed on its own: frequent values
+    get small ranks, so the high planes are almost all zeros."""
     import pyarrow as pa
 
     width = 2 if n_codes <= 65536 else 4
-    codes = ranks.astype(np.uint16 if width == 2 else np.uint32, copy=False)
-    z = pa.Codec("zstd", compression_level=3).compress(codes.tobytes(), asbytes=True)
-    return bytes([width]) + encode_uvarint(len(z)) + z
+    k = FRAME_BYTES // width
+    zstd = pa.Codec("zstd", compression_level=3)
+    frames = []
+    for s in range(0, ranks.size, k):
+        seg = ranks[s : s + k]
+        planes = np.empty((width, seg.size), dtype=np.uint8)
+        planes[0] = seg  # the cast keeps each code's low byte
+        for b in range(1, width):
+            planes[b] = seg >> (8 * b)
+        frames.append(zstd.compress(planes, asbytes=True))
+    head = bytes([width]) + encode_uvarint(len(frames))
+    return head + b"".join([encode_uvarint(len(z)) for z in frames] + frames)
 
 
 def _read_codes(
-    buf, pos: int, n: int, stop: int | None = None, stats: dict | None = None
+    buf, pos: int, n: int, take: np.ndarray | None = None,
+    stats: dict | None = None,
 ) -> np.ndarray:
-    """The code stream's first ``stop`` codes (default all ``n``): a
-    prefix is decompressed as a stream, so nothing past it is. With
-    ``stats``, its ``"codes"`` gets (bytes decompressed, bytes of the
-    whole decompressed stream, bytes stored)."""
+    """The codes of a framed stream at positions ``take`` (default all
+    ``n``). Only the frames holding them are decompressed, and their
+    planes are combined at those positions alone. With ``stats``, its
+    ``"codes"`` gets (bytes decompressed, bytes of the whole
+    decompressed stream, bytes stored)."""
+    import pyarrow as pa
+
+    width = buf[pos]
+    nf, pos = decode_uvarint(buf, pos + 1)
+    zlens = []
+    for _ in range(nf):
+        z, pos = decode_uvarint(buf, pos)
+        zlens.append(z)
+    starts = np.cumsum([pos] + zlens).tolist()
+    k = FRAME_BYTES // width
+    frame_of = None if take is None else take // k
+    need = range(nf) if take is None else np.unique(frame_of).tolist()
+    out = np.empty(n if take is None else take.size, dtype=f"<u{width}")
+    zstd = pa.Codec("zstd")
+    mv = memoryview(buf)
+    done = 0
+    for f in need:
+        size = min(k, n - f * k)
+        raw = zstd.decompress(
+            mv[starts[f] : starts[f + 1]],
+            decompressed_size=size * width,
+        )
+        planes = np.frombuffer(raw, dtype=np.uint8).reshape(width, size)
+        done += size * width
+        if take is None:
+            sel = slice(f * k, f * k + size)
+        else:
+            sel = np.flatnonzero(frame_of == f) if len(need) > 1 else slice(None)
+            planes = planes[:, take[sel] - f * k]
+        # high plane first, then shift in each lower one
+        codes = planes[-1].astype(out.dtype)
+        for b in range(width - 2, -1, -1):
+            codes <<= 8
+            codes |= planes[b]
+        out[sel] = codes
+    if stats is not None:
+        stats["codes"] = (done, n * width, sum(zlens))
+    return out
+
+
+def _read_codes_legacy(buf, pos: int, n: int, stats: dict | None = None):
+    """All codes of a one-frame stream, [width u8][varint zlen][zstd
+    codes] (ids 8 and 9, decode-only)."""
     import pyarrow as pa
 
     width = buf[pos]
     zlen, pos = decode_uvarint(buf, pos + 1)
-    dt = np.uint16 if width == 2 else np.uint32
     if stats is not None:
-        stats["codes"] = (min(n if stop is None else stop, n) * width, n * width, zlen)
-    if stop is not None and stop < n:
-        z = pa.BufferReader(pa.py_buffer(buf)[pos : pos + zlen])
-        raw = pa.CompressedInputStream(z, "zstd").read(stop * width)
-        return np.frombuffer(raw, dtype=dt)
+        stats["codes"] = (n * width, n * width, zlen)
     raw = pa.Codec("zstd").decompress(
         buf[pos : pos + zlen], decompressed_size=n * width, asbytes=True
     )
-    return np.frombuffer(raw, dtype=dt)
+    return np.frombuffer(raw, dtype=np.uint16 if width == 2 else np.uint32)
 
 
 def encode_zrank_int(values: np.ndarray) -> bytes:
@@ -628,13 +693,14 @@ def deserialize_rank_values(buf: bytes) -> np.ndarray:
     return np.frombuffer(buf, dtype=dt, count=n, offset=pos)
 
 
-def zranks_extras_count(blob: bytes) -> int:
+def zranks_extras_count(blob: bytes) -> int | None:
     """Number of embedded-extras values in a zrank-shared body — the
     per-shard vocabulary-drift signal (values the plan's rank table
-    never saw). Recorded in shard headers so an append job over a
-    drifting corpus can decide when to re-train the shared table."""
-    if not blob or blob[0] != _C_ZRANKS:
-        return 0
+    never saw), None for any other blob. Recorded in shard headers so
+    an append job over a drifting corpus can decide when to re-train
+    the shared table."""
+    if not blob or blob[0] not in (_C_ZRANKS, _C_ZRANKS_V1):
+        return None
     n, pos = decode_uvarint(blob, 2)
     if n == 0:
         return 0
@@ -889,9 +955,10 @@ def decode_any_int(
     PFOR when no block is wider than 32 bits, and by RLE_INT, DICT_INT
     and DICT2 after a walk of their runs up to the last one
     (``rle_decode(take=)``); more decode whole and then take. ZRANK
-    and ZRANKS decompress their code stream up to the last one and
-    gather from the shared table and the extras in place. PLAIN reads
-    them; DELTA decodes whole and then takes.
+    and ZRANKS decompress only the code frames holding them and gather
+    from the shared table and the extras in place (ids 8 and 9 decode
+    their one frame whole). PLAIN reads them; DELTA decodes whole and
+    then takes.
     ``stats`` as for ``_read_codes``, filled by ZRANK and ZRANKS."""
     codec = buf[0]
     dt = _DTYPES[buf[1]]
@@ -916,24 +983,27 @@ def decode_any_int(
             return _frames_take(hdr, payload, pfor, take).astype(dt)
         v = _decode_frames(hdr, payload, pfor).ravel()[:n].astype(dt)
         return v if take is None else v[take]
-    if codec in (_C_ZRANK, _C_ZRANKS):
+    if codec in _ZRANK_IDS:
         # [varint count][values LE] (ZRANK's table, ZRANKS's extras after
         # the shared table's md5), then the code stream
         shared = None
-        if codec == _C_ZRANKS:
+        if codec in (_C_ZRANKS, _C_ZRANKS_V1):
             thash = buf[pos : pos + 16].hex()
             shared = parse_shared(tables, thash, "rank", _rank_values, dt)
             pos += 16
         tsize, pos = decode_uvarint(buf, pos)
         table = np.frombuffer(buf, dtype=dt, count=tsize, offset=pos)
+        pos += table.nbytes
+        if codec in (_C_ZRANK_V1, _C_ZRANKS_V1):
+            codes = _read_codes_legacy(buf, pos, n, stats)
+            if take is not None:
+                codes = codes[take]
+        else:
+            codes = _read_codes(buf, pos, n, take, stats)
         if take is None:
-            codes = _read_codes(buf, pos + table.nbytes, n, stats=stats)
             if shared is not None:
                 table = np.concatenate([shared, table]) if tsize else shared
             return table[codes]
-        codes = _read_codes(
-            buf, pos + table.nbytes, n, int(take.max()) + 1, stats
-        )[take]
         if shared is None:
             return table[codes]
         out = np.empty(codes.size, dtype=dt)

@@ -64,6 +64,7 @@ def _outer_decompress(buf: bytes, codec: str, orig_len: int) -> bytes:
 _INT_CODEC_NAMES = {
     0: "plain", 1: "for_bp", 2: "rle", 3: "dict", 4: "delta",
     5: "pfor", 6: "dict2", 7: "for64", 8: "zrank", 9: "zranks",
+    10: "zrank", 11: "zranks",
 }
 _STR_CODEC_NAMES = {16: "plain", 17: "dict", 18: "fsst"}
 
@@ -417,8 +418,9 @@ class ShardEncoder:
                 ivals = _to_int_np(values)
                 vb = self._encode_int(ivals, vspec)
                 vname = _INT_CODEC_NAMES.get(vb[0], "?")
-                if vb[:1] == b"\x09":  # zrank-shared: drift signal
-                    info["zrank_extras"] = ic.zranks_extras_count(vb)
+                extras = ic.zranks_extras_count(vb)  # drift signal
+                if extras is not None:
+                    info["zrank_extras"] = extras
                 if ivals.size:
                     # ELEMENT-level stats under DEDICATED keys
                     # (emin/emax — NOT min/max, which scalar consumers
@@ -489,8 +491,9 @@ class ShardEncoder:
             bufs = [validity, body]
             info["sizes"] = [len(body)]
             info["codec"] = _INT_CODEC_NAMES.get(body[0], "?") if body else "?"
-            if body[:1] == b"\x09":  # zrank-shared: drift signal
-                info["zrank_extras"] = ic.zranks_extras_count(body)
+            extras = ic.zranks_extras_count(body)  # drift signal
+            if extras is not None:
+                info["zrank_extras"] = extras
             if (
                 pa.types.is_timestamp(t)
                 or pa.types.is_date(t)
@@ -821,7 +824,9 @@ class ShardHead:
 def note_read(how: dict | None, name: str, mode: str, codes=None) -> None:
     """Count one read of column ``name`` under ``mode`` in ``how``
     ({name: {mode: count, "codes": [decompressed, whole, stored]}}),
-    adding ZRANK/ZRANKS code-stream bytes (``_read_codes`` stats)."""
+    adding ZRANK/ZRANKS code-stream bytes (``_read_codes`` stats: the
+    bytes of the frames decompressed, of the whole stream decompressed,
+    and stored)."""
     if how is None:
         return
     col = how.setdefault(name, {})

@@ -20,8 +20,8 @@ table and compared as a code), and every other filter decodes its
 column (at the rows still in play) and is evaluated vectorized
 (M3/M4). The other projected columns are then decoded at those rows
 only (``container.decode_table(rows=)``: a few bit-packed values read
-where they lie, runs walked and a code stream decompressed up to the
-last row) — nothing more when no row matches.
+where they lie, runs walked and only the code frames holding the rows
+decompressed) — nothing more when no row matches.
 
 - ``decode_dataset``: a lazy, streaming ray.data.Dataset for scans:
   one read task per ``cluster.pack`` run of the kept shards by raw

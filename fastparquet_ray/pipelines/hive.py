@@ -92,7 +92,7 @@ def parse_hive_parts(path: str) -> dict[str, object]:
     return {k: val_to_typed(raw) for k, raw in _components(path).items()}
 
 
-def _is_string(t) -> bool:
+def is_string(t) -> bool:
     import pyarrow as pa
 
     if pa.types.is_dictionary(t):
@@ -111,7 +111,7 @@ def partition_values(path: str, fields: dict) -> dict:
     out = {}
     for key, raw in _components(path).items():
         t = fields.get(key)
-        if t is not None and _is_string(t):
+        if t is not None and is_string(t):
             s = urllib.parse.unquote(raw)
             val = pa.scalar(None if s == HIVE_NULL else s)
         else:

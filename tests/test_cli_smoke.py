@@ -1,7 +1,7 @@
-"""``tools/cli_smoke.py`` as a test: its 22 CLI stages (exact verify,
-source-pure shards, a typed hive layout, z-order clustered resume,
-``optimize``, resumable exports) run in a subprocess under a timeout
-and leave no process behind."""
+"""``tools/cli_smoke.py`` as a test: its 23 CLI stages (exact verify,
+source-pure shards, a typed hive layout and a string filter on it,
+z-order clustered resume, ``optimize``, resumable exports) run in a
+subprocess under a timeout and leave no process behind."""
 
 import os
 import signal
@@ -62,6 +62,6 @@ def test_cli_smoke(tmp_path):
     _kill(left)
     # cli_smoke prints the failing verb's stdout and stderr
     assert proc.returncode == 0, out[-6000:]
-    assert out.count("PASS ") == 22, out[-6000:]
+    assert out.count("PASS ") == 23, out[-6000:]
     assert '"smoke": "ok"' in out, out[-6000:]
     assert not left, f"processes left behind: {left}"

@@ -241,3 +241,44 @@ def test_hive_columns_keep_their_types(ray_session, tmp_path):
     plan_path.write_text(json.dumps(plan))
     old = fr.EncodedDataset(out).to_pandas()
     assert old["zip"].dtype == np.int64 and set(old["zip"]) == {0, 1, 2}
+
+
+def test_hive_columns_in_metadata(ray_session, tmp_path):
+    """``columns``, ``schema``, ``dtypes`` and ``info["columns"]`` list
+    the partition columns every read returns, after the stored ones and
+    at their recorded types; without the record, at the types of the
+    first shard's path values."""
+    import json
+
+    import fastparquet_ray as fr
+
+    src = tmp_path / "src"
+    src.mkdir()
+    n = 30
+    t = pa.table({
+        "doc_id": [f"d{i:03d}" for i in range(n)],
+        "zip": [f"{i % 3:03d}" for i in range(n)],
+        "k32": pa.array([i % 2 for i in range(n)], pa.int32()),
+        "v": pa.array(np.arange(n, dtype=np.float64)),
+    })
+    p = str(src / "part-0.parquet")
+    pq.write_table(t, p)
+    out = str(tmp_path / "enc")
+    encode_pipeline([p], out, resume=False, hive_cols=["zip", "k32"])
+
+    eds = fr.EncodedDataset(out)
+    want = ["doc_id", "v", "zip", "k32"]
+    assert eds.columns == eds.info["columns"] == want
+    assert list(eds.to_pandas().columns) == want
+    assert eds.schema.names == want
+    assert eds.schema.field("zip").type == pa.string()
+    assert eds.schema.field("k32").type == pa.int32()
+    assert eds.dtypes["zip"] == np.object_ and eds.dtypes["k32"] == np.int32
+
+    plan_path = tmp_path / "enc" / "_plan.json"
+    plan = json.loads(plan_path.read_text())
+    del plan["hive"]
+    plan_path.write_text(json.dumps(plan))
+    old = fr.EncodedDataset(out)
+    assert old.columns == want
+    assert old.schema.field("zip").type == pa.int64()

@@ -23,23 +23,26 @@ from fastparquet_ray.plan import _pick_int_codec, _pick_str_codec, train_plan
 # and zrank picks carry a shared table
 CENSUS = {
     (400, 1, None): ("fsst", "rle", "dict", "rle", "zrank"),
-    (400, 1, ("zstd", 3)): ("fsst", "rle", "dict", "rle", "for_bp"),
+    (400, 1, ("zstd", 3)): ("fsst", "rle", "dict", "rle", "zrank"),
     (2000, 3, None): ("fsst", "pfor", "dict", "pfor", "zrank"),
-    (2000, 3, ("zstd", 3)): ("fsst", "for_bp", "dict", "for_bp", "for_bp"),
+    (2000, 3, ("zstd", 3)): ("fsst", "for_bp", "dict", "for_bp", "zrank"),
 }
 
 # sha256 of the plan's JSON per (case, order), as the plan was before
 # the int trial was sized from layouts and FSST training got its floor:
-# a faster trial must give the same bytes, symbol tables included
+# a faster trial must give the same bytes, symbol tables included. The
+# two outer-zstd cases changed once, when the rank codes became byte
+# planes: zrank then ships smaller than for_bp for token values and
+# wins, and its shared rank table joins the plan.
 PLAN_SHA256 = {
     (400, 1, None, "file"): "cdce3f5ac175a99f3aa2f4a8fc7c7814c9f05e93f13ed5963c5c110ea49d5cfa",
     (400, 1, None, "doc_id"): "f7356f7a8f59a5d2f485e5ec21093a38933fadd7f28f836e1520d3f7f031c6d7",
-    (400, 1, ("zstd", 3), "file"): "aee72787742a50f8146800f5327dc14d376e0dfa776f161698e749487901865d",
-    (400, 1, ("zstd", 3), "doc_id"): "4bcb8be8b6422ebd495f7ab7d40937b3fb55d432236fe9f60ec559b606abdd6d",
+    (400, 1, ("zstd", 3), "file"): "d3c684d1064f9ba0180fe8c5316a664aa2e7c3a5da8fcc7e7623aa4f4360563f",
+    (400, 1, ("zstd", 3), "doc_id"): "73a690468f6e58aa7ad93fd4e793041ef25163e178ef6a1b52137a916f4f132c",
     (2000, 3, None, "file"): "6144286cc0c5664c496b40f101723e836563610550a26253dd75c5ea2af40e2a",
     (2000, 3, None, "doc_id"): "c4a32fdcf79a27e15128bbbc743a49c123a2503beacd173710d22150de4f99d2",
-    (2000, 3, ("zstd", 3), "file"): "0b26247618352dde0082f884ef8c795fab601b19d19d51c71d4d40fd1ab116f6",
-    (2000, 3, ("zstd", 3), "doc_id"): "b93a60d360da9f4610d43be1edf1734583abf9ddb44465aff06e91226791a0ab",
+    (2000, 3, ("zstd", 3), "file"): "c23fe03ae8df5338f8746fd26951a1b73d3546fb5ccca28773232c2a36317f45",
+    (2000, 3, ("zstd", 3), "doc_id"): "22342b4055096e16868de748741cbe0d8f05cd5a7a05480531c1ee72f26b2817",
 }
 
 

@@ -8,6 +8,7 @@ invariants that unit tests cover only piecewise:
         -> stats (one source per shard)
         -> encode --hive-cols zip -> verify --exact (a zero-padded
            string partition column, every column fingerprinted)
+        -> decode --filter zip==001 (a string compared as a string)
         -> encode --cluster-by --bloom -> verify --exact -> stats
         -> optimize -> verify --exact (optimized layout)
         -> decode (idempotent rerun + single-file repair)
@@ -135,6 +136,18 @@ def main() -> None:
     assert h["rows"] == 300 and h["partitions"] == 3, h
     vh = run(["verify", hsrc, hive, "--exact"])
     assert vh["ok"] and vh["mismatched_groups"] == 0, vh
+    # a filter on that column compares strings: zip==001 exports the
+    # rows written as "001" (kept in the zip=001 dir), not zip == 1
+    hz = os.path.join(work, "pq_zip")
+    hf = run(["decode", hive, hz, "--filter", "zip==001"])
+    files = [
+        p for p in glob.glob(hz + "/**/*.parquet", recursive=True)
+        if not os.path.basename(p).startswith("_")
+    ]
+    ids = sorted(i for p in files for i in pq.read_table(p)["doc_id"].to_pylist())
+    assert {os.path.basename(os.path.dirname(p)) for p in files} == {"zip=001"}
+    want = [f"h{i:04d}" for i in range(300) if i % 3 == 1]
+    assert hf["rows"] == 100 and ids == want, (hf, ids)
 
     e = run(
         [
@@ -246,7 +259,7 @@ def main() -> None:
             n_rows += sum(1 for _ in f)
     assert n_rows == 4000, n_rows
 
-    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 22}))
+    print(json.dumps({"smoke": "ok", "workdir": work, "stages": 23}))
 
 
 if __name__ == "__main__":
